@@ -152,33 +152,33 @@ fn bench_oracle_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The execution modes of [`ExecutionMode`], timed on the same matrix:
+/// `serial` (the oracle: one pass per scheme over each materialised
+/// trace), `single_pass` (`Parallel { workers: 1 }`: each trace streamed
+/// once through all schemes) and `sharded` (`Parallel { workers: n }`,
+/// one worker per available core).
+fn modes() -> [(&'static str, ExecutionMode); 3] {
+    [
+        ("serial", ExecutionMode::Serial),
+        ("single_pass", ExecutionMode::Parallel { workers: 1 }),
+        ("sharded", ExecutionMode::all_cores()),
+    ]
+}
+
 /// The tentpole comparison: the full headline matrix (3 traces × 4
-/// schemes at 200k refs/trace) under each execution path. `serial`
-/// regenerates and re-simulates per scheme; `single_pass` streams each
-/// trace once through all schemes; `sharded` additionally partitions by
-/// block address across workers; `pipelined` is the sharded placement
-/// with trace decode overlapped on a dedicated producer thread, and
-/// `pipelined_1` isolates the overlap itself (one step worker, so the
-/// only difference from `single_pass` is where decode runs). Throughput
-/// is engine steps per second (references × schemes).
+/// schemes at 200k refs/trace) under each execution mode (see
+/// [`modes`]). Throughput is engine steps per second (references ×
+/// schemes).
 fn bench_execution_modes(c: &mut Criterion) {
     const MATRIX_REFS: usize = 200_000;
     let exp = dirsim::paper::headline_experiment(MATRIX_REFS);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let steps = (MATRIX_REFS * exp.workload_count() * exp.scheme_count()) as u64;
     let mut group = c.benchmark_group("throughput/full_matrix_200k");
     group.sample_size(10);
     group.throughput(Throughput::Elements(steps));
-    for (label, mode) in [
-        ("serial", ExecutionMode::Serial),
-        ("single_pass", ExecutionMode::SinglePass),
-        ("sharded", ExecutionMode::Sharded { workers }),
-        ("pipelined_1", ExecutionMode::Pipelined { workers: 1 }),
-        ("pipelined", ExecutionMode::Pipelined { workers }),
-    ] {
-        group.bench_function(label, |b| b.iter(|| exp.run_with(mode).unwrap()));
+    for (label, mode) in modes() {
+        let exp = exp.clone().execution(mode);
+        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
     }
     group.finish();
 }
@@ -196,21 +196,13 @@ fn bench_execution_modes_finite(c: &mut Criterion) {
         .build()
         .expect("bench geometry is valid");
     let exp = dirsim::paper::headline_experiment(MATRIX_REFS).sim_config(config);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let steps = (MATRIX_REFS * exp.workload_count() * exp.scheme_count()) as u64;
     let mut group = c.benchmark_group("throughput/full_matrix_finite_200k");
     group.sample_size(10);
     group.throughput(Throughput::Elements(steps));
-    for (label, mode) in [
-        ("serial", ExecutionMode::Serial),
-        ("single_pass", ExecutionMode::SinglePass),
-        ("sharded", ExecutionMode::Sharded { workers }),
-        ("pipelined_1", ExecutionMode::Pipelined { workers: 1 }),
-        ("pipelined", ExecutionMode::Pipelined { workers }),
-    ] {
-        group.bench_function(label, |b| b.iter(|| exp.run_with(mode).unwrap()));
+    for (label, mode) in modes() {
+        let exp = exp.clone().execution(mode);
+        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
     }
     group.finish();
 }

@@ -16,8 +16,8 @@
 //!
 //! The comparison is deliberately per-key rather than aggregate: a 2×
 //! win on one mode must not mask a 2× loss on another (each mode pins a
-//! distinct engine path — serial fused decode, single-pass staged decode,
-//! sharded routing, overlapped decode).
+//! distinct engine path — the serial oracle's per-scheme passes, the
+//! one-worker single pass, sharded routing).
 
 use std::process::ExitCode;
 

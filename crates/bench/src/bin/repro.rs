@@ -98,11 +98,12 @@ fn main() -> ExitCode {
             None => exp,
         };
         exp.progress(Arc::clone(&meter))
+            .execution(dirsim::ExecutionMode::all_cores())
     };
 
     let started = Instant::now();
     eprintln!("simulating headline experiment ({refs} refs/trace)...");
-    let headline = match instrument(paper::headline_experiment(refs)).run_parallel() {
+    let headline = match instrument(paper::headline_experiment(refs)).run() {
         Ok(r) => r,
         Err(e) => {
             dirsim_bench::report_error("repro", &e);
@@ -110,7 +111,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("simulating extended experiment...");
-    let extended = match instrument(paper::extended_experiment(refs)).run_parallel() {
+    let extended = match instrument(paper::extended_experiment(refs)).run() {
         Ok(r) => r,
         Err(e) => {
             dirsim_bench::report_error("repro", &e);

@@ -282,9 +282,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // One single-pass broadcast run covers every requested scheme and
     // feeds the phase/scheme instrumentation. Trace files come back
-    // through the frontend registry (mmap-backed and zero-copy for
-    // fixed-record binary); synthetic workloads replay the generated
-    // buffer.
+    // through the frontend registry (mmap-backed and decoded inline,
+    // zero-copy, for fixed-record binary); synthetic workloads lend the
+    // generated buffer in place.
     let started = Instant::now();
     let mut observed = 0u64;
     let mut tick = |_: &MemRef| {
@@ -302,12 +302,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             open_trace(path).map_err(|e| format!("{path}: {e}"))?,
             &mut tick,
         )?,
-        None => engine.run_observed(
-            &opts.schemes,
-            caches,
-            IterSource::new(refs.iter().copied()),
-            &mut tick,
-        )?,
+        None => engine.run_observed(&opts.schemes, caches, SliceSource::new(&refs), &mut tick)?,
     };
     let wall = started.elapsed().as_secs_f64();
     meter

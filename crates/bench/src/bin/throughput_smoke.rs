@@ -1,20 +1,21 @@
 //! CI throughput smoke test: runs the paper's extended scheme matrix
-//! through each execution path and fails if the single-pass engine is
-//! slower than the legacy serial path — the engine's per-reference work
-//! is identical, so a slowdown means a structural regression (an extra
+//! under each execution mode and fails if the single-pass engine is
+//! slower than the serial oracle — the engine's per-reference work is
+//! identical, so a slowdown means a structural regression (an extra
 //! pass over the trace, a per-reference allocation), never tuning drift.
+//!
+//! Three modes are timed: `serial` (`ExecutionMode::Serial`, one pass
+//! per scheme over the materialised trace, lent inline), `single-pass`
+//! (`Parallel { workers: 1 }`) and `sharded` (`Parallel { workers: n }`
+//! with `n` the available core count). The generated workloads decode on
+//! the engine's producer thread in both parallel modes — the source, not
+//! the mode, decides where decode runs.
 //!
 //! Two rounds run back to back: the paper's **infinite**-cache model
 //! (block-sharded) and a **finite** 64-set × 4-way geometry (set-sharded,
 //! with real LRU replacement traffic). Each round gets the same paired
 //! gate, so the finite-cache engine path is held to the same bar the
 //! infinite path has been since it was parallelised.
-//!
-//! A second paired gate covers the staged pipeline's overlapped decode:
-//! `pipelined` (one step worker plus a decode producer thread) must not
-//! lose to `single-pass` (the same placement with decode inline) — the
-//! stepping work is identical, so losing means the handshake itself
-//! regressed, not the machine.
 //!
 //! A third, decode-bound round exercises corpus ingestion: a generated
 //! DTR1 file (`--decode-refs`, default 10^7 references) is drained
@@ -24,9 +25,10 @@
 //! their ratio) so `bench_gate` ratchets the decode path alongside the
 //! engine; the round only hard-fails when mmap decode falls below 0.8×
 //! buffered — a structural loss, since the mmap path does strictly less
-//! work per record. One instrumented pipelined simulation per source
-//! then records `decode_stall_seconds`, so the exported metrics show the
-//! overlap the faster decode buys.
+//! work per record. One instrumented simulation over the buffered source
+//! (which decodes on the producer thread) then records
+//! `decode_stall_seconds`; the mmap source decodes inline, so it has no
+//! stall to record.
 //!
 //! Usage: `throughput_smoke [refs_per_trace] [--metrics-json <path>]
 //! [--bench-json <path>] [--decode-refs N]` (default 100 000 references
@@ -38,16 +40,15 @@
 //! so they warn rather than fail when they lose to single-pass.
 //!
 //! `--metrics-json` records the measured timings (`smoke_best_seconds`,
-//! `steps_per_sec` per `{cache, mode}`, `smoke_best_ratio` and
-//! `smoke_pipelined_ratio` per `{cache}`) as JSON lines after the gate's
-//! measurements complete, so exporting never perturbs the timing; it then
-//! runs one instrumented pipelined pass per cache model so the pipeline
-//! metrics (`decode_stall_seconds`, `step_stall_seconds`,
-//! `pipeline_queue_depth`, `pipeline_occupancy`) land in the same file
-//! for schema validation. `--bench-json` additionally writes a one-object
-//! perf-trajectory file (`BENCH_throughput.json` in CI) whose `metrics`
-//! map holds one steps/sec entry per cache-model × mode pair plus the
-//! paired `{cache}_pipelined_vs_inline_ratio`.
+//! `steps_per_sec` per `{cache, mode}`, `smoke_best_ratio` per
+//! `{cache}`) as JSON lines after the gate's measurements complete, so
+//! exporting never perturbs the timing; it then runs one instrumented
+//! parallel pass per cache model so the pipeline metrics
+//! (`decode_stall_seconds`, `step_stall_seconds`, `pipeline_queue_depth`,
+//! `pipeline_occupancy`) land in the same file for schema validation.
+//! `--bench-json` additionally writes a one-object perf-trajectory file
+//! (`BENCH_throughput.json` in CI) whose `metrics` map holds one
+//! steps/sec entry per cache-model × mode pair.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -80,7 +81,7 @@ fn calibrate_refs(mut refs: usize) -> Result<usize, dirsim::Error> {
     for _ in 0..MAX_CALIBRATION_DOUBLINGS {
         let exp = dirsim::paper::extended_experiment(refs);
         let start = Instant::now();
-        exp.run_with(ExecutionMode::SinglePass)?;
+        exp.clone().execution(SINGLE_PASS).run()?;
         if start.elapsed().as_secs_f64() >= MIN_SECS {
             break;
         }
@@ -101,21 +102,20 @@ const ROUNDS: usize = 5;
 /// the run is not pure eviction churn.
 const FINITE_GEOMETRY: CacheGeometry = CacheGeometry { sets: 64, ways: 4 };
 
-const MODES: usize = 4;
+const MODES: usize = 3;
 
-/// Mode order: serial (index 0) and single-pass (index 1) form the PR 2
-/// pair; single-pass (inline decode) and pipelined (index 3, overlapped
-/// decode on one step worker) form the overlap pair.
-const MODE_LABELS: [&str; MODES] = ["serial", "single-pass", "sharded", "pipelined"];
+/// Mode order: serial (index 0) and single-pass (index 1) form the gated
+/// pair; sharded (index 2) spreads the steps over every core.
+const MODE_LABELS: [&str; MODES] = ["serial", "single-pass", "sharded"];
+
+/// The one-worker parallel mode: every scheme in lockstep over one pass.
+const SINGLE_PASS: ExecutionMode = ExecutionMode::Parallel { workers: 1 };
 
 fn modes(workers: usize) -> [ExecutionMode; MODES] {
     [
         ExecutionMode::Serial,
-        ExecutionMode::SinglePass,
-        ExecutionMode::Sharded { workers },
-        // One step worker: isolates the decode overlap itself, instead of
-        // mixing it with sharding speedups or core-count noise.
-        ExecutionMode::Pipelined { workers: 1 },
+        SINGLE_PASS,
+        ExecutionMode::Parallel { workers },
     ]
 }
 
@@ -124,31 +124,29 @@ fn steps_of(results: &ExperimentResults) -> u64 {
 }
 
 fn timed(exp: &Experiment, mode: ExecutionMode) -> Result<(f64, u64), dirsim::Error> {
+    let exp = exp.clone().execution(mode);
     let start = Instant::now();
-    let results = exp.run_with(mode)?;
+    let results = exp.run()?;
     // No clamp: `calibrate_refs` scaled the workload past MIN_SECS, so
     // the elapsed time is genuinely non-zero.
     Ok((start.elapsed().as_secs_f64(), steps_of(&results)))
 }
 
 /// One cache model's paired measurement: best seconds and steps per mode,
-/// plus the best per-round ratios the gates judge (serial / single-pass,
-/// and single-pass / pipelined).
+/// plus the best per-round serial / single-pass ratio the gate judges.
 struct Round {
     best: [f64; MODES],
     steps: [u64; MODES],
     best_ratio: f64,
-    best_pipelined_ratio: f64,
 }
 
 fn measure(exp: &Experiment, workers: usize) -> Result<Round, dirsim::Error> {
     // Warm-up pass: first-touch page faults and lazy allocations land
     // here instead of skewing round one.
-    exp.run_with(ExecutionMode::SinglePass)?;
+    exp.clone().execution(SINGLE_PASS).run()?;
     let mut best = [f64::INFINITY; MODES];
     let mut steps = [0u64; MODES];
     let mut best_ratio = 0.0f64;
-    let mut best_pipelined_ratio = 0.0f64;
     for _ in 0..ROUNDS {
         let mut round = [f64::INFINITY; MODES];
         for (i, &mode) in modes(workers).iter().enumerate() {
@@ -158,15 +156,13 @@ fn measure(exp: &Experiment, workers: usize) -> Result<Round, dirsim::Error> {
             steps[i] = n;
         }
         // Calibration keeps every measurement above MIN_SECS, so the
-        // ratios are finite.
+        // ratio is finite.
         best_ratio = best_ratio.max(round[0] / round[1]);
-        best_pipelined_ratio = best_pipelined_ratio.max(round[1] / round[3]);
     }
     Ok(Round {
         best,
         steps,
         best_ratio,
-        best_pipelined_ratio,
     })
 }
 
@@ -188,10 +184,8 @@ fn report(label: &str, round: &Round) -> [f64; MODES] {
     rates
 }
 
-/// Applies the gates to one round: single-pass must reach 90% of serial
-/// throughput in at least one paired round, and pipelined must reach 90%
-/// of single-pass throughput in at least one paired round; sharded only
-/// warns.
+/// Applies the gate to one round: single-pass must reach 90% of serial
+/// throughput in at least one paired round; sharded only warns.
 fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> bool {
     // 10% guard band on the best paired round: a real regression slows
     // every round well past this; noise does not slow all five.
@@ -203,14 +197,6 @@ fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> boo
         );
         return false;
     }
-    if round.best_pipelined_ratio < 0.90 {
-        eprintln!(
-            "FAIL[{label}]: pipelined decode never reached inline throughput \
-             (best round {:.2}x single-pass)",
-            round.best_pipelined_ratio
-        );
-        return false;
-    }
     let (single_pass, sharded) = (rates[1], rates[2]);
     if workers > 1 && sharded < single_pass {
         eprintln!(
@@ -219,9 +205,8 @@ fn gate(label: &str, round: &Round, rates: &[f64; MODES], workers: usize) -> boo
         );
     }
     println!(
-        "OK[{label}]: single-pass best round is {:.2}x serial, \
-         pipelined best round is {:.2}x single-pass",
-        round.best_ratio, round.best_pipelined_ratio
+        "OK[{label}]: single-pass best round is {:.2}x serial",
+        round.best_ratio
     );
     true
 }
@@ -242,11 +227,10 @@ struct DecodeRound {
     /// Best wall seconds per path across the paired rounds.
     buffered_best: f64,
     mmap_best: f64,
-    /// Total `decode_stall_seconds` from one instrumented pipelined
-    /// simulation per source (evidence, not gated: the faster decode
-    /// should leave the step side waiting less).
+    /// Total `decode_stall_seconds` from one instrumented simulation
+    /// over the buffered source, which decodes on the producer thread
+    /// (evidence, not gated).
     stall_buffered: f64,
-    stall_mmap: f64,
 }
 
 impl DecodeRound {
@@ -292,16 +276,17 @@ fn drain_mmap(path: &std::path::Path) -> Result<(f64, u64), Box<dyn std::error::
     Ok((start.elapsed().as_secs_f64().max(MIN_SECS), n))
 }
 
-/// One instrumented pipelined pass over the corpus; returns the total
-/// `decode_stall_seconds` the step side accumulated.
-fn pipelined_stall<S>(source: S) -> Result<f64, dirsim::Error>
+/// One instrumented simulation over a corpus source that decodes on the
+/// producer thread; returns the total `decode_stall_seconds` the step
+/// side accumulated.
+fn decode_stall<S>(source: S) -> Result<f64, dirsim::Error>
 where
     S: TraceSource + Send,
 {
     let registry = Arc::new(MetricsRegistry::new());
     BroadcastSimulator::paper()
         .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_pipelined(&[Scheme::Wti], 4, source)?;
+        .run(&[Scheme::Wti], 4, source)?;
     Ok(registry
         .histogram_summary("decode_stall_seconds", &[])
         .map(|s| s.sum)
@@ -309,7 +294,7 @@ where
 }
 
 /// Generates the decode corpus, runs the paired buffered/mmap rounds,
-/// and takes the pipelined stall evidence.
+/// and takes the buffered source's stall evidence.
 fn measure_decode(decode_refs: usize) -> Result<DecodeRound, Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join(format!("dirsim-smoke-decode-{}.dtr", std::process::id()));
     let workload = Scenario::named("pops").expect("bundled scenario");
@@ -328,7 +313,6 @@ fn measure_decode(decode_refs: usize) -> Result<DecodeRound, Box<dyn std::error:
         buffered_best: f64::INFINITY,
         mmap_best: f64::INFINITY,
         stall_buffered: 0.0,
-        stall_mmap: 0.0,
     };
     for _ in 0..ROUNDS {
         let (secs, n) = drain_buffered(&path)?;
@@ -338,10 +322,9 @@ fn measure_decode(decode_refs: usize) -> Result<DecodeRound, Box<dyn std::error:
         assert_eq!(n, round.refs, "mmap decode dropped records");
         round.mmap_best = round.mmap_best.min(secs);
     }
-    round.stall_buffered = pipelined_stall(read_binary(std::io::BufReader::new(
+    round.stall_buffered = decode_stall(read_binary(std::io::BufReader::new(
         std::fs::File::open(&path)?,
     )))?;
-    round.stall_mmap = pipelined_stall(MmapTraceSource::open(&path).map_err(dirsim::Error::from)?)?;
     std::fs::remove_file(&path).ok();
     Ok(round)
 }
@@ -364,8 +347,8 @@ fn report_decode(round: &DecodeRound) -> bool {
         round.mmap_rate()
     );
     println!(
-        "[decode] pipelined decode_stall_seconds: buffered {:.4}, mmap {:.4}",
-        round.stall_buffered, round.stall_mmap
+        "[decode] buffered decode_stall_seconds: {:.4}",
+        round.stall_buffered
     );
     let ratio = round.ratio();
     if ratio < DECODE_FLOOR {
@@ -477,45 +460,32 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 );
             }
             registry.gauge("smoke_best_ratio", &[("cache", *cache)], round.best_ratio);
-            registry.gauge(
-                "smoke_pipelined_ratio",
-                &[("cache", *cache)],
-                round.best_pipelined_ratio,
-            );
-            // The overlap pair under its own mode labels: `inline` is the
-            // single-pass placement (same stepping, decode on the calling
-            // thread), `pipelined` the overlapped one.
-            for (mode, idx) in [("inline", 1usize), ("pipelined", 3usize)] {
-                registry.gauge(
-                    "smoke_overlap_best_seconds",
-                    &[("cache", *cache), ("mode", mode)],
-                    round.best[idx],
-                );
-            }
         }
         // The corpus decode round: paired rates per source, plus the
-        // stall evidence from the instrumented pipelined passes.
-        for (source, rate, stall) in [
-            ("buffered", decode.buffered_rate(), decode.stall_buffered),
-            ("mmap", decode.mmap_rate(), decode.stall_mmap),
+        // stall evidence from the buffered source's producer thread.
+        for (source, rate) in [
+            ("buffered", decode.buffered_rate()),
+            ("mmap", decode.mmap_rate()),
         ] {
             registry.gauge("decode_refs_per_sec", &[("source", source)], rate);
-            registry.gauge(
-                "corpus_pipelined_stall_seconds",
-                &[("source", source)],
-                stall,
-            );
         }
-        // One instrumented pipelined pass per cache model (after all the
-        // timing), so the pipeline-overlap metrics land in the exported
-        // file and CI schema-validates their names and shapes.
+        registry.gauge(
+            "corpus_pipelined_stall_seconds",
+            &[("source", "buffered")],
+            decode.stall_buffered,
+        );
+        // One instrumented parallel pass per cache model (after all the
+        // timing): the generated workloads decode on the producer thread,
+        // so the pipeline-overlap metrics land in the exported file and
+        // CI schema-validates their names and shapes.
         for (_, exp) in &caches {
             (*exp)
                 .clone()
                 .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-                .run_with(ExecutionMode::Pipelined {
+                .execution(ExecutionMode::Parallel {
                     workers: workers.min(2),
-                })?;
+                })
+                .run()?;
         }
         let manifest = RunManifest::new("throughput_smoke")
             .schemes(dirsim::paper::extended_schemes().iter().map(|s| s.name()))
@@ -547,10 +517,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             metrics.push((
                 format!("{cache}_best_ratio"),
                 dirsim::obs::json::float(round.best_ratio),
-            ));
-            metrics.push((
-                format!("{cache}_pipelined_vs_inline_ratio"),
-                dirsim::obs::json::float(round.best_pipelined_ratio),
             ));
         }
         metrics.push((

@@ -9,9 +9,8 @@
 //! trace length, and an N-scheme matrix pays for one trace generation
 //! instead of N.
 //!
-//! All execution paths are placements of the one staged pipeline in
-//! `crate::pipeline` (`decode → route → step → merge`); this type only
-//! holds configuration and picks a placement.
+//! Every run goes through the one staged pipeline in `crate::pipeline`
+//! (`decode → route → step → merge`); this type only holds configuration.
 //!
 //! ## Sharding
 //!
@@ -33,15 +32,16 @@
 //! sum the merged totals are bit-identical to a serial run under either
 //! key.
 //!
-//! ## Overlapped decode
+//! ## Decode placement
 //!
-//! [`run_pipelined`](BroadcastSimulator::run_pipelined) additionally
-//! moves the decode stage onto a dedicated producer thread, so chunk
-//! *N+1* is decoded while chunk *N* is stepped. Chunk buffers are
-//! recycled through a bounded two-channel handshake (see
-//! `crate::pipeline`), so the overlap allocates nothing in steady state
-//! and — because only *work* moves threads, never *order* — results stay
-//! bit-identical to the non-overlapped paths.
+//! The source decides where decode runs. A source that lends its chunks
+//! ([`TraceSource::borrowed`]: a memory-mapped corpus file, an in-memory
+//! [`SliceSource`](dirsim_trace::SliceSource)) is decoded inline on the
+//! calling thread, zero-copy. Every other source — generators, the
+//! buffered, DTR3, text and CSV decoders — is decoded on a dedicated
+//! producer thread, chunk *N+1* while chunk *N* is stepped, through
+//! recycled buffers (see `crate::pipeline`). Only decode *work* moves
+//! threads, never chunk *order*, so results are bit-identical either way.
 //!
 //! ```
 //! use dirsim::broadcast::BroadcastSimulator;
@@ -151,8 +151,8 @@ impl BroadcastSimulator {
     /// * `scheme_refs/scheme_transactions{scheme}` and
     ///   `scheme_ops{scheme,op}` — per-scheme result totals;
     /// * `shard_refs/shard_ops{shard}` — per-shard totals (sharded runs);
-    /// * pipeline-overlap metrics on the
-    ///   [`run_pipelined`](Self::run_pipelined) path:
+    /// * pipeline-overlap metrics whenever the source decodes on the
+    ///   producer thread (see the module docs):
     ///   `decode_stall_seconds`, `step_stall_seconds`,
     ///   `pipeline_queue_depth{stage[,shard]}`, and the
     ///   `pipeline_occupancy` gauge.
@@ -169,7 +169,9 @@ impl BroadcastSimulator {
     /// Validates everything shared by all run paths. Kept out of the
     /// builders so misconfiguration is a typed error, not a panic.
     fn validate_run(&self, schemes: &[Scheme]) -> Result<(), Error> {
-        assert!(!schemes.is_empty(), "broadcast run needs schemes");
+        if schemes.is_empty() {
+            return Err(Error::Config(SimConfigError::NoSchemes));
+        }
         // Sharded finite-cache runs derive the set mask from the
         // geometry, and every finite run builds `FiniteCache`s from it,
         // so an unusable sets/ways combination surfaces here as a typed
@@ -187,17 +189,17 @@ impl BroadcastSimulator {
     /// Runs every scheme over the stream, returning one [`SimResult`] per
     /// scheme in `schemes` order.
     ///
+    /// Requires `S: Send` because a source that does not lend its chunks
+    /// moves to the decode producer thread (see the module docs).
+    ///
     /// # Errors
     ///
     /// Returns a typed [`Error`] for trace decode failures, oracle
     /// violations, invariant violations, or an unusable configuration
-    /// (finite-cache geometry, zero chunk size, zero workers). Under
-    /// sharded execution, `ref_index` in an error is relative to the
-    /// failing shard's subsequence, not the global stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
+    /// (no schemes, finite-cache geometry, zero chunk size, zero
+    /// workers). Under sharded execution, `ref_index` in an error is
+    /// relative to the failing shard's subsequence, not the global
+    /// stream.
     pub fn run<S>(
         &self,
         schemes: &[Scheme],
@@ -205,7 +207,7 @@ impl BroadcastSimulator {
         source: S,
     ) -> Result<Vec<SimResult>, Error>
     where
-        S: TraceSource,
+        S: TraceSource + Send,
     {
         self.run_observed(schemes, caches, source, |_| {})
     }
@@ -218,77 +220,10 @@ impl BroadcastSimulator {
     /// # Errors
     ///
     /// See [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
     pub fn run_observed<S, F>(
         &self,
         schemes: &[Scheme],
         caches: u32,
-        mut source: S,
-        mut observe: F,
-    ) -> Result<Vec<SimResult>, Error>
-    where
-        S: TraceSource,
-        F: FnMut(&MemRef),
-    {
-        self.validate_run(schemes)?;
-        pipeline::run_inline(
-            self.config,
-            self.chunk,
-            self.workers,
-            &*self.recorder,
-            schemes,
-            caches,
-            &mut source,
-            &mut observe,
-        )
-    }
-
-    /// Like [`run`](Self::run), but decodes the source on a dedicated
-    /// producer thread, overlapped with stepping (double-buffered,
-    /// recycled chunk buffers over a bounded channel). Results are
-    /// bit-identical to [`run`](Self::run): only the decode *work* moves
-    /// to another thread, never the chunk *order*.
-    ///
-    /// Requires `S: Send` because the source itself moves to the producer
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
-    pub fn run_pipelined<S>(
-        &self,
-        schemes: &[Scheme],
-        caches: u32,
-        source: S,
-    ) -> Result<Vec<SimResult>, Error>
-    where
-        S: TraceSource + Send,
-    {
-        self.run_observed_pipelined(schemes, caches, source, |_| {})
-    }
-
-    /// Like [`run_pipelined`](Self::run_pipelined) with an observer hook.
-    /// Even with decode overlapped, `observe` still runs on the calling
-    /// thread in stream order.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
-    pub fn run_observed_pipelined<S, F>(
-        &self,
-        schemes: &[Scheme],
-        caches: u32,
         source: S,
         mut observe: F,
     ) -> Result<Vec<SimResult>, Error>
@@ -297,7 +232,7 @@ impl BroadcastSimulator {
         F: FnMut(&MemRef),
     {
         self.validate_run(schemes)?;
-        pipeline::run_overlapped(
+        pipeline::run(
             self.config,
             self.chunk,
             self.workers,
@@ -315,7 +250,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulator;
     use dirsim_mem::CacheGeometry;
-    use dirsim_trace::source::IterSource;
+    use dirsim_trace::source::{IterSource, SliceSource};
     use dirsim_trace::Scenario;
 
     const REFS: usize = 20_000;
@@ -421,7 +356,8 @@ mod tests {
     #[test]
     fn zero_chunk_size_is_a_typed_error() {
         // Regression: `chunk_size(0)` used to panic in the builder; it is
-        // now a typed configuration error at run time, on every path.
+        // now a typed configuration error at run time, for both decode
+        // placements.
         let engine = BroadcastSimulator::paper().chunk_size(0);
         let err = engine
             .run(&[Scheme::Wti], 4, IterSource::new(trace().into_iter()))
@@ -431,8 +367,9 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("chunk"), "{err}");
+        let refs = trace();
         let err = engine
-            .run_pipelined(&[Scheme::Wti], 4, IterSource::new(trace().into_iter()))
+            .run(&[Scheme::Wti], 4, SliceSource::new(&refs))
             .unwrap_err();
         assert!(
             matches!(err, Error::Config(SimConfigError::ZeroChunk)),
@@ -521,9 +458,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs schemes")]
-    fn empty_schemes_panics() {
-        let _ = BroadcastSimulator::paper().run(&[], 4, IterSource::new(std::iter::empty()));
+    fn empty_schemes_is_a_typed_error() {
+        let engine = BroadcastSimulator::paper();
+        let err = engine
+            .run(&[], 4, IterSource::new(std::iter::empty()))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config(SimConfigError::NoSchemes)),
+            "{err}"
+        );
+        let err = engine
+            .run_observed(&[], 4, SliceSource::new(&[]), |_| {})
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config(SimConfigError::NoSchemes)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -95,9 +95,7 @@ impl SimConfig {
     /// kernels: both audits must be off (rows carry no movements or
     /// probes) and the policy must allow it.
     pub(crate) fn kernel_eligible(&self) -> bool {
-        !self.check_oracle
-            && !self.check_invariants
-            && self.kernels.effective() != KernelPolicy::Disabled
+        !self.check_oracle && !self.check_invariants && self.kernels != KernelPolicy::Disabled
     }
 }
 
@@ -111,6 +109,10 @@ pub enum SimConfigError {
     ZeroChunk,
     /// The engine was asked to run with zero shard workers.
     ZeroWorkers,
+    /// A run was asked to simulate no schemes.
+    NoSchemes,
+    /// An experiment was asked to run with no workloads.
+    NoWorkloads,
 }
 
 impl fmt::Display for SimConfigError {
@@ -126,6 +128,12 @@ impl fmt::Display for SimConfigError {
                     "invalid simulation config: worker count must be positive"
                 )
             }
+            SimConfigError::NoSchemes => {
+                write!(f, "invalid simulation config: no schemes to simulate")
+            }
+            SimConfigError::NoWorkloads => {
+                write!(f, "invalid simulation config: no workloads to simulate")
+            }
         }
     }
 }
@@ -134,7 +142,10 @@ impl std::error::Error for SimConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimConfigError::Geometry(e) => Some(e),
-            SimConfigError::ZeroChunk | SimConfigError::ZeroWorkers => None,
+            SimConfigError::ZeroChunk
+            | SimConfigError::ZeroWorkers
+            | SimConfigError::NoSchemes
+            | SimConfigError::NoWorkloads => None,
         }
     }
 }

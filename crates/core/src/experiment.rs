@@ -1,18 +1,24 @@
 //! The experiment harness: a (workloads × schemes) simulation matrix.
 //!
 //! [`Experiment`] drives every configured workload through every configured
-//! scheme and collects per-trace and combined [`SimResult`]s. By default it
-//! runs **single-pass**: each workload is generated once and broadcast
-//! through all schemes in lockstep via
-//! [`BroadcastSimulator`], instead of
-//! regenerating the trace once per scheme. [`ExecutionMode`] selects
-//! between that, the legacy one-pass-per-scheme serial mode, sharded
-//! parallel execution (by block address for infinite caches, by cache
-//! set index for finite geometries), and pipelined execution with trace
-//! decode overlapped on a producer thread — all of which are placements
-//! of the same staged `decode → route → step → merge` pipeline and
-//! produce bit-identical results. The paper-specific experiment presets
-//! live in [`crate::paper`].
+//! scheme and collects per-trace and combined [`SimResult`]s. There is one
+//! way to run it — [`Experiment::run`] — in one of two [`ExecutionMode`]s:
+//!
+//! * [`Parallel { workers }`](ExecutionMode::Parallel) (the default, with
+//!   one worker): each workload is generated once and broadcast through
+//!   all schemes in lockstep via [`BroadcastSimulator`], sharded over
+//!   `workers` threads (by block address for infinite caches, by cache
+//!   set index for finite geometries);
+//! * [`Serial`](ExecutionMode::Serial): the paper's literal
+//!   one-pass-per-scheme method over the materialised trace, kept as the
+//!   oracle the parallel mode is checked against.
+//!
+//! Both run the same staged `decode → route → step → merge` pipeline and
+//! produce bit-identical results. Where decode runs is decided by the
+//! source, not the mode (see [`crate::broadcast`]): streamed generators
+//! decode on a producer thread, materialised traces are lent inline as a
+//! [`SliceSource`]. The paper-specific experiment presets live in
+//! [`crate::paper`].
 
 use std::ops::Index;
 use std::sync::{Arc, Mutex};
@@ -21,12 +27,12 @@ use dirsim_mem::SharingModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
 use dirsim_trace::filter::without_lock_tests;
-use dirsim_trace::source::{IterSource, WithoutLockTests};
+use dirsim_trace::source::{IterSource, SliceSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
 use dirsim_trace::{MemRef, Scenario, TraceStats};
 
 use crate::broadcast::BroadcastSimulator;
-use crate::engine::{SimConfig, SimResult};
+use crate::engine::{SimConfig, SimConfigError, SimResult};
 use crate::error::Error;
 
 /// One named workload in an experiment.
@@ -58,36 +64,35 @@ impl From<&Scenario> for NamedWorkload {
 
 /// How an [`Experiment`] executes its matrix.
 ///
-/// Every mode produces bit-identical [`ExperimentResults`]; they differ
-/// only in how many trace-generation passes run and how work is spread
-/// over threads.
+/// Both modes produce bit-identical [`ExperimentResults`]; they differ
+/// only in how many trace passes run and how stepping is spread over
+/// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One full pass over each trace per scheme (the paper's literal
-    /// methodology). N schemes pay for N trace generations.
+    /// One full pass over each materialised trace per scheme — the
+    /// paper's literal methodology and the oracle for
+    /// [`Parallel`](Self::Parallel). N schemes pay for N passes.
     Serial,
     /// Generate each trace once and broadcast every chunk through all
-    /// schemes in lockstep (the default).
-    SinglePass,
-    /// Single-pass, additionally sharded over `workers` threads under
-    /// the configuration's [`ShardKey`](crate::engine::ShardKey): by
-    /// block address for infinite caches, by cache set index for finite
-    /// geometries. Exact for both.
-    Sharded {
-        /// Number of worker threads.
+    /// schemes in lockstep, sharded over `workers` threads under the
+    /// configuration's [`ShardKey`](crate::engine::ShardKey): by block
+    /// address for infinite caches, by cache set index for finite
+    /// geometries. Exact for every worker count; one worker steps on the
+    /// calling thread.
+    Parallel {
+        /// Number of step worker threads (not counting a decode
+        /// producer thread, which the source decides on).
         workers: usize,
     },
-    /// Like [`Sharded`](Self::Sharded) (or [`SinglePass`](Self::SinglePass)
-    /// when `workers == 1`), but with trace decode overlapped on a
-    /// dedicated producer thread: chunk *N+1* is generated/decoded while
-    /// chunk *N* is stepped, through recycled double-buffered chunk
-    /// buffers. Still bit-identical — only decode *work* moves threads,
-    /// never chunk order.
-    Pipelined {
-        /// Number of step worker threads (not counting the decode
-        /// producer).
-        workers: usize,
-    },
+}
+
+impl ExecutionMode {
+    /// [`Parallel`](Self::Parallel) with one worker per available core
+    /// (one worker when the core count is unknown).
+    pub fn all_cores() -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ExecutionMode::Parallel { workers }
+    }
 }
 
 /// A simulation matrix over workloads and schemes.
@@ -131,7 +136,7 @@ impl Default for Experiment {
             refs_per_trace: 100_000,
             sim: SimConfig::default(),
             exclude_lock_tests: false,
-            mode: ExecutionMode::SinglePass,
+            mode: ExecutionMode::Parallel { workers: 1 },
             recorder: Arc::new(NoopRecorder),
             progress: None,
         }
@@ -199,7 +204,8 @@ impl Experiment {
         self
     }
 
-    /// Sets the execution mode used by [`Self::run`].
+    /// Sets the execution mode used by [`Self::run`] (default
+    /// `Parallel { workers: 1 }`).
     pub fn execution(mut self, mode: ExecutionMode) -> Self {
         self.mode = mode;
         self
@@ -270,6 +276,20 @@ impl Experiment {
             .collect()
     }
 
+    /// Materialises one workload's simulated stream: one generation pass,
+    /// the cache bound taken from the unfiltered stream, then lock-test
+    /// filtering when enabled.
+    fn materialise(&self, w: &NamedWorkload) -> (u32, Vec<MemRef>) {
+        let raw = self.generate_raw(w);
+        let caches = self.cache_bound(&w.config, &raw);
+        let refs = if self.exclude_lock_tests {
+            without_lock_tests(raw).collect()
+        } else {
+            raw
+        };
+        (caches, refs)
+    }
+
     /// Records one trace-generation pass for `name`.
     fn note_generation(&self, name: &str) {
         self.recorder
@@ -277,84 +297,39 @@ impl Experiment {
     }
 
     /// Runs the full matrix in the configured [`ExecutionMode`]
-    /// (single-pass unless overridden via [`Self::execution`]).
+    /// (`Parallel { workers: 1 }` unless overridden via
+    /// [`Self::execution`]).
     ///
     /// # Errors
     ///
     /// Propagates the first [`Error`] — an oracle or invariant violation
-    /// when checking is enabled, or an invalid mode/configuration
-    /// combination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workloads or no schemes were configured.
+    /// when checking is enabled, or an invalid configuration, including
+    /// [`SimConfigError::NoWorkloads`] and [`SimConfigError::NoSchemes`]
+    /// for an empty matrix.
     pub fn run(&self) -> Result<ExperimentResults, Error> {
-        self.run_with(self.mode)
-    }
-
-    /// Runs the full matrix pipelined and sharded over all available
-    /// cores: trace decode overlapped on a producer thread, stepping
-    /// sharded across workers. Results are bit-identical to
-    /// [`Self::run`]: the shard key (block address for infinite caches,
-    /// cache set index for finite geometries) preserves each block's
-    /// reference subsequence and all counters merge commutatively. Falls
-    /// back to single-pass execution when only one core is available.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workloads or no schemes were configured.
-    pub fn run_parallel(&self) -> Result<ExperimentResults, Error> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mode = if workers <= 1 {
-            ExecutionMode::SinglePass
-        } else {
-            ExecutionMode::Pipelined { workers }
-        };
-        self.run_with(mode)
-    }
-
-    /// Runs the full matrix in an explicit [`ExecutionMode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workloads or no schemes were configured.
-    pub fn run_with(&self, mode: ExecutionMode) -> Result<ExperimentResults, Error> {
-        assert!(!self.workloads.is_empty(), "experiment needs workloads");
-        assert!(!self.schemes.is_empty(), "experiment needs schemes");
-        match mode {
+        if self.workloads.is_empty() {
+            return Err(Error::Config(SimConfigError::NoWorkloads));
+        }
+        if self.schemes.is_empty() {
+            return Err(Error::Config(SimConfigError::NoSchemes));
+        }
+        match self.mode {
             ExecutionMode::Serial => self.run_serial(),
-            ExecutionMode::SinglePass => self.run_broadcast(1, false),
-            ExecutionMode::Sharded { workers } => self.run_broadcast(workers, false),
-            ExecutionMode::Pipelined { workers } => self.run_broadcast(workers, true),
+            ExecutionMode::Parallel { workers } => self.run_broadcast(workers),
         }
     }
 
-    /// The legacy path: materialise each trace, then one independent
+    /// The oracle path: materialise each trace, then one independent
     /// pipeline pass per (scheme, workload) cell — the paper's literal
     /// N-passes methodology, expressed on the same staged pipeline as
-    /// every other mode.
+    /// the parallel mode. The materialised traces are lent inline.
     fn run_serial(&self) -> Result<ExperimentResults, Error> {
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
         let mut trace_refs: Vec<Vec<MemRef>> = Vec::with_capacity(self.workloads.len());
         let mut trace_caches = Vec::with_capacity(self.workloads.len());
         for w in &self.workloads {
-            let raw = self.generate_raw(w);
-            trace_caches.push(self.cache_bound(&w.config, &raw));
-            let refs: Vec<MemRef> = if self.exclude_lock_tests {
-                without_lock_tests(raw).collect()
-            } else {
-                raw
-            };
+            let (caches, refs) = self.materialise(w);
+            trace_caches.push(caches);
             trace_stats.push((w.name.clone(), TraceStats::from_refs(refs.iter().copied())));
             trace_refs.push(refs);
         }
@@ -374,8 +349,7 @@ impl Experiment {
                 .zip(trace_refs.iter())
                 .zip(trace_caches.iter())
             {
-                let mut results =
-                    engine.run(&[scheme], caches, IterSource::new(refs.iter().copied()))?;
+                let mut results = engine.run(&[scheme], caches, SliceSource::new(refs))?;
                 let result = results.pop().expect("one scheme in, one result out");
                 simulated_refs += result.refs;
                 if let Some(p) = &self.progress {
@@ -404,13 +378,12 @@ impl Experiment {
         })
     }
 
-    /// The single-pass path: each workload is generated once, streamed in
-    /// chunks, and broadcast through every scheme (optionally sharded;
-    /// with `overlap`, generation runs on a producer thread overlapped
-    /// against stepping).
-    fn run_broadcast(&self, workers: usize, overlap: bool) -> Result<ExperimentResults, Error> {
+    /// The parallel path: each workload is generated once, streamed in
+    /// chunks, and broadcast through every scheme, sharded over
+    /// `workers`.
+    fn run_broadcast(&self, workers: usize) -> Result<ExperimentResults, Error> {
         let broadcaster = BroadcastSimulator::new(self.sim)
-            .workers(workers.max(1))
+            .workers(workers)
             .recorder(Arc::clone(&self.recorder));
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
         let mut per_workload: Vec<Vec<SimResult>> = Vec::with_capacity(self.workloads.len());
@@ -426,19 +399,29 @@ impl Experiment {
                         .tick(observed, None);
                 }
             };
-            // Closed systems stream straight out of the generator; open
-            // per-process systems materialise the trace once and derive
-            // the cache bound from that same pass (never a second, dry
-            // generation pass — see `cache_bound`).
+            // Closed systems stream straight out of the generator (decoded
+            // on the producer thread); open per-process systems
+            // materialise the trace once, derive the cache bound from that
+            // same pass (never a second, dry generation pass — see
+            // `cache_bound`), and lend it inline. Lock-test filtering
+            // happens before the engine either way, so `observe` (and
+            // therefore `TraceStats`) sees exactly the filtered stream, as
+            // in serial mode.
+            let schemes = &self.schemes;
             let results = if self.needs_trace_for_bound(&w.config) {
-                let raw = self.generate_raw(w);
-                let caches = self.cache_bound(&w.config, &raw);
-                self.run_stream(&broadcaster, caches, raw.into_iter(), overlap, &mut observe)?
+                let (caches, refs) = self.materialise(w);
+                broadcaster.run_observed(schemes, caches, SliceSource::new(&refs), &mut observe)?
             } else {
                 let caches = self.cache_bound(&w.config, &[]);
                 self.note_generation(&w.name);
-                let stream = Workload::new(w.config.clone()).take(self.refs_per_trace);
-                self.run_stream(&broadcaster, caches, stream, overlap, &mut observe)?
+                let stream =
+                    IterSource::new(Workload::new(w.config.clone()).take(self.refs_per_trace));
+                if self.exclude_lock_tests {
+                    let filtered = WithoutLockTests::new(stream);
+                    broadcaster.run_observed(schemes, caches, filtered, &mut observe)?
+                } else {
+                    broadcaster.run_observed(schemes, caches, stream, &mut observe)?
+                }
             };
             trace_stats.push((w.name.clone(), stats));
             per_workload.push(results);
@@ -471,46 +454,6 @@ impl Experiment {
             trace_stats,
             per_scheme,
         })
-    }
-
-    /// Drives one workload's reference stream through the broadcaster in
-    /// the requested placement, applying lock-test filtering at the
-    /// source so `observe` (and therefore [`TraceStats`]) sees exactly
-    /// the filtered stream, as in serial mode.
-    fn run_stream<I>(
-        &self,
-        broadcaster: &BroadcastSimulator,
-        caches: u32,
-        stream: I,
-        overlap: bool,
-        observe: &mut dyn FnMut(&MemRef),
-    ) -> Result<Vec<SimResult>, Error>
-    where
-        I: Iterator<Item = MemRef> + Send,
-    {
-        match (self.exclude_lock_tests, overlap) {
-            (true, true) => broadcaster.run_observed_pipelined(
-                &self.schemes,
-                caches,
-                WithoutLockTests::new(IterSource::new(stream)),
-                observe,
-            ),
-            (true, false) => broadcaster.run_observed(
-                &self.schemes,
-                caches,
-                WithoutLockTests::new(IterSource::new(stream)),
-                observe,
-            ),
-            (false, true) => broadcaster.run_observed_pipelined(
-                &self.schemes,
-                caches,
-                IterSource::new(stream),
-                observe,
-            ),
-            (false, false) => {
-                broadcaster.run_observed(&self.schemes, caches, IterSource::new(stream), observe)
-            }
-        }
     }
 }
 
@@ -633,14 +576,15 @@ mod tests {
 
     #[test]
     fn all_execution_modes_match() {
-        let serial = tiny_experiment().run_with(ExecutionMode::Serial).unwrap();
+        let serial = tiny_experiment()
+            .execution(ExecutionMode::Serial)
+            .run()
+            .unwrap();
         for mode in [
-            ExecutionMode::SinglePass,
-            ExecutionMode::Sharded { workers: 3 },
-            ExecutionMode::Pipelined { workers: 1 },
-            ExecutionMode::Pipelined { workers: 3 },
+            ExecutionMode::Parallel { workers: 1 },
+            ExecutionMode::Parallel { workers: 3 },
         ] {
-            let other = tiny_experiment().run_with(mode).unwrap();
+            let other = tiny_experiment().execution(mode).run().unwrap();
             assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
             for (a, b) in serial.per_scheme.iter().zip(other.per_scheme.iter()) {
                 assert_eq!(a.scheme, b.scheme);
@@ -654,11 +598,13 @@ mod tests {
     fn modes_match_with_lock_exclusion() {
         let serial = tiny_experiment()
             .exclude_lock_tests(true)
-            .run_with(ExecutionMode::Serial)
+            .execution(ExecutionMode::Serial)
+            .run()
             .unwrap();
         let single = tiny_experiment()
             .exclude_lock_tests(true)
-            .run_with(ExecutionMode::SinglePass)
+            .execution(ExecutionMode::Parallel { workers: 1 })
+            .run()
             .unwrap();
         assert_eq!(serial.trace_stats, single.trace_stats);
         for (a, b) in serial.per_scheme.iter().zip(single.per_scheme.iter()) {
@@ -669,7 +615,10 @@ mod tests {
     #[test]
     fn parallel_run_matches_sequential() {
         let sequential = tiny_experiment().run().unwrap();
-        let parallel = tiny_experiment().run_parallel().unwrap();
+        let parallel = tiny_experiment()
+            .execution(ExecutionMode::all_cores())
+            .run()
+            .unwrap();
         assert_eq!(sequential.trace_stats, parallel.trace_stats);
         for (a, b) in sequential.per_scheme.iter().zip(parallel.per_scheme.iter()) {
             assert_eq!(a.scheme, b.scheme);
@@ -682,22 +631,24 @@ mod tests {
     fn sharded_finite_cache_matches_serial() {
         // Regression: sharded finite-cache experiments used to be
         // rejected with a typed `ShardedFiniteCache` error; set sharding
-        // made them exact. `run_parallel` shards finite geometries too.
+        // made them exact. The all-cores mode shards finite geometries
+        // too.
         use dirsim_mem::CacheGeometry;
         let config = SimConfig::builder()
             .geometry(CacheGeometry { sets: 16, ways: 2 })
             .build()
             .unwrap();
-        let serial = tiny_experiment()
-            .sim_config(config)
-            .run_with(ExecutionMode::Serial)
-            .unwrap();
-        for results in [
+        let finite = |mode| {
             tiny_experiment()
                 .sim_config(config)
-                .run_with(ExecutionMode::Sharded { workers: 4 })
-                .unwrap(),
-            tiny_experiment().sim_config(config).run_parallel().unwrap(),
+                .execution(mode)
+                .run()
+                .unwrap()
+        };
+        let serial = finite(ExecutionMode::Serial);
+        for results in [
+            finite(ExecutionMode::Parallel { workers: 4 }),
+            finite(ExecutionMode::all_cores()),
         ] {
             for (a, b) in serial.per_scheme.iter().zip(results.per_scheme.iter()) {
                 assert_eq!(a.scheme, b.scheme);
@@ -720,8 +671,8 @@ mod tests {
         assert!(open.config().open.is_enabled(), "scenario must be open");
         for mode in [
             ExecutionMode::Serial,
-            ExecutionMode::SinglePass,
-            ExecutionMode::Pipelined { workers: 2 },
+            ExecutionMode::Parallel { workers: 1 },
+            ExecutionMode::Parallel { workers: 2 },
         ] {
             let reg = Arc::new(MetricsRegistry::new());
             let results = Experiment::new()
@@ -730,7 +681,8 @@ mod tests {
                 .schemes([Scheme::dir0_b(), Scheme::Dragon])
                 .refs_per_trace(4_000)
                 .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
-                .run_with(mode)
+                .execution(mode)
+                .run()
                 .unwrap();
             assert_eq!(results.per_scheme.len(), 2);
             for name in ["open-system", "closed"] {
@@ -763,12 +715,12 @@ mod tests {
                 .scheme(Scheme::dir0_b())
                 .refs_per_trace(4_000)
         };
-        let serial = experiment().run_with(ExecutionMode::Serial).unwrap();
+        let serial = experiment().execution(ExecutionMode::Serial).run().unwrap();
         for mode in [
-            ExecutionMode::SinglePass,
-            ExecutionMode::Pipelined { workers: 2 },
+            ExecutionMode::Parallel { workers: 1 },
+            ExecutionMode::Parallel { workers: 2 },
         ] {
-            let other = experiment().run_with(mode).unwrap();
+            let other = experiment().execution(mode).run().unwrap();
             assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
             assert_eq!(
                 serial.per_scheme[0].combined, other.per_scheme[0].combined,
@@ -789,16 +741,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs workloads")]
-    fn empty_workloads_panics() {
-        let _ = Experiment::new().scheme(Scheme::Wti).run();
+    fn empty_workloads_is_a_typed_error() {
+        let err = Experiment::new().scheme(Scheme::Wti).run().unwrap_err();
+        assert!(
+            matches!(err, Error::Config(SimConfigError::NoWorkloads)),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "needs schemes")]
-    fn empty_schemes_panics() {
-        let _ = Experiment::new()
+    fn empty_schemes_is_a_typed_error() {
+        let err = Experiment::new()
             .workload(NamedWorkload::new("a", small_config(1)))
-            .run();
+            .execution(ExecutionMode::Serial)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config(SimConfigError::NoSchemes)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        let err = tiny_experiment()
+            .execution(ExecutionMode::Parallel { workers: 0 })
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config(SimConfigError::ZeroWorkers)),
+            "{err}"
+        );
     }
 }

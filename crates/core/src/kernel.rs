@@ -42,12 +42,11 @@ use dirsim_protocol::{CoherenceProtocol, EventKind, OpCounts, Scheme};
 
 /// Whether lanes may use table-driven kernels (see [`crate::kernel`]).
 ///
-/// The compile-time switches win over the per-run value: building with the
-/// `no-kernels` feature forces [`Disabled`](KernelPolicy::Disabled)
-/// everywhere (every lane steps the match-based machines), while
-/// `force-kernels` upgrades [`Auto`](KernelPolicy::Auto) to
-/// [`Required`](KernelPolicy::Required). Both exist so CI can pin the two
-/// paths bit-identical without touching run configuration.
+/// This runtime value, set through
+/// [`SimConfigBuilder::kernels`](crate::SimConfigBuilder::kernels), is the
+/// only kernel switch; tests pin either path by setting
+/// [`Disabled`](KernelPolicy::Disabled) or
+/// [`Required`](KernelPolicy::Required) directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Use kernels whenever a lane is eligible (audits off, cache count
@@ -62,19 +61,6 @@ pub enum KernelPolicy {
     /// take the match path (the audits need movements and probes that
     /// rows do not carry). Meant for tests that pin the kernel path.
     Required,
-}
-
-impl KernelPolicy {
-    /// The policy after applying the crate's compile-time overrides.
-    pub fn effective(self) -> KernelPolicy {
-        if cfg!(feature = "no-kernels") {
-            return KernelPolicy::Disabled;
-        }
-        if cfg!(feature = "force-kernels") && self == KernelPolicy::Auto {
-            return KernelPolicy::Required;
-        }
-        self
-    }
 }
 
 /// Widest system a kernel will table. Beyond this the event alphabet and
@@ -608,18 +594,5 @@ mod tests {
         }
         assert_eq!(materialized.snapshot(), direct.snapshot());
         assert_eq!(k.tracked(), materialized.tracked_blocks() as u64);
-    }
-
-    #[test]
-    fn policy_effective_respects_features() {
-        // Without the override features, effective() is the identity.
-        if cfg!(not(any(feature = "no-kernels", feature = "force-kernels"))) {
-            assert_eq!(KernelPolicy::Auto.effective(), KernelPolicy::Auto);
-            assert_eq!(KernelPolicy::Disabled.effective(), KernelPolicy::Disabled);
-            assert_eq!(KernelPolicy::Required.effective(), KernelPolicy::Required);
-        }
-        if cfg!(feature = "no-kernels") {
-            assert_eq!(KernelPolicy::Required.effective(), KernelPolicy::Disabled);
-        }
     }
 }

@@ -20,12 +20,13 @@
 //! * [`dirsim_cost`] — the Table 1/2 bus cost models;
 //!
 //! and adds the [`engine`] (event counting + oracle replay), the
-//! single-pass multi-protocol [`broadcast`] engine (every execution mode
-//! is a placement of one staged `decode → route → step → merge`
-//! pipeline, optionally with decode overlapped on a producer thread),
-//! the [`experiment`] matrix harness, the paper's experiment presets
-//! ([`paper`]), and text renderers for every table and figure
-//! ([`report`]).
+//! single-pass multi-protocol [`broadcast`] engine (one staged
+//! `decode → route → step → merge` pipeline; the trace source decides
+//! whether decode runs inline or on a producer thread), the
+//! [`experiment`] matrix harness with its two execution modes — `Serial`,
+//! the paper-literal oracle, and `Parallel { workers }` — the paper's
+//! experiment presets ([`paper`]), and text renderers for every table and
+//! figure ([`report`]).
 //!
 //! ## Quick start
 //!
@@ -89,6 +90,6 @@ pub mod prelude {
     pub use dirsim_trace::synth::{PaperTrace, Workload, WorkloadConfig};
     pub use dirsim_trace::{
         AccessKind, Addr, CpuId, IterSource, MemRef, ProcessId, Scenario, ScenarioError,
-        TraceSource, TraceStats,
+        SliceSource, TraceSource, TraceStats,
     };
 }

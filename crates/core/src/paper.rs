@@ -24,7 +24,7 @@ use dirsim_trace::synth::{PaperTrace, WorkloadConfig};
 
 use crate::engine::SimResult;
 use crate::error::Error;
-use crate::experiment::{Experiment, ExperimentResults, NamedWorkload};
+use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
 
 /// The three paper-trace stand-ins, in Table 3 order.
 ///
@@ -434,11 +434,13 @@ pub fn utilization_study(
             dirsim_trace::synth::Workload::new(cfg).take(refs).collect();
         for &scheme in &schemes {
             let mut protocol = scheme.build(u32::from(n));
-            let result = TimingSimulator::default().run_interleaved(
-                protocol.as_mut(),
-                refs_vec.iter().copied(),
-                usize::from(n),
-            );
+            let result = TimingSimulator::default()
+                .run_source(
+                    protocol.as_mut(),
+                    dirsim_trace::SliceSource::new(&refs_vec),
+                    usize::from(n),
+                )
+                .expect("an in-memory trace cannot fail to decode");
             rows.push(UtilizationRow {
                 scheme: scheme.name(),
                 processors: n,
@@ -509,7 +511,8 @@ pub fn seed_sensitivity(
             .workloads(workloads)
             .schemes(schemes.clone())
             .refs_per_trace(refs_per_trace)
-            .run_parallel()?;
+            .execution(ExecutionMode::all_cores())
+            .run()?;
         for (i, s) in results.per_scheme.iter().enumerate() {
             samples[i].push(s.combined.cycles_per_ref(model));
         }

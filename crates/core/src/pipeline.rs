@@ -1,6 +1,6 @@
-//! The staged execution pipeline shared by every execution mode.
+//! The staged execution pipeline behind every way of running the engine.
 //!
-//! Every way of running the engine is the same four stages:
+//! Every run is the same four stages:
 //!
 //! ```text
 //!   decode ──► route ──► step ──► merge
@@ -8,33 +8,36 @@
 //!    source)    key)       per scheme) counter sums)
 //! ```
 //!
-//! This module implements the stages exactly once; the public
-//! [`BroadcastSimulator`](crate::broadcast::BroadcastSimulator) and the
-//! [`Experiment`](crate::experiment::Experiment) harness only choose how
-//! the stages are *placed*:
+//! This module implements the stages exactly once, behind one [`run`].
+//! The public [`BroadcastSimulator`](crate::broadcast::BroadcastSimulator)
+//! and the [`Experiment`](crate::experiment::Experiment) harness choose
+//! only the worker count; where decode runs is a fact about the source:
 //!
-//! * **inline** (`run_inline`) — decode happens on the calling thread,
-//!   between chunks. With one worker the route stage is the identity and
-//!   stepping happens in-thread; with several, references are routed by
-//!   [`ShardKey`] into per-shard bounded queues. Sources exposing a
-//!   borrowed-chunk view (`TraceSource::borrowed`, e.g. mmap-backed
-//!   corpus files) lend their decode buffer straight to the step side,
-//!   skipping the owned-buffer copy entirely.
-//! * **overlapped** (`run_overlapped`) — a dedicated producer thread
-//!   decodes chunk *N+1* from the [`TraceSource`] while the step side is
-//!   still working on chunk *N*.
+//! * **A source that lends its chunks decodes inline.** Sources exposing
+//!   a borrowed-chunk view (`TraceSource::borrowed`: mmap-backed corpus
+//!   files, in-memory `SliceSource`s) are read on the calling thread,
+//!   between chunks, and each chunk is lent straight to the step side
+//!   with no copy.
+//! * **Every other source decodes on a producer thread.** Generators and
+//!   the buffered, DTR3, text and CSV decoders run on a dedicated thread
+//!   that decodes chunk *N+1* while the step side works on chunk *N*.
+//!
+//! The step side is placed by the worker count: with one worker the route
+//! stage is the identity and stepping happens on the calling thread; with
+//! several, references are routed by [`ShardKey`] into per-shard bounded
+//! queues, one scoped worker per shard.
 //!
 //! ## Chunk leases
 //!
 //! The decode → step boundary is a lending one: each `ChunkFeed::next`
 //! call returns a borrowed slice that stays valid until the next call.
 //! The step side never owns chunk storage, so where buffers live is
-//! each feed's private business — a single inline spare, the mmap
-//! source's reusable decode buffer, or the overlapped recycle pool.
+//! each feed's private business — the lending source's own storage, or
+//! the producer thread's recycle pool.
 //!
 //! ## Buffer recycling
 //!
-//! The overlapped feed is a two-channel handshake built on
+//! The producer-thread feed is a two-channel handshake built on
 //! [`TraceSource::read_chunk_owned`]: filled chunk buffers travel
 //! producer → consumer over a bounded data channel of depth
 //! [`PIPELINE_DEPTH`], and emptied buffers travel back over a recycle
@@ -44,20 +47,20 @@
 //! the trace is. The recycle channel's capacity equals the total buffer
 //! count, so returning a buffer never blocks the step side.
 //!
-//! ## Why overlap cannot perturb results
+//! ## Why placement cannot perturb results
 //!
 //! The producer moves *work*, never *order*: chunk boundaries carry no
 //! simulation state (every lane's protocol state persists across chunks),
 //! the consumer receives chunks in exactly the order they were decoded
 //! (one bounded FIFO), and the observer hook still runs on the consumer
 //! thread in stream order. The step and merge stages are byte-for-byte
-//! the ones the inline path uses, so results are bit-identical across
-//! all placements — `tests/equivalence.rs` pins this for every scheme.
+//! the same for both decode placements, so results are bit-identical —
+//! `tests/equivalence.rs` pins this for every scheme.
 //!
 //! ## Pipeline metrics
 //!
 //! On top of the `phase_seconds{phase=decode|route|step|merge}` spans the
-//! overlapped feed records how well the overlap is doing:
+//! producer-thread feed records how well the overlap is doing:
 //!
 //! * `decode_stall_seconds` — histogram of time the step side waited for
 //!   a decoded chunk (per chunk);
@@ -84,7 +87,7 @@ use crate::engine::{Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure}
 use crate::error::{Error, InvariantError};
 use crate::kernel::{DecodedRef, KernelPolicy, LaneKernel, NO_VICTIM};
 
-/// Depth (in chunks) of the overlapped decode queue. Two is enough for
+/// Depth (in chunks) of the producer thread's decode queue. Two is enough for
 /// full overlap — one chunk being stepped, one decoded ahead — without
 /// letting a fast producer run away with memory.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
@@ -147,7 +150,7 @@ impl LaneBank {
                     return None;
                 }
                 let kernel = LaneKernel::new(s, caches);
-                if kernel.is_none() && config.kernels.effective() == KernelPolicy::Required {
+                if kernel.is_none() && config.kernels == KernelPolicy::Required {
                     panic!(
                         "KernelPolicy::Required, but {caches} caches exceed the \
                          table-kernel cap for {s:?}"
@@ -392,38 +395,17 @@ fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
 /// The decode-stage boundary: lends each decoded chunk to the step side.
 /// `next` returning `Ok(None)` means end of stream; the returned slice
 /// is valid until the next call, so the step side never owns (or
-/// copies) chunk storage. Where the buffers live — a single inline
-/// spare, the mmap source's reusable decode buffer, or the overlapped
-/// recycle pool — is each feed's private business.
+/// copies) chunk storage. Where the buffers live — the lending source's
+/// own storage or the producer thread's recycle pool — is each feed's
+/// private business.
 trait ChunkFeed {
     fn next(&mut self) -> Result<Option<&[MemRef]>, Error>;
 }
 
-/// Non-overlapped decode: reads the source on the calling thread, between
-/// chunks, with a single recycled buffer.
-struct InlineFeed<'a> {
-    source: &'a mut dyn TraceSource,
-    chunk: usize,
-    spare: Vec<MemRef>,
-    rec: &'a dyn Recorder,
-}
-
-impl ChunkFeed for InlineFeed<'_> {
-    fn next(&mut self) -> Result<Option<&[MemRef]>, Error> {
-        let decode = Span::with_labels(self.rec, "phase_seconds", &[("phase", "decode")]);
-        let n = self.source.read_chunk(&mut self.spare, self.chunk)?;
-        drop(decode);
-        if n == 0 {
-            return Ok(None);
-        }
-        Ok(Some(&self.spare))
-    }
-}
-
-/// Zero-copy decode for sources with a borrowed-chunk view (see
-/// [`TraceSource::borrowed`]): each chunk is decoded once into storage
-/// the source owns and lent straight through to the step side — no
-/// owned-buffer recycle round-trip, no copy into a feed-side spare.
+/// Inline decode for sources with a borrowed-chunk view (see
+/// [`TraceSource::borrowed`]): each chunk is read on the calling thread
+/// into storage the source owns and lent straight through to the step
+/// side — no owned-buffer recycle round-trip, no copy.
 struct BorrowedFeed<'a> {
     source: &'a mut dyn BorrowedChunkSource,
     chunk: usize,
@@ -442,7 +424,7 @@ impl ChunkFeed for BorrowedFeed<'_> {
     }
 }
 
-/// Overlapped decode: receives chunks a dedicated producer thread filled
+/// Producer-thread decode: receives chunks a dedicated thread filled
 /// ahead of time (see [`producer_loop`]) and sends emptied buffers back.
 /// The lent chunk is held in `current`; the next call to [`ChunkFeed::next`]
 /// recycles it to the producer before blocking on the data channel.
@@ -526,7 +508,7 @@ impl ChunkFeed for ChannelFeed<'_> {
     }
 }
 
-/// The overlapped-decode producer: waits for an emptied buffer, refills
+/// The decode producer thread: waits for an emptied buffer, refills
 /// it from the source, and sends it forward. Runs until end of stream, a
 /// decode error, or the consumer hangs up.
 fn producer_loop(
@@ -761,22 +743,23 @@ fn drive_sharded(
     Ok(merged)
 }
 
-/// Runs the pipeline with decode inline on the calling thread (the
-/// classic placement: serial, single-pass, and sharded modes). Sources
-/// with a borrowed-chunk view (mmap-backed files) feed the step side
-/// zero-copy; everything else goes through the owned-buffer
-/// [`InlineFeed`].
+/// Runs the pipeline over `source` and records the per-scheme totals.
+/// A source that lends its chunks decodes inline on the calling thread;
+/// every other source decodes on a producer thread (see the module docs).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_inline(
+pub(crate) fn run<S>(
     config: SimConfig,
     chunk: usize,
     workers: usize,
     rec: &dyn Recorder,
     schemes: &[Scheme],
     caches: u32,
-    source: &mut dyn TraceSource,
+    mut source: S,
     observe: &mut dyn FnMut(&MemRef),
-) -> Result<Vec<SimResult>, Error> {
+) -> Result<Vec<SimResult>, Error>
+where
+    S: TraceSource + Send,
+{
     let results = match source.borrowed() {
         Some(borrowed) => {
             let mut feed = BorrowedFeed {
@@ -786,20 +769,12 @@ pub(crate) fn run_inline(
             };
             drive_placed(
                 config, chunk, workers, rec, schemes, caches, &mut feed, observe,
-            )?
+            )
         }
-        None => {
-            let mut feed = InlineFeed {
-                source,
-                chunk,
-                spare: Vec::with_capacity(chunk),
-                rec,
-            };
-            drive_placed(
-                config, chunk, workers, rec, schemes, caches, &mut feed, observe,
-            )?
-        }
-    };
+        None => drive_overlapped(
+            config, chunk, workers, rec, schemes, caches, source, observe,
+        ),
+    }?;
     record_scheme_totals(rec, &results);
     Ok(results)
 }
@@ -823,10 +798,10 @@ fn drive_placed(
     }
 }
 
-/// Runs the pipeline with decode overlapped on a dedicated producer
-/// thread (see the module docs for the buffer-recycling handshake).
+/// Decodes `source` on a dedicated producer thread, overlapped with
+/// stepping (see the module docs for the buffer-recycling handshake).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_overlapped<S>(
+fn drive_overlapped<S>(
     config: SimConfig,
     chunk: usize,
     workers: usize,
@@ -850,7 +825,7 @@ where
             .expect("recycle channel holds every buffer");
     }
 
-    let results = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let producer =
             scope.spawn(move || producer_loop(&mut source, chunk, data_tx, recycle_rx, depth, rec));
         let mut feed = ChannelFeed::new(data_rx, recycle_tx, depth, rec);
@@ -862,9 +837,7 @@ where
         feed.finish();
         producer.join().expect("pipeline decode thread panicked");
         results
-    })?;
-    record_scheme_totals(rec, &results);
-    Ok(results)
+    })
 }
 
 /// Record per-scheme result totals into `recorder`: `scheme_refs`,
@@ -895,7 +868,7 @@ pub(crate) fn record_scheme_totals(recorder: &dyn Recorder, results: &[SimResult
 mod tests {
     use super::*;
     use crate::broadcast::BroadcastSimulator;
-    use dirsim_trace::source::IterSource;
+    use dirsim_trace::source::{IterSource, SliceSource};
     use dirsim_trace::Scenario;
 
     const REFS: usize = 12_000;
@@ -908,18 +881,27 @@ mod tests {
             .collect()
     }
 
+    fn write_dtr1(refs: &[MemRef], tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("dirsim-pipeline-{tag}-{}.dtr", std::process::id()));
+        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        dirsim_trace::io::write_binary(&mut file, refs.iter().copied()).unwrap();
+        std::io::Write::flush(&mut file).unwrap();
+        path
+    }
+
     #[test]
     fn overlapped_matches_inline_for_every_worker_count() {
+        // An IterSource decodes on the producer thread; a SliceSource over
+        // the same references lends its chunks and decodes inline.
         let refs = trace();
         let schemes = Scheme::paper_lineup();
         for workers in [1, 3] {
             let engine = BroadcastSimulator::paper().workers(workers).chunk_size(512);
-            let inline = engine
+            let overlapped = engine
                 .run(&schemes, 4, IterSource::new(refs.iter().copied()))
                 .unwrap();
-            let overlapped = engine
-                .run_pipelined(&schemes, 4, IterSource::new(refs.iter().copied()))
-                .unwrap();
+            let inline = engine.run(&schemes, 4, SliceSource::new(&refs)).unwrap();
             assert_eq!(inline, overlapped, "workers = {workers}");
         }
     }
@@ -927,18 +909,10 @@ mod tests {
     #[test]
     fn borrowed_decode_path_matches_owned_for_every_worker_count() {
         // An mmap-backed source takes the zero-copy BorrowedFeed path
-        // through run_inline; results must be bit-identical to the
-        // owned-buffer IterSource path.
+        // inline; results must be bit-identical to the owned-buffer
+        // IterSource path on the producer thread.
         let refs = trace();
-        let path = std::env::temp_dir().join(format!(
-            "dirsim-pipeline-borrowed-{}.dtr",
-            std::process::id()
-        ));
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        dirsim_trace::io::write_binary(&mut file, refs.iter().copied()).unwrap();
-        std::io::Write::flush(&mut file).unwrap();
-        drop(file);
-
+        let path = write_dtr1(&refs, "borrowed");
         let schemes = Scheme::paper_lineup();
         for workers in [1, 3] {
             let engine = BroadcastSimulator::paper().workers(workers).chunk_size(512);
@@ -958,13 +932,58 @@ mod tests {
     }
 
     #[test]
+    fn the_source_chooses_where_decode_runs() {
+        // Lending sources never start a producer thread, so they record
+        // no overlap metrics; every other source does.
+        use dirsim_obs::MetricsRegistry;
+        use std::sync::Arc;
+
+        let refs = trace();
+        let path = write_dtr1(&refs, "placement");
+        let overlapped = |registry: &MetricsRegistry| {
+            registry
+                .histogram_summary("decode_stall_seconds", &[])
+                .is_some()
+        };
+        let run = |source: Box<dyn TraceSource + Send>| {
+            let registry = Arc::new(MetricsRegistry::new());
+            BroadcastSimulator::paper()
+                .chunk_size(512)
+                .recorder(registry.clone())
+                .run(&[Scheme::Wti], 4, source)
+                .unwrap();
+            overlapped(&registry)
+        };
+        assert!(
+            !run(Box::new(SliceSource::new(&refs))),
+            "slice decodes inline"
+        );
+        assert!(
+            !run(Box::new(
+                dirsim_trace::MmapTraceSource::open(&path).unwrap()
+            )),
+            "mmap decodes inline"
+        );
+        assert!(
+            run(Box::new(IterSource::new(refs.iter().copied()))),
+            "generators decode on the producer thread"
+        );
+        let buffered = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+        assert!(
+            run(Box::new(dirsim_trace::io::read_binary(buffered))),
+            "buffered decoders decode on the producer thread"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn overlapped_observer_sees_every_reference_in_order() {
         let refs = trace();
         let mut seen = Vec::new();
         BroadcastSimulator::paper()
             .workers(2)
             .chunk_size(256)
-            .run_observed_pipelined(
+            .run_observed(
                 &[Scheme::Wti],
                 4,
                 IterSource::new(refs.iter().copied()),
@@ -978,7 +997,7 @@ mod tests {
     fn overlapped_surfaces_decode_errors() {
         let encoded = b"NOPE0000".to_vec();
         let err = BroadcastSimulator::paper()
-            .run_pipelined(
+            .run(
                 &[Scheme::Wti],
                 2,
                 dirsim_trace::io::read_binary(std::io::Cursor::new(encoded)),
@@ -998,7 +1017,7 @@ mod tests {
             .workers(2)
             .chunk_size(512)
             .recorder(registry.clone())
-            .run_pipelined(&[Scheme::Wti], 4, IterSource::new(refs.iter().copied()))
+            .run(&[Scheme::Wti], 4, IterSource::new(refs.iter().copied()))
             .unwrap();
         let stall = registry
             .histogram_summary("decode_stall_seconds", &[])

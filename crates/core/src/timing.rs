@@ -127,43 +127,55 @@ impl TimingSimulator {
         TimingSimulator { config }
     }
 
-    /// Runs `protocol` with one processor per stream in `per_cpu`.
+    /// Runs `protocol` on a machine of `cpus` processors over the
+    /// interleaved stream from `source`: reference `r` executes on
+    /// processor `r.cpu % cpus`.
     ///
     /// Each processor retires one reference per cycle while unstalled;
     /// references whose protocol outcome carries bus operations stall the
     /// processor behind a FCFS bus for `fixed_overhead + Σ op costs`
-    /// cycles. Returns when every stream is exhausted.
+    /// cycles. Returns when every processor's stream is exhausted.
+    ///
+    /// The source is pulled in chunks through the same
+    /// [`TraceSource`](dirsim_trace::TraceSource) interface the frequency
+    /// engine uses, so a trace file, a filtered source or an in-memory
+    /// [`SliceSource`](dirsim_trace::SliceSource) feeds the timing model
+    /// without being collected first. Unlike the frequency engine, the
+    /// timing model's event loop consumes per-CPU streams whole
+    /// (arbitration looks ahead across the full run), so the split
+    /// streams are still materialised; only the decode is chunked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first decode error from the source.
     ///
     /// # Panics
     ///
-    /// Panics if `per_cpu` is empty.
-    pub fn run(
+    /// Panics if `cpus == 0`.
+    pub fn run_source<S: dirsim_trace::TraceSource>(
         &self,
         protocol: &mut dyn CoherenceProtocol,
-        per_cpu: Vec<Vec<MemRef>>,
-    ) -> TimingResult {
-        self.run_with_progress(
-            protocol,
-            per_cpu,
-            &mut dirsim_obs::ProgressMeter::disabled(),
-        )
+        mut source: S,
+        cpus: usize,
+    ) -> Result<TimingResult, crate::error::Error> {
+        assert!(cpus > 0, "need at least one processor stream");
+        let mut per_cpu = vec![Vec::new(); cpus];
+        let mut buf = Vec::new();
+        loop {
+            buf = source.read_chunk_owned(buf, crate::broadcast::DEFAULT_CHUNK)?;
+            if buf.is_empty() {
+                break;
+            }
+            for r in &buf {
+                per_cpu[r.cpu.index() % cpus].push(*r);
+            }
+        }
+        Ok(self.run(protocol, per_cpu))
     }
 
-    /// Like [`run`](Self::run), but reports retired references (and the
-    /// implied references/sec rate) through a throttled
-    /// [`ProgressMeter`](dirsim_obs::ProgressMeter). A disabled meter costs
-    /// one branch per reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_cpu` is empty.
-    pub fn run_with_progress(
-        &self,
-        protocol: &mut dyn CoherenceProtocol,
-        per_cpu: Vec<Vec<MemRef>>,
-        progress: &mut dirsim_obs::ProgressMeter,
-    ) -> TimingResult {
-        assert!(!per_cpu.is_empty(), "need at least one processor stream");
+    /// The event loop over one stream per processor (see
+    /// [`run_source`](Self::run_source)).
+    fn run(&self, protocol: &mut dyn CoherenceProtocol, per_cpu: Vec<Vec<MemRef>>) -> TimingResult {
         let n = per_cpu.len();
         let mut result = TimingResult {
             total_cycles: 0,
@@ -178,7 +190,6 @@ impl TimingSimulator {
             (0..n).map(|cpu| Reverse((0u64, cpu))).collect();
         let mut position = vec![0usize; n];
         let mut bus_free_at = 0u64;
-        let mut retired = 0u64;
 
         while let Some(Reverse((now, cpu))) = heap.pop() {
             let stream = &per_cpu[cpu];
@@ -187,8 +198,6 @@ impl TimingSimulator {
             };
             position[cpu] += 1;
             result.per_cpu_refs[cpu] += 1;
-            retired += 1;
-            progress.tick(retired, None);
             // The reference itself takes one processor cycle.
             let mut next_free = now + 1;
             if r.kind != AccessKind::InstrFetch {
@@ -226,67 +235,7 @@ impl TimingSimulator {
                 heap.pop();
             }
         }
-        progress.finish(retired, None);
         result
-    }
-
-    /// Convenience: splits an interleaved stream by CPU and runs it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus == 0`.
-    pub fn run_interleaved(
-        &self,
-        protocol: &mut dyn CoherenceProtocol,
-        refs: impl IntoIterator<Item = MemRef>,
-        cpus: usize,
-    ) -> TimingResult {
-        assert!(cpus > 0, "need at least one processor");
-        let mut per_cpu = vec![Vec::new(); cpus];
-        for r in refs {
-            let idx = r.cpu.index() % cpus;
-            per_cpu[idx].push(r);
-        }
-        self.run(protocol, per_cpu)
-    }
-
-    /// Like [`run_interleaved`](Self::run_interleaved), but pulling the
-    /// stream from any [`TraceSource`](dirsim_trace::TraceSource) in
-    /// chunks — the same decode stage the frequency engine's pipeline
-    /// uses (see [`crate::broadcast`]), so a trace file or filtered
-    /// source feeds the timing model without being collected first.
-    ///
-    /// Unlike the frequency engine, the timing model's event loop
-    /// consumes per-CPU streams whole (arbitration looks ahead across
-    /// the full run), so the split streams are still materialised; only
-    /// the decode is chunked.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error from the source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus == 0`.
-    pub fn run_source<S: dirsim_trace::TraceSource>(
-        &self,
-        protocol: &mut dyn CoherenceProtocol,
-        mut source: S,
-        cpus: usize,
-    ) -> Result<TimingResult, crate::error::Error> {
-        assert!(cpus > 0, "need at least one processor");
-        let mut per_cpu = vec![Vec::new(); cpus];
-        let mut buf = Vec::new();
-        loop {
-            buf = source.read_chunk_owned(buf, crate::broadcast::DEFAULT_CHUNK)?;
-            if buf.is_empty() {
-                break;
-            }
-            for r in &buf {
-                per_cpu[r.cpu.index() % cpus].push(*r);
-            }
-        }
-        Ok(self.run(protocol, per_cpu))
     }
 }
 
@@ -294,8 +243,16 @@ impl TimingSimulator {
 mod tests {
     use super::*;
     use dirsim_protocol::{DirSpec, Scheme};
+    use dirsim_trace::source::{IterSource, SliceSource};
     use dirsim_trace::synth::{Workload, WorkloadConfig};
     use dirsim_trace::{Addr, CpuId, ProcessId, Scenario};
+
+    /// Runs `refs` through the default timing model on `cpus` processors.
+    fn timed(protocol: &mut dyn CoherenceProtocol, refs: &[MemRef], cpus: usize) -> TimingResult {
+        TimingSimulator::default()
+            .run_source(protocol, SliceSource::new(refs), cpus)
+            .unwrap()
+    }
 
     #[test]
     fn lone_processor_private_stream_never_stalls_after_warmup() {
@@ -305,7 +262,7 @@ mod tests {
             .map(|_| MemRef::read(CpuId::new(0), ProcessId::new(0), Addr::new(0x40)))
             .collect();
         let mut p = Scheme::Directory(DirSpec::dir0_b()).build(1);
-        let result = TimingSimulator::default().run(p.as_mut(), vec![refs]);
+        let result = timed(p.as_mut(), &refs, 1);
         assert_eq!(result.per_cpu_refs[0], 1000);
         assert_eq!(result.per_cpu_stall[0], 0);
         assert_eq!(result.transactions, 0);
@@ -329,36 +286,34 @@ mod tests {
                 },
             )
         };
-        let a = vec![mk(0, true), mk(0, true)];
-        let b = vec![mk(1, true), mk(1, true)];
+        let refs = [mk(0, true), mk(1, true), mk(0, true), mk(1, true)];
         let mut p = Scheme::Directory(DirSpec::dir0_b()).build(2);
-        let result = TimingSimulator::default().run(p.as_mut(), vec![a, b]);
+        let result = timed(p.as_mut(), &refs, 2);
         assert_eq!(result.transactions, 3, "all but the cold write transact");
         assert_eq!(result.bus_busy_cycles, 3 * 6);
         assert!(result.per_cpu_stall.iter().sum::<u64>() >= 18);
     }
 
     #[test]
-    fn run_source_matches_run_interleaved() {
-        // Chunked decode through a TraceSource must not change the timing
-        // model's view of the stream.
-        use dirsim_trace::source::IterSource;
+    fn run_source_matches_the_per_cpu_run() {
+        // Chunked decode through a TraceSource — lent in place or pulled
+        // from an iterator — must not change the timing model's view of
+        // the stream.
         let refs: Vec<MemRef> = Scenario::named("pops")
             .unwrap()
             .workload()
             .take(20_000)
             .collect();
         let mut a = Scheme::Directory(DirSpec::dir0_b()).build(4);
-        let from_vec = TimingSimulator::default().run_interleaved(a.as_mut(), refs.clone(), 4);
+        let per_cpu = TimingSimulator::default().run(a.as_mut(), split(refs.clone(), 4));
         let mut b = Scheme::Directory(DirSpec::dir0_b()).build(4);
-        let from_source = TimingSimulator::default()
-            .run_source(b.as_mut(), IterSource::new(refs.into_iter()), 4)
+        let from_slice = timed(b.as_mut(), &refs, 4);
+        let mut c = Scheme::Directory(DirSpec::dir0_b()).build(4);
+        let from_iter = TimingSimulator::default()
+            .run_source(c.as_mut(), IterSource::new(refs.into_iter()), 4)
             .unwrap();
-        assert_eq!(from_vec.total_cycles, from_source.total_cycles);
-        assert_eq!(from_vec.per_cpu_refs, from_source.per_cpu_refs);
-        assert_eq!(from_vec.per_cpu_stall, from_source.per_cpu_stall);
-        assert_eq!(from_vec.bus_busy_cycles, from_source.bus_busy_cycles);
-        assert_eq!(from_vec.transactions, from_source.transactions);
+        assert_eq!(per_cpu, from_slice);
+        assert_eq!(per_cpu, from_iter);
     }
 
     #[test]
@@ -373,9 +328,7 @@ mod tests {
                 .unwrap();
             let refs: Vec<MemRef> = Workload::new(cfg).take(40_000).collect();
             let mut p = Scheme::Directory(DirSpec::dir0_b()).build(u32::from(cpus));
-            TimingSimulator::default()
-                .run_interleaved(p.as_mut(), refs, cpus as usize)
-                .processor_utilization()
+            timed(p.as_mut(), &refs, cpus as usize).processor_utilization()
         };
         let u2 = util(2);
         let u8 = util(8);
@@ -397,7 +350,7 @@ mod tests {
             .unwrap();
         let refs: Vec<MemRef> = Workload::new(cfg).take(60_000).collect();
         let mut p = Scheme::Directory(DirSpec::dir0_b()).build(32);
-        let result = TimingSimulator::default().run_interleaved(p.as_mut(), refs, 32);
+        let result = timed(p.as_mut(), &refs, 32);
         assert!(
             result.bus_utilization() > 0.85,
             "a 32-way machine should saturate the bus: {}",
@@ -415,7 +368,7 @@ mod tests {
                 .take(60_000)
                 .collect();
             let mut p = scheme.build(4);
-            TimingSimulator::default().run_interleaved(p.as_mut(), refs, 4)
+            timed(p.as_mut(), &refs, 4)
         };
         let dragon = run(Scheme::Dragon);
         let wti = run(Scheme::Wti);
@@ -454,8 +407,7 @@ mod tests {
 
         // The timed machine.
         let mut p = Scheme::Directory(DirSpec::dir0_b()).build(16);
-        let timed = TimingSimulator::default().run_interleaved(p.as_mut(), refs, 16);
-        let simulated = timed.effective_processors();
+        let simulated = timed(p.as_mut(), &refs, 16).effective_processors();
         assert!(
             simulated <= analytic_bound * 1.10,
             "simulated {simulated} exceeds analytic bound {analytic_bound}"
@@ -479,7 +431,9 @@ mod tests {
                 bus_clock_multiplier: multiplier,
                 ..TimingConfig::default()
             };
-            TimingSimulator::new(config).run_interleaved(p.as_mut(), refs, 4)
+            TimingSimulator::new(config)
+                .run_source(p.as_mut(), SliceSource::new(&refs), 4)
+                .unwrap()
         };
         let fast = run(1);
         let slow = run(4);
@@ -495,7 +449,7 @@ mod tests {
     #[should_panic(expected = "at least one processor stream")]
     fn empty_streams_rejected() {
         let mut p = Scheme::Dragon.build(1);
-        let _ = TimingSimulator::default().run(p.as_mut(), Vec::new());
+        let _ = timed(p.as_mut(), &[], 0);
     }
 
     #[test]
@@ -522,35 +476,6 @@ mod tests {
         };
         assert_eq!(zero.processor_utilization(), 0.0);
         assert_eq!(zero.bus_utilization(), 0.0);
-    }
-
-    #[test]
-    fn progress_meter_sees_every_retired_reference() {
-        use std::sync::{Arc, Mutex};
-        use std::time::Duration;
-
-        let refs: Vec<MemRef> = Scenario::named("pops")
-            .unwrap()
-            .workload()
-            .take(5_000)
-            .collect();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let mut meter = dirsim_obs::ProgressMeter::new(
-            "refs",
-            Duration::ZERO,
-            Box::new(move |p| sink.lock().unwrap().push(p.done)),
-        );
-        let mut p = Scheme::Wti.build(4);
-        let result =
-            TimingSimulator::default().run_with_progress(p.as_mut(), split(refs, 4), &mut meter);
-        let seen = seen.lock().unwrap();
-        assert!(!seen.is_empty());
-        // The forced finish report carries the exact retired total.
-        assert_eq!(
-            *seen.last().unwrap(),
-            result.per_cpu_refs.iter().sum::<u64>()
-        );
     }
 
     fn split(refs: Vec<MemRef>, cpus: usize) -> Vec<Vec<MemRef>> {

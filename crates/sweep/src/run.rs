@@ -4,12 +4,14 @@
 //! Scheduling is deliberately simple. Cells are independent (the grid is
 //! a cross product, and every cell regenerates its workload from the
 //! scenario seed or re-streams its trace file), so a shared work queue
-//! plus a result channel is all the coordination needed. Each worker runs its cell through the normal
-//! [`Experiment`] front door in `Pipelined { workers: 1 }` mode — trace
-//! decode overlapped with simulation inside the cell, cell-level
-//! parallelism across the pool — which keeps every result bit-identical
-//! to a serial `simulate` run of the same configuration (the equivalence
-//! the engine's tier-1 tests pin).
+//! plus a result channel is all the coordination needed. Each worker runs
+//! its cell through the normal [`Experiment`] front door with one engine
+//! worker (`Parallel { workers: 1 }`) — the cell's generator or trace
+//! decoder runs on the engine's producer thread, overlapped with
+//! simulation inside the cell, and cells run in parallel across the
+//! pool — which keeps every result bit-identical to a serial `simulate`
+//! run of the same configuration (the equivalence the engine's tier-1
+//! tests pin).
 //!
 //! The main thread owns the store: workers never touch the file, results
 //! are appended (and flushed) in completion order, and a crash between
@@ -161,9 +163,8 @@ pub fn run_sweep(
 ///
 /// Synthetic cells go through the normal [`Experiment`] front door;
 /// trace cells stream their file through the frontend registry into a
-/// [`BroadcastSimulator`] with the same `Pipelined { workers: 1 }`
-/// placement, so both kinds stay bit-identical to a `simulate` run of
-/// the same configuration.
+/// one-worker [`BroadcastSimulator`], so both kinds stay bit-identical
+/// to a `simulate` run of the same configuration.
 fn run_cell(cell: &Cell) -> Result<CellRecord, SweepError> {
     let sim = SimConfig {
         geometry: cell.geometry,
@@ -176,7 +177,7 @@ fn run_cell(cell: &Cell) -> Result<CellRecord, SweepError> {
                 .scheme(cell.scheme)
                 .refs_per_trace(cell.refs)
                 .sim_config(sim)
-                .execution(ExecutionMode::Pipelined { workers: 1 })
+                .execution(ExecutionMode::Parallel { workers: 1 })
                 .run()?;
             (
                 results.per_scheme[0].combined.clone(),
@@ -189,11 +190,10 @@ fn run_cell(cell: &Cell) -> Result<CellRecord, SweepError> {
                 open_trace(path).map_err(dirsim::Error::from)?,
                 cell.refs as u64,
             );
-            let results = BroadcastSimulator::new(sim).workers(1).run_pipelined(
-                &[cell.scheme],
-                caches,
-                source,
-            )?;
+            let results =
+                BroadcastSimulator::new(sim)
+                    .workers(1)
+                    .run(&[cell.scheme], caches, source)?;
             let result = results
                 .into_iter()
                 .next()
@@ -324,9 +324,16 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), bytes, "skip must not rewrite");
 
         // The stored numbers are the engine's own, not a re-derivation.
+        // The store appends in completion order, so look the record up by
+        // the cell's hash rather than by position.
         let cell = &spec.expand().unwrap()[0];
         let direct = run_cell(cell).unwrap();
-        assert_eq!(store.records()[0], direct);
+        let stored = store
+            .records()
+            .iter()
+            .find(|r| r.hash == cell.hash)
+            .expect("the cell's record is stored");
+        assert_eq!(*stored, direct);
         fs::remove_file(&path).unwrap();
     }
 

@@ -43,6 +43,6 @@ pub use frontend::{open_trace, FrontendRegistry, TraceFrontend};
 pub use io::TraceIoError;
 pub use mmap::MmapTraceSource;
 pub use scenario::{Scenario, ScenarioError};
-pub use source::{BorrowedChunkSource, IterSource, TakeSource, TraceSource};
+pub use source::{BorrowedChunkSource, IterSource, SliceSource, TakeSource, TraceSource};
 pub use stats::TraceStats;
 pub use types::{AccessKind, Addr, CpuId, MemRef, ProcessId, RefFlags};

@@ -9,8 +9,9 @@
 //! buffer with up to `max` references per call and reports exhaustion by
 //! filling zero.
 //!
-//! Implementations cover the three producers the crate knows about —
-//! synthetic generators (via [`IterSource`]), binary/compressed readers
+//! Implementations cover the producers the crate knows about — synthetic
+//! generators (via [`IterSource`]), in-memory traces (via the zero-copy
+//! [`SliceSource`]), binary/compressed readers
 //! ([`crate::io::BinaryReader`], [`crate::compress::CompressedReader`]),
 //! and text readers ([`crate::io::TextReader`]) — plus the
 //! [`WithoutLockTests`] adapter used by the §5.2 ablation.
@@ -80,13 +81,13 @@ pub trait TraceSource {
 
     /// The zero-copy view of this source, if it has one.
     ///
-    /// Sources whose chunks live in storage they own (the memory-mapped
-    /// reader's reusable decode buffer) return `Some`; the engine's
-    /// decode stage then borrows each chunk in place instead of running
-    /// the owned-buffer recycle handshake. `None` (the default) means
-    /// callers use [`read_chunk`](Self::read_chunk) /
+    /// Sources whose chunks are already in memory (the memory-mapped
+    /// reader's reusable decode buffer, a [`SliceSource`]'s slice) return
+    /// `Some`; the engine then decodes them inline, borrowing each chunk
+    /// in place. `None` (the default) means callers use
+    /// [`read_chunk`](Self::read_chunk) /
     /// [`read_chunk_owned`](Self::read_chunk_owned), which every source
-    /// supports.
+    /// supports, and the engine decodes on a producer thread.
     fn borrowed(&mut self) -> Option<&mut dyn BorrowedChunkSource> {
         None
     }
@@ -155,6 +156,45 @@ where
         buf.clear();
         buf.extend(self.inner.by_ref().take(max));
         Ok(buf.len())
+    }
+}
+
+/// Serves an in-memory trace without copying it: the
+/// [`BorrowedChunkSource`] view lends sub-slices of the caller's slice,
+/// and the owned path ([`TraceSource::read_chunk`]) copies them out.
+#[derive(Debug, Clone)]
+pub struct SliceSource<'a> {
+    rest: &'a [MemRef],
+}
+
+impl<'a> SliceSource<'a> {
+    /// Wraps a slice of references.
+    pub fn new(refs: &'a [MemRef]) -> Self {
+        SliceSource { rest: refs }
+    }
+
+    fn take(&mut self, max: usize) -> &'a [MemRef] {
+        let (chunk, rest) = self.rest.split_at(max.min(self.rest.len()));
+        self.rest = rest;
+        chunk
+    }
+}
+
+impl TraceSource for SliceSource<'_> {
+    fn read_chunk(&mut self, buf: &mut Vec<MemRef>, max: usize) -> Result<usize, TraceIoError> {
+        buf.clear();
+        buf.extend_from_slice(self.take(max));
+        Ok(buf.len())
+    }
+
+    fn borrowed(&mut self) -> Option<&mut dyn BorrowedChunkSource> {
+        Some(self)
+    }
+}
+
+impl BorrowedChunkSource for SliceSource<'_> {
+    fn next_chunk(&mut self, max: usize) -> Result<&[MemRef], TraceIoError> {
+        Ok(self.take(max))
     }
 }
 

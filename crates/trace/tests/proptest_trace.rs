@@ -7,7 +7,7 @@ use proptest::test_runner::TestCaseResult;
 use dirsim_trace::filter::{by_cpu, data_only, without_lock_tests, without_os};
 use dirsim_trace::frontend::{read_csv, write_csv};
 use dirsim_trace::io::{read_binary, read_text, write_binary, write_text, TraceIoError};
-use dirsim_trace::source::IterSource;
+use dirsim_trace::source::{IterSource, SliceSource};
 use dirsim_trace::synth::{Region, Workload, WorkloadConfig};
 use dirsim_trace::{
     open_trace, AccessKind, Addr, CpuId, MemRef, MmapTraceSource, ProcessId, RefFlags, TraceSource,
@@ -92,6 +92,32 @@ fn drain<S: TraceSource>(mut source: S, chunk: usize) -> Vec<MemRef> {
         got.extend_from_slice(&buf);
     }
     got
+}
+
+/// Drains a source through its borrowed-chunk view, checking the same
+/// contract as [`check_source_contract`]: no chunk exceeds `chunk`, an
+/// empty chunk ends the stream, and the end is sticky.
+fn drain_borrowed<S: TraceSource>(
+    mut source: S,
+    chunk: usize,
+) -> Result<Vec<MemRef>, TestCaseError> {
+    let borrowed = source.borrowed().expect("source lends its chunks");
+    let mut got = Vec::new();
+    loop {
+        let lent = borrowed.next_chunk(chunk).unwrap();
+        prop_assert!(
+            lent.len() <= chunk,
+            "next_chunk over-filled max: {} > {}",
+            lent.len(),
+            chunk
+        );
+        if lent.is_empty() {
+            break;
+        }
+        got.extend_from_slice(lent);
+    }
+    prop_assert!(borrowed.next_chunk(chunk).unwrap().is_empty());
+    Ok(got)
 }
 
 proptest! {
@@ -237,6 +263,21 @@ proptest! {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// An in-memory [`SliceSource`] serves the same stream three ways —
+    /// owned reads, borrowed chunks, and the [`IterSource`] it replaces —
+    /// at chunk size 1, an odd size, and one oversized chunk, and it
+    /// honours the short-read/EOF contract like every other source.
+    #[test]
+    fn slice_source_agrees_owned_borrowed_and_iter(refs in arbitrary_refs(120), chunk in 1usize..40) {
+        check_source_contract(SliceSource::new(&refs), &refs, chunk)?;
+        for chunk in [1, 7, refs.len() + 1] {
+            let owned = drain(SliceSource::new(&refs), chunk);
+            prop_assert_eq!(&owned, &refs, "owned, chunk size {}", chunk);
+            prop_assert_eq!(drain_borrowed(SliceSource::new(&refs), chunk)?, owned, "borrowed, chunk size {}", chunk);
+            prop_assert_eq!(drain(IterSource::new(refs.iter().copied()), chunk), refs.clone(), "iter, chunk size {}", chunk);
+        }
+    }
+
     /// The text and CSV frontends round-trip arbitrary streams through
     /// the registry's sniffing `open_trace` path. Text is lossless; the
     /// foreign CSV schema has no flag column, so the round trip
@@ -330,6 +371,23 @@ proptest! {
             }
             prop_assert!(Region::of(r.addr).is_some(), "every address has a region");
         }
+    }
+}
+
+/// An empty slice is an empty stream on both the owned and the borrowed
+/// path, at every chunk size.
+#[test]
+fn slice_source_serves_an_empty_slice_as_an_empty_stream() {
+    for chunk in [1, 7, 32_768] {
+        assert_eq!(drain(SliceSource::new(&[]), chunk), Vec::new());
+        assert_eq!(
+            drain_borrowed(SliceSource::new(&[]), chunk).unwrap(),
+            Vec::new()
+        );
+        assert_eq!(
+            drain(IterSource::new(std::iter::empty()), chunk),
+            Vec::new()
+        );
     }
 }
 

@@ -1,18 +1,20 @@
-//! Engine-path equivalence: the legacy serial per-scheme path, the
-//! single-pass broadcast path, the sharded parallel path, and the
-//! pipelined overlapped-decode path must produce **bit-identical**
-//! results for every scheme.
+//! Engine-path equivalence: the serial per-scheme oracle
+//! (`ExecutionMode::Serial`) and the parallel broadcast mode
+//! (`ExecutionMode::Parallel`) with one worker and with several must
+//! produce **bit-identical** results for every scheme, whichever thread
+//! decodes the trace.
 //!
 //! This is the load-bearing guarantee behind `ExecutionMode`: sharding is
 //! exact because per-block protocol state never interacts across blocks
 //! and every counter merged across shards is a commutative sum. Infinite
 //! caches shard by block address; finite caches shard by cache set index
 //! (LRU state never crosses sets, and a block's set is a pure function of
-//! its address), so both geometries get the full guarantee. Overlapped
-//! decode is exact because only decode *work* moves to the producer
-//! thread — chunks arrive in stream order over one bounded FIFO and
-//! chunk boundaries carry no simulation state. Any drift here means one
-//! of the paths is wrong, not "parallel noise".
+//! its address), so both geometries get the full guarantee. Decode on the
+//! producer thread (generators, buffered decoders) is exact because only
+//! decode *work* moves there — chunks arrive in stream order over one
+//! bounded FIFO and chunk boundaries carry no simulation state — and
+//! inline decode (lent slices, mmap) steps the very same chunks. Any
+//! drift here means one of the paths is wrong, not "parallel noise".
 //!
 //! The scheme list mirrors the `dirsim-verify` gauntlet (that crate
 //! depends on this one, so the 14 schemes are enumerated inline).
@@ -57,6 +59,16 @@ fn experiment() -> Experiment {
         .refs_per_trace(REFS)
 }
 
+/// Runs `exp` in `mode`.
+fn run(exp: &Experiment, mode: ExecutionMode) -> ExperimentResults {
+    exp.clone().execution(mode).run().unwrap()
+}
+
+/// `Parallel { workers }`, spelled short.
+fn parallel(workers: usize) -> ExecutionMode {
+    ExecutionMode::Parallel { workers }
+}
+
 fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
     assert_eq!(a.trace_stats, b.trace_stats, "{what}: trace statistics");
     assert_eq!(
@@ -82,36 +94,54 @@ fn gauntlet_covers_all_fourteen_schemes() {
 #[test]
 fn single_pass_matches_serial_for_every_scheme() {
     let exp = experiment();
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    assert_identical(&serial, &single, "single-pass vs serial");
+    let serial = run(&exp, ExecutionMode::Serial);
+    let single = run(&exp, parallel(1));
+    assert_identical(&serial, &single, "parallel (1 worker) vs serial");
 }
 
 #[test]
 fn sharded_matches_serial_for_every_scheme() {
     let exp = experiment();
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
+    let serial = run(&exp, ExecutionMode::Serial);
     for workers in [2, 5] {
-        let sharded = exp.run_with(ExecutionMode::Sharded { workers }).unwrap();
+        let sharded = run(&exp, parallel(workers));
         assert_identical(&serial, &sharded, &format!("{workers} shards vs serial"));
     }
 }
 
 #[test]
 fn pipelined_matches_serial_for_every_scheme() {
-    // Overlap enabled vs disabled, for every scheme: Pipelined { 1 } is
-    // single-pass with decode overlapped; Pipelined { n } is sharded
-    // with decode overlapped. Serial and SinglePass are the
-    // overlap-disabled baselines.
+    // Decode on the producer thread vs inline, for every scheme: the same
+    // materialised trace is served once by an `IterSource` (decoded on the
+    // producer thread) and once by a `SliceSource` (lent inline), at one
+    // worker and at four, and both must equal the serial oracle.
     let exp = experiment();
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    for workers in [1, 4] {
-        let pipelined = exp.run_with(ExecutionMode::Pipelined { workers }).unwrap();
-        assert_identical(
-            &serial,
-            &pipelined,
-            &format!("pipelined ({workers} workers) vs serial"),
-        );
+    let serial = run(&exp, ExecutionMode::Serial);
+    let schemes = gauntlet();
+    for (t, w) in dirsim::paper::paper_workloads().iter().enumerate() {
+        let refs: Vec<MemRef> = Workload::new(w.config.clone()).take(REFS).collect();
+        let caches = w.config.processes;
+        let oracle: Vec<&SimResult> = serial
+            .per_scheme
+            .iter()
+            .map(|s| &s.per_trace[t].1)
+            .collect();
+        for workers in [1, 4] {
+            let engine = BroadcastSimulator::new(SimConfig::default()).workers(workers);
+            let overlapped = engine
+                .run(&schemes, caches, IterSource::new(refs.iter().copied()))
+                .unwrap();
+            let inline = engine
+                .run(&schemes, caches, SliceSource::new(&refs))
+                .unwrap();
+            let what = format!("{} with {workers} workers", w.name);
+            assert_eq!(
+                overlapped.iter().collect::<Vec<_>>(),
+                oracle,
+                "producer thread, {what}"
+            );
+            assert_eq!(inline.iter().collect::<Vec<_>>(), oracle, "inline, {what}");
+        }
     }
 }
 
@@ -120,8 +150,8 @@ fn shard_count_is_immaterial() {
     // Per-shard counters are commutative sums, so the worker count must
     // not leak into the results at all.
     let exp = experiment();
-    let three = exp.run_with(ExecutionMode::Sharded { workers: 3 }).unwrap();
-    let eight = exp.run_with(ExecutionMode::Sharded { workers: 8 }).unwrap();
+    let three = run(&exp, parallel(3));
+    let eight = run(&exp, parallel(8));
     assert_identical(&three, &eight, "3 shards vs 8 shards");
 }
 
@@ -130,15 +160,9 @@ fn equivalence_holds_with_lock_tests_excluded() {
     // The §5.2 ablation filters the stream *before* it reaches the
     // engine; every execution path must see the identical filtered trace.
     let exp = experiment().exclude_lock_tests(true);
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    let sharded = exp.run_with(ExecutionMode::Sharded { workers: 4 }).unwrap();
-    let pipelined = exp
-        .run_with(ExecutionMode::Pipelined { workers: 4 })
-        .unwrap();
-    assert_identical(&serial, &single, "lock-filtered single-pass");
-    assert_identical(&serial, &sharded, "lock-filtered sharded");
-    assert_identical(&serial, &pipelined, "lock-filtered pipelined");
+    let serial = run(&exp, ExecutionMode::Serial);
+    assert_identical(&serial, &run(&exp, parallel(1)), "lock-filtered 1 worker");
+    assert_identical(&serial, &run(&exp, parallel(4)), "lock-filtered 4 workers");
 }
 
 #[test]
@@ -153,15 +177,9 @@ fn equivalence_holds_under_the_oracle() {
         .schemes(gauntlet())
         .refs_per_trace(6_000)
         .check_oracle(true);
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    let sharded = exp.run_with(ExecutionMode::Sharded { workers: 3 }).unwrap();
-    let pipelined = exp
-        .run_with(ExecutionMode::Pipelined { workers: 3 })
-        .unwrap();
-    assert_identical(&serial, &single, "audited single-pass");
-    assert_identical(&serial, &sharded, "audited sharded");
-    assert_identical(&serial, &pipelined, "audited pipelined");
+    let serial = run(&exp, ExecutionMode::Serial);
+    assert_identical(&serial, &run(&exp, parallel(1)), "audited 1 worker");
+    assert_identical(&serial, &run(&exp, parallel(3)), "audited 3 workers");
 }
 
 fn finite_experiment(geometry: CacheGeometry) -> Experiment {
@@ -184,23 +202,12 @@ fn finite_cache_sharded_matches_serial_for_every_scheme() {
     // set sharding existed, so this doubles as the regression test that
     // the old rejection path now succeeds.
     let exp = finite_experiment(CacheGeometry { sets: 8, ways: 2 });
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    assert_identical(&serial, &single, "finite single-pass vs serial");
-    for workers in [2, 5] {
-        let sharded = exp.run_with(ExecutionMode::Sharded { workers }).unwrap();
+    let serial = run(&exp, ExecutionMode::Serial);
+    for workers in [1, 2, 5] {
         assert_identical(
             &serial,
-            &sharded,
-            &format!("finite {workers} shards vs serial"),
-        );
-    }
-    for workers in [1, 5] {
-        let pipelined = exp.run_with(ExecutionMode::Pipelined { workers }).unwrap();
-        assert_identical(
-            &serial,
-            &pipelined,
-            &format!("finite pipelined ({workers} workers) vs serial"),
+            &run(&exp, parallel(workers)),
+            &format!("finite {workers} workers vs serial"),
         );
     }
     // The geometry is small enough that the equivalence is exercised by
@@ -217,8 +224,8 @@ fn finite_cache_sharded_matches_serial_for_every_scheme() {
 #[test]
 fn finite_cache_shard_count_is_immaterial() {
     let exp = finite_experiment(CacheGeometry { sets: 8, ways: 2 });
-    let three = exp.run_with(ExecutionMode::Sharded { workers: 3 }).unwrap();
-    let eight = exp.run_with(ExecutionMode::Sharded { workers: 8 }).unwrap();
+    let three = run(&exp, parallel(3));
+    let eight = run(&exp, parallel(8));
     assert_identical(&three, &eight, "finite 3 shards vs 8 shards");
 }
 
@@ -228,7 +235,8 @@ fn degenerate_finite_geometries_agree_across_modes() {
     // touch of a new block in a set evicts), a single set (sets = 1, the
     // set key routes everything to shard 0 and the run degenerates to
     // single-pass-on-a-worker), and fewer sets than shards (most shards
-    // stay empty). Each must agree with serial in every mode.
+    // stay empty). Each must agree with serial at one worker and at
+    // eight.
     let cases = [
         ("direct-mapped", CacheGeometry { sets: 16, ways: 1 }),
         ("single-set", CacheGeometry { sets: 1, ways: 4 }),
@@ -236,15 +244,17 @@ fn degenerate_finite_geometries_agree_across_modes() {
     ];
     for (label, geometry) in cases {
         let exp = finite_experiment(geometry);
-        let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-        let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-        let sharded = exp.run_with(ExecutionMode::Sharded { workers: 8 }).unwrap();
-        let pipelined = exp
-            .run_with(ExecutionMode::Pipelined { workers: 8 })
-            .unwrap();
-        assert_identical(&serial, &single, &format!("{label} single-pass"));
-        assert_identical(&serial, &sharded, &format!("{label} sharded"));
-        assert_identical(&serial, &pipelined, &format!("{label} pipelined"));
+        let serial = run(&exp, ExecutionMode::Serial);
+        assert_identical(
+            &serial,
+            &run(&exp, parallel(1)),
+            &format!("{label} 1 worker"),
+        );
+        assert_identical(
+            &serial,
+            &run(&exp, parallel(8)),
+            &format!("{label} 8 workers"),
+        );
     }
 }
 
@@ -265,15 +275,9 @@ fn finite_cache_equivalence_holds_under_the_oracle() {
         .schemes(gauntlet())
         .refs_per_trace(6_000)
         .sim_config(config);
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    let sharded = exp.run_with(ExecutionMode::Sharded { workers: 3 }).unwrap();
-    let pipelined = exp
-        .run_with(ExecutionMode::Pipelined { workers: 3 })
-        .unwrap();
-    assert_identical(&serial, &single, "audited finite single-pass");
-    assert_identical(&serial, &sharded, "audited finite sharded");
-    assert_identical(&serial, &pipelined, "audited finite pipelined");
+    let serial = run(&exp, ExecutionMode::Serial);
+    assert_identical(&serial, &run(&exp, parallel(1)), "audited finite 1 worker");
+    assert_identical(&serial, &run(&exp, parallel(3)), "audited finite 3 workers");
 }
 
 #[test]
@@ -283,21 +287,17 @@ fn open_system_scenario_agrees_across_all_modes() {
     // process IDs and departures retire them, with a Zipf-skewed shared
     // pool and a phased write ramp layered on top ("open-zipf-phased").
     // The engine paths only ever see the emitted reference stream, so
-    // every mode must still be bit-identical across all 14 schemes.
+    // every mode must still be bit-identical across all 14 schemes. (The
+    // parallel mode materialises open per-process traces to size the
+    // system and lends them inline, so this also pins that placement.)
     let scenario = Scenario::named("open-zipf-phased").unwrap();
     let exp = Experiment::new()
         .workload(NamedWorkload::from(scenario))
         .schemes(gauntlet())
         .refs_per_trace(REFS);
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let single = exp.run_with(ExecutionMode::SinglePass).unwrap();
-    let sharded = exp.run_with(ExecutionMode::Sharded { workers: 4 }).unwrap();
-    let pipelined = exp
-        .run_with(ExecutionMode::Pipelined { workers: 4 })
-        .unwrap();
-    assert_identical(&serial, &single, "open-system single-pass");
-    assert_identical(&serial, &sharded, "open-system sharded");
-    assert_identical(&serial, &pipelined, "open-system pipelined");
+    let serial = run(&exp, ExecutionMode::Serial);
+    assert_identical(&serial, &run(&exp, parallel(1)), "open-system 1 worker");
+    assert_identical(&serial, &run(&exp, parallel(4)), "open-system 4 workers");
     // The run really is open: more processes appear than the six that
     // start, so the equivalence covers mid-trace arrivals.
     let procs = serial.trace_stats[0].1.process_count();
@@ -309,17 +309,15 @@ fn open_system_scenario_agrees_across_all_modes() {
 
 #[test]
 fn default_and_parallel_runs_agree_with_serial() {
-    // The public entry points (`run`, `run_parallel`) sit on top of the
-    // same machinery; they must agree with the explicit modes too.
+    // The default mode and the all-cores mode sit on top of the same
+    // machinery; they must agree with the serial oracle too.
     let exp = Experiment::new()
         .workloads(dirsim::paper::paper_workloads())
         .schemes(Scheme::paper_lineup())
         .refs_per_trace(REFS);
-    let serial = exp.run_with(ExecutionMode::Serial).unwrap();
-    let default = exp.run().unwrap();
-    let parallel = exp.run_parallel().unwrap();
-    assert_identical(&serial, &default, "default run");
-    assert_identical(&serial, &parallel, "run_parallel");
+    let serial = run(&exp, ExecutionMode::Serial);
+    assert_identical(&serial, &exp.run().unwrap(), "default run");
+    assert_identical(&serial, &run(&exp, ExecutionMode::all_cores()), "all cores");
 }
 
 // ---------------------------------------------------------------------
@@ -353,13 +351,10 @@ fn table_kernels_match_the_direct_machines() {
     let direct = kernel_experiment(KernelPolicy::Disabled, None);
     for (mode, what) in [
         (ExecutionMode::Serial, "kernel serial"),
-        (ExecutionMode::SinglePass, "kernel single-pass"),
-        (ExecutionMode::Sharded { workers: 3 }, "kernel sharded"),
-        (ExecutionMode::Pipelined { workers: 2 }, "kernel pipelined"),
+        (parallel(1), "kernel 1 worker"),
+        (parallel(3), "kernel 3 workers"),
     ] {
-        let k = kernels.run_with(mode).unwrap();
-        let d = direct.run_with(mode).unwrap();
-        assert_identical(&k, &d, what);
+        assert_identical(&run(&kernels, mode), &run(&direct, mode), what);
     }
 }
 
@@ -373,18 +368,10 @@ fn table_kernels_match_the_direct_machines_with_finite_caches() {
     let direct = kernel_experiment(KernelPolicy::Disabled, Some(geometry));
     for (mode, what) in [
         (ExecutionMode::Serial, "finite kernel serial"),
-        (
-            ExecutionMode::Sharded { workers: 3 },
-            "finite kernel sharded",
-        ),
-        (
-            ExecutionMode::Pipelined { workers: 2 },
-            "finite kernel pipelined",
-        ),
+        (parallel(1), "finite kernel 1 worker"),
+        (parallel(3), "finite kernel 3 workers"),
     ] {
-        let k = kernels.run_with(mode).unwrap();
-        let d = direct.run_with(mode).unwrap();
-        assert_identical(&k, &d, what);
+        assert_identical(&run(&kernels, mode), &run(&direct, mode), what);
     }
 }
 
@@ -394,9 +381,9 @@ fn table_kernels_match_the_direct_machines_under_auto_policy() {
     // (and with `Required`, by transitivity with the test above).
     let auto = kernel_experiment(KernelPolicy::Auto, None);
     let direct = kernel_experiment(KernelPolicy::Disabled, None);
-    let a = auto.run_with(ExecutionMode::SinglePass).unwrap();
-    let d = direct.run_with(ExecutionMode::SinglePass).unwrap();
-    assert_identical(&a, &d, "auto-policy single-pass");
+    let a = run(&auto, parallel(1));
+    let d = run(&direct, parallel(1));
+    assert_identical(&a, &d, "auto-policy 1 worker");
 }
 
 #[test]
@@ -437,22 +424,20 @@ fn wide_systems_agree_with_kernels_on_auto() {
         .refs_per_trace(10_000)
         .sim_config(direct);
     for (mode, what) in [
-        (ExecutionMode::SinglePass, "wide single-pass"),
-        (ExecutionMode::Sharded { workers: 4 }, "wide sharded"),
+        (parallel(1), "wide 1 worker"),
+        (parallel(4), "wide 4 workers"),
     ] {
-        let k = with_kernels.run_with(mode).unwrap();
-        let d = without.run_with(mode).unwrap();
-        assert_identical(&k, &d, what);
+        assert_identical(&run(&with_kernels, mode), &run(&without, mode), what);
     }
 }
 
 // ---------------------------------------------------------------------
-// Corpus ingestion: the same trace served four ways — replayed from
-// memory, buffered DTR1 decode, zero-copy mmap decode, and a DTR3
-// pack/unpack round-trip — must be bit-identical across every engine
-// shape (1 and 4 workers, inline and overlapped decode) for all 14
-// schemes. The mmap source takes the borrowed-chunk path inline and the
-// owned-buffer handshake when pipelined, so this round pins both.
+// Corpus ingestion: the same trace served five ways — an in-memory
+// iterator, an in-memory slice, buffered DTR1 decode, zero-copy mmap
+// decode, and a DTR3 pack/unpack round-trip — must be bit-identical at
+// 1 and 4 workers for all 14 schemes. The slice and mmap sources lend
+// their chunks and decode inline; the others decode on the producer
+// thread, so this round pins both placements.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -460,7 +445,7 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     use dirsim::BroadcastSimulator;
     use dirsim_trace::corpus::{write_corpus, CorpusReader};
     use dirsim_trace::io::{read_binary, write_binary};
-    use dirsim_trace::{IterSource, MmapTraceSource, TraceSource, TraceStats};
+    use dirsim_trace::{IterSource, MmapTraceSource, SliceSource, TraceSource, TraceStats};
     use std::io::Write as _;
 
     const CORPUS_REFS: usize = 10_000;
@@ -516,25 +501,22 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
         .unwrap();
 
     for workers in [1, 4] {
-        for overlapped in [false, true] {
-            let run = |source: Box<dyn TraceSource + Send>| {
-                if overlapped {
-                    engine(workers).run_pipelined(&schemes, caches, source)
-                } else {
-                    engine(workers).run(&schemes, caches, source)
-                }
-            };
-            let what = format!("workers={workers} overlapped={overlapped}");
-            let buffered = run(Box::new(read_binary(std::io::BufReader::new(
-                std::fs::File::open(&dtr).unwrap(),
-            ))))
-            .unwrap();
-            assert_eq!(buffered, baseline, "buffered DTR1 ({what})");
-            let mapped = run(Box::new(MmapTraceSource::open(&dtr).unwrap())).unwrap();
-            assert_eq!(mapped, baseline, "mmap DTR1 ({what})");
-            let corpus = run(Box::new(CorpusReader::open(&dtrz).unwrap())).unwrap();
-            assert_eq!(corpus, baseline, "DTR3 corpus ({what})");
-        }
+        let run = |source: Box<dyn TraceSource + Send + '_>| {
+            engine(workers).run(&schemes, caches, source).unwrap()
+        };
+        let what = format!("workers={workers}");
+        let iter = run(Box::new(IterSource::new(refs.iter().copied())));
+        assert_eq!(iter, baseline, "in-memory iterator ({what})");
+        let slice = run(Box::new(SliceSource::new(&refs)));
+        assert_eq!(slice, baseline, "in-memory slice ({what})");
+        let buffered = run(Box::new(read_binary(std::io::BufReader::new(
+            std::fs::File::open(&dtr).unwrap(),
+        ))));
+        assert_eq!(buffered, baseline, "buffered DTR1 ({what})");
+        let mapped = run(Box::new(MmapTraceSource::open(&dtr).unwrap()));
+        assert_eq!(mapped, baseline, "mmap DTR1 ({what})");
+        let corpus = run(Box::new(CorpusReader::open(&dtrz).unwrap()));
+        assert_eq!(corpus, baseline, "DTR3 corpus ({what})");
     }
     std::fs::remove_file(&dtr).unwrap();
     std::fs::remove_file(&dtrz).unwrap();
@@ -551,7 +533,7 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
     // does), so the fallback must also reconstruct the lane's LRU
     // replica from the chunk-start snapshot — this pins that
     // reconstruction bit-identical in both the staged multi-lane decode
-    // (single-pass, sharded) and the fused single-lane decode (serial).
+    // (one worker, sharded) and the fused single-lane decode (serial).
     let wide = NamedWorkload::new(
         "wide-finite",
         WorkloadConfig::builder()
@@ -587,11 +569,9 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
         .sim_config(direct);
     for (mode, what) in [
         (ExecutionMode::Serial, "wide finite serial"),
-        (ExecutionMode::SinglePass, "wide finite single-pass"),
-        (ExecutionMode::Sharded { workers: 3 }, "wide finite sharded"),
+        (parallel(1), "wide finite 1 worker"),
+        (parallel(3), "wide finite 3 workers"),
     ] {
-        let k = with_kernels.run_with(mode).unwrap();
-        let d = without.run_with(mode).unwrap();
-        assert_identical(&k, &d, what);
+        assert_identical(&run(&with_kernels, mode), &run(&without, mode), what);
     }
 }

@@ -52,6 +52,11 @@ fn experiment() -> Experiment {
         .refs_per_trace(REFS)
 }
 
+/// Runs `exp` in `mode`.
+fn run(exp: Experiment, mode: ExecutionMode) -> ExperimentResults {
+    exp.execution(mode).run().unwrap()
+}
+
 fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
     assert_eq!(a.trace_stats, b.trace_stats, "{what}: trace statistics");
     assert_eq!(
@@ -68,19 +73,18 @@ fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
 
 #[test]
 fn recorder_never_perturbs_results() {
-    // Baseline: the default no-op recorder.
-    let baseline = experiment().run_with(ExecutionMode::SinglePass).unwrap();
+    // Baseline: the serial oracle with the default no-op recorder.
+    let baseline = run(experiment(), ExecutionMode::Serial);
     for (what, mode) in [
-        ("single-pass", ExecutionMode::SinglePass),
         ("serial", ExecutionMode::Serial),
-        ("sharded", ExecutionMode::Sharded { workers: 3 }),
-        ("pipelined", ExecutionMode::Pipelined { workers: 3 }),
+        ("1 worker", ExecutionMode::Parallel { workers: 1 }),
+        ("3 workers", ExecutionMode::Parallel { workers: 3 }),
     ] {
         let registry = Arc::new(MetricsRegistry::new());
-        let instrumented = experiment()
-            .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-            .run_with(mode)
-            .unwrap();
+        let instrumented = run(
+            experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+            mode,
+        );
         assert_identical(&baseline, &instrumented, what);
         assert!(
             !registry.is_empty(),
@@ -92,10 +96,10 @@ fn recorder_never_perturbs_results() {
 #[test]
 fn recorded_counters_match_simulation_results() {
     let registry = Arc::new(MetricsRegistry::new());
-    let results = experiment()
-        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::SinglePass)
-        .unwrap();
+    let results = run(
+        experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+        ExecutionMode::Parallel { workers: 1 },
+    );
 
     // The engine decodes each workload's stream exactly once, which every
     // scheme then consumes in lockstep.
@@ -133,7 +137,7 @@ fn recorded_counters_match_simulation_results() {
         assert_eq!(recorded_ops, s.combined.ops.total(), "{name}: scheme_ops");
     }
 
-    // Phase spans fire at least once per chunk on the single-pass path.
+    // Phase spans fire at least once per chunk with one worker.
     for phase in ["decode", "step"] {
         let h = registry
             .histogram_summary("phase_seconds", &[("phase", phase)])
@@ -146,10 +150,10 @@ fn recorded_counters_match_simulation_results() {
 #[test]
 fn sharded_run_records_per_shard_series() {
     let registry = Arc::new(MetricsRegistry::new());
-    let results = experiment()
-        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Sharded { workers: 3 })
-        .unwrap();
+    let results = run(
+        experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+        ExecutionMode::Parallel { workers: 3 },
+    );
 
     // Shards partition the reference stream: per-shard refs sum to the
     // refs every scheme saw.
@@ -180,16 +184,14 @@ fn finite_sharded_run_records_per_shard_series() {
         .build()
         .unwrap();
     let workers = 3;
-    let baseline = experiment()
-        .sim_config(config)
-        .run_with(ExecutionMode::SinglePass)
-        .unwrap();
+    let baseline = run(experiment().sim_config(config), ExecutionMode::Serial);
     let registry = Arc::new(MetricsRegistry::new());
-    let results = experiment()
-        .sim_config(config)
-        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Sharded { workers })
-        .unwrap();
+    let results = run(
+        experiment()
+            .sim_config(config)
+            .recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+        ExecutionMode::Parallel { workers },
+    );
     assert_identical(&baseline, &results, "finite sharded instrumented");
 
     let shard_refs: u64 = (0..workers)
@@ -221,17 +223,18 @@ fn finite_sharded_run_records_per_shard_series() {
 
 #[test]
 fn pipelined_run_records_overlap_metrics() {
-    // The overlapped-decode path must make the overlap observable:
-    // per-chunk stall histograms on both sides of the handshake, queue
-    // depths per stage, and a closing occupancy gauge in [0, 1] — on top
-    // of everything the inline paths record.
+    // Generated workloads decode on the producer thread, and that path
+    // must make the overlap observable: per-chunk stall histograms on
+    // both sides of the handshake, queue depths per stage, and a closing
+    // occupancy gauge in [0, 1] — on top of everything inline decode
+    // records.
     let workers = 3;
-    let baseline = experiment().run_with(ExecutionMode::SinglePass).unwrap();
+    let baseline = run(experiment(), ExecutionMode::Serial);
     let registry = Arc::new(MetricsRegistry::new());
-    let results = experiment()
-        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::Pipelined { workers })
-        .unwrap();
+    let results = run(
+        experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+        ExecutionMode::Parallel { workers },
+    );
     assert_identical(&baseline, &results, "pipelined instrumented");
 
     let decode_stall = registry
@@ -271,7 +274,7 @@ fn pipelined_run_records_overlap_metrics() {
         "occupancy must be a fraction, got {occupancy}"
     );
 
-    // The inline metrics are unchanged by overlap: per-shard refs still
+    // The sharding metrics are unchanged by overlap: per-shard refs still
     // partition the stream.
     let shard_refs: u64 = (0..workers)
         .map(|shard| {
@@ -286,10 +289,10 @@ fn pipelined_run_records_overlap_metrics() {
 #[test]
 fn exported_jsonl_round_trips_exactly() {
     let registry = Arc::new(MetricsRegistry::new());
-    experiment()
-        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-        .run_with(ExecutionMode::SinglePass)
-        .unwrap();
+    run(
+        experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
+        ExecutionMode::Parallel { workers: 1 },
+    );
 
     let manifest = RunManifest::new("observability-test")
         .schemes(gauntlet().iter().map(|s| s.name()))
@@ -316,10 +319,10 @@ fn progress_meter_sees_monotone_cumulative_refs() {
         Duration::ZERO,
         Box::new(move |p| sink.lock().unwrap().push(p.done)),
     );
-    let results = experiment()
-        .progress(Arc::new(Mutex::new(meter)))
-        .run_with(ExecutionMode::SinglePass)
-        .unwrap();
+    let results = run(
+        experiment().progress(Arc::new(Mutex::new(meter))),
+        ExecutionMode::Parallel { workers: 1 },
+    );
 
     let seen = seen.lock().unwrap();
     // 3 workloads × 6 000 refs comfortably clears the tick stride.
