@@ -581,7 +581,7 @@ impl Lane {
         if let Some((v_idx, idx)) = prepared {
             self.result.capacity_evictions += 1;
             let row = kernel.row(idx);
-            self.result.ops.merge(row.ops());
+            row.add_ops(&mut self.result.ops, 1);
             eviction_used_bus = row.used_bus();
             kernel.commit(v_idx, idx);
         }
@@ -589,7 +589,7 @@ impl Lane {
         if let Some(kind) = row.kind() {
             self.result.events.record(kind);
         }
-        self.result.ops.merge(row.ops());
+        row.add_ops(&mut self.result.ops, 1);
         if row.used_bus() || eviction_used_bus {
             self.result.transactions += 1;
         }
@@ -625,11 +625,7 @@ impl Lane {
                 result.events.record_n(kind, n);
             }
             if row.has_ops() {
-                for (op, count) in row.ops().iter() {
-                    if count > 0 {
-                        result.ops.record(op, count * n);
-                    }
-                }
+                row.add_ops(&mut result.ops, n);
             }
             if row.used_bus() {
                 result.transactions += n;

@@ -31,7 +31,7 @@ use dirsim_trace::source::{IterSource, SliceSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
 use dirsim_trace::{MemRef, Scenario, TraceStats};
 
-use crate::broadcast::BroadcastSimulator;
+use crate::broadcast::{BroadcastSimulator, DEFAULT_CHUNK};
 use crate::engine::{SimConfig, SimConfigError, SimResult};
 use crate::error::Error;
 
@@ -121,6 +121,7 @@ pub struct Experiment {
     workloads: Vec<NamedWorkload>,
     schemes: Vec<Scheme>,
     refs_per_trace: usize,
+    chunk: usize,
     sim: SimConfig,
     exclude_lock_tests: bool,
     mode: ExecutionMode,
@@ -134,6 +135,7 @@ impl Default for Experiment {
             workloads: Vec::new(),
             schemes: Vec::new(),
             refs_per_trace: 100_000,
+            chunk: DEFAULT_CHUNK,
             sim: SimConfig::default(),
             exclude_lock_tests: false,
             mode: ExecutionMode::Parallel { workers: 1 },
@@ -182,6 +184,13 @@ impl Experiment {
     /// References simulated per workload (default 100 000).
     pub fn refs_per_trace(mut self, refs: usize) -> Self {
         self.refs_per_trace = refs;
+        self
+    }
+
+    /// References per engine chunk (default [`DEFAULT_CHUNK`]); see
+    /// [`BroadcastSimulator::chunk_size`]. Results never depend on it.
+    pub fn chunk_size(mut self, refs: usize) -> Self {
+        self.chunk = refs;
         self
     }
 
@@ -337,7 +346,7 @@ impl Experiment {
         // The engine keeps its default no-op recorder here: per-chunk
         // metrics would count every trace `schemes` times in this mode,
         // so only the per-scheme totals are recorded, as before.
-        let engine = BroadcastSimulator::new(self.sim);
+        let engine = BroadcastSimulator::new(self.sim).chunk_size(self.chunk);
         let mut per_scheme = Vec::with_capacity(self.schemes.len());
         let mut simulated_refs = 0u64;
         for &scheme in &self.schemes {
@@ -383,6 +392,7 @@ impl Experiment {
     /// `workers`.
     fn run_broadcast(&self, workers: usize) -> Result<ExperimentResults, Error> {
         let broadcaster = BroadcastSimulator::new(self.sim)
+            .chunk_size(self.chunk)
             .workers(workers)
             .recorder(Arc::clone(&self.recorder));
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
@@ -580,16 +590,25 @@ mod tests {
             .execution(ExecutionMode::Serial)
             .run()
             .unwrap();
+        // The chunk size only paces the pipeline: a 1 000-reference chunk
+        // splits each 5 000-reference trace five ways and changes nothing.
         for mode in [
             ExecutionMode::Parallel { workers: 1 },
             ExecutionMode::Parallel { workers: 3 },
         ] {
-            let other = tiny_experiment().execution(mode).run().unwrap();
-            assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
-            for (a, b) in serial.per_scheme.iter().zip(other.per_scheme.iter()) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.combined, b.combined, "{mode:?}");
-                assert_eq!(a.per_trace, b.per_trace, "{mode:?}");
+            for chunk in [DEFAULT_CHUNK, 1_000] {
+                let other = tiny_experiment()
+                    .chunk_size(chunk)
+                    .execution(mode)
+                    .run()
+                    .unwrap();
+                let what = format!("{mode:?}, chunk {chunk}");
+                assert_eq!(serial.trace_stats, other.trace_stats, "{what}");
+                for (a, b) in serial.per_scheme.iter().zip(other.per_scheme.iter()) {
+                    assert_eq!(a.scheme, b.scheme);
+                    assert_eq!(a.combined, b.combined, "{what}");
+                    assert_eq!(a.per_trace, b.per_trace, "{what}");
+                }
             }
         }
     }

@@ -38,7 +38,7 @@
 //! discovery path) and continues on the match-based path, bit-identically.
 
 use dirsim_mem::{BlockAddr, CacheId, FxHashMap};
-use dirsim_protocol::{CoherenceProtocol, EventKind, OpCounts, Scheme};
+use dirsim_protocol::{BusOp, CoherenceProtocol, EventKind, OpCounts, Scheme};
 
 /// Whether lanes may use table-driven kernels (see [`crate::kernel`]).
 ///
@@ -131,7 +131,15 @@ type StateKey = (Vec<CacheId>, bool, Vec<CacheId>, bool, Vec<u64>);
 
 /// One computed transition: everything the unaudited accumulation path
 /// records for a step from the keyed state under the keyed event.
-#[derive(Debug, Clone)]
+///
+/// Rows are stored compact — 15 bytes, no padding — because a bank of
+/// many lanes makes the row tables its main memory cost. Every per-step
+/// delta fits in a byte: a step emits at most one bus operation of each
+/// kind per cache, and kernels table at most [`MAX_KERNEL_CACHES`]
+/// caches. [`KernelTable::fill_row`] narrows with a checked conversion,
+/// never a truncating cast. Rows are read only when filled, when hit
+/// counts drain and on a finite-cache miss, never in the hit loop.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Row {
     /// Event classification (`None` for capacity-eviction rows, which the
     /// engine counts as ops only).
@@ -139,28 +147,30 @@ pub(crate) struct Row {
     /// Whether the step used the bus (`RefOutcome::is_bus_transaction`).
     used_bus: bool,
     /// Clean-write invalidation fan-out, if the event records one.
-    fanout: Option<u32>,
+    fanout: Option<u8>,
     /// +1 when the step creates the block's directory entry, -1 when it
     /// drops it; keeps the lane's distinct-block count exact.
     tracked_delta: i8,
-    /// Whether `ops` has any non-zero count: lets the hot path skip the
+    /// Whether `ops` has any non-zero count: lets the drain skip the
     /// merge entirely on hit rows (most transitions move no bus traffic).
     has_ops: bool,
-    /// Bus-operation count deltas.
-    ops: OpCounts,
+    /// Bus-operation count deltas, in [`BusOp::ALL`] order.
+    ops: [u8; BusOp::ALL.len()],
 }
 
+// The byte-wide deltas hold only while no step can involve more caches
+// than a `u8` counts.
+const _: () = assert!(MAX_KERNEL_CACHES <= u8::MAX as u32);
+
 impl Row {
-    fn empty() -> Self {
-        Row {
-            kind: None,
-            used_bus: false,
-            fanout: None,
-            tracked_delta: 0,
-            has_ops: false,
-            ops: OpCounts::new(),
-        }
-    }
+    const EMPTY: Row = Row {
+        kind: None,
+        used_bus: false,
+        fanout: None,
+        tracked_delta: 0,
+        has_ops: false,
+        ops: [0; BusOp::ALL.len()],
+    };
 
     #[inline]
     pub(crate) fn kind(&self) -> Option<EventKind> {
@@ -174,7 +184,7 @@ impl Row {
 
     #[inline]
     pub(crate) fn fanout(&self) -> Option<u32> {
-        self.fanout
+        self.fanout.map(u32::from)
     }
 
     #[inline]
@@ -182,9 +192,12 @@ impl Row {
         self.has_ops
     }
 
+    /// Adds the row's bus-operation deltas, `times` over, to `counts`.
     #[inline]
-    pub(crate) fn ops(&self) -> &OpCounts {
-        &self.ops
+    pub(crate) fn add_ops(&self, counts: &mut OpCounts, times: u64) {
+        for (&op, &n) in BusOp::ALL.iter().zip(&self.ops) {
+            counts.record(op, u64::from(n) * times);
+        }
     }
 }
 
@@ -308,18 +321,22 @@ impl KernelTable {
         let outcome = apply_event(machine.as_mut(), PROBE_BLOCK, event);
         let successor = machine.block_state(PROBE_BLOCK).map(state_key);
         let next = self.intern(successor, state, event as u16)?;
-        let mut ops = OpCounts::new();
+        let mut counts = OpCounts::new();
         for &op in &outcome.ops {
-            ops.record(op, 1);
+            counts.record(op, 1);
         }
         let row = Row {
             kind: outcome.event,
             used_bus: outcome.is_bus_transaction(),
-            fanout: outcome.clean_write_fanout,
+            fanout: outcome
+                .clean_write_fanout
+                .map(|n| u8::try_from(n).expect("a fan-out never exceeds MAX_KERNEL_CACHES")),
             tracked_delta: i8::from(self.meta[next as usize].tracked)
                 - i8::from(self.meta[state as usize].tracked),
             has_ops: !outcome.ops.is_empty(),
-            ops,
+            ops: BusOp::ALL.map(|op| {
+                u8::try_from(counts[op]).expect("a step's op count never exceeds MAX_KERNEL_CACHES")
+            }),
         };
         self.rows[idx] = row;
         self.nexts[idx] = next;
@@ -371,8 +388,7 @@ impl KernelTable {
             via,
             tracked: true,
         });
-        self.rows
-            .resize_with(self.rows.len() + self.events, Row::empty);
+        self.rows.resize(self.rows.len() + self.events, Row::EMPTY);
         self.nexts.resize(self.rows.len(), UNFILLED);
         self.hits.resize(self.rows.len(), 0);
         Ok(id)
@@ -403,7 +419,7 @@ impl LaneKernel {
             via: u16::MAX,
             tracked: false,
         });
-        table.rows.resize_with(events, Row::empty);
+        table.rows.resize(events, Row::EMPTY);
         table.nexts.resize(events, UNFILLED);
         table.hits.resize(events, 0);
         Some(LaneKernel {
@@ -549,6 +565,79 @@ mod tests {
 
         assert_eq!(materialized.snapshot(), direct.snapshot());
         assert_eq!(k.tracked(), 1);
+    }
+
+    #[test]
+    fn compact_rows_expand_to_the_match_machine_counts() {
+        assert!(
+            std::mem::size_of::<Row>() <= 16,
+            "{}",
+            std::mem::size_of::<Row>()
+        );
+        // At the widest tabled system a clean write to a block every other
+        // cache shares fans out to 63 invalidations, and a step's op count
+        // reaches 64: the byte-wide deltas must carry both exactly. Each
+        // step goes through the kernel and a match machine in lockstep, so
+        // every row the kernel fills is checked against the outcome it
+        // memoizes.
+        let caches = MAX_KERNEL_CACHES;
+        let mut widest = 0u64;
+        for name in [
+            "Dir0B",
+            "Dir1B",
+            "Dir4B",
+            "Dir1NB",
+            "Dir4NB",
+            "DirnNB",
+            "CoarseVector",
+            "Tang",
+            "YenFu",
+            "DirUpd",
+            "WTI",
+            "Dragon",
+            "Berkeley",
+            "Illinois",
+        ] {
+            let scheme: Scheme = name.parse().expect("known scheme");
+            let mut k = LaneKernel::new(scheme, caches).unwrap();
+            let mut direct = scheme.build(caches);
+            let mut events = Vec::new();
+            for round in 0..2u32 {
+                events.extend((0..caches).map(|c| data_event(CacheId::new(c), false)));
+                events.push(data_event(CacheId::new(round * 7), true));
+                events.push(data_event(CacheId::new(round * 7), true));
+                events.push(evict_event(CacheId::new(round * 7)));
+            }
+            let block = BlockAddr::new(3);
+            for ev in events {
+                let idx = k.ensure_row(k.state_of(0), ev).unwrap();
+                let outcome = apply_event(direct.as_mut(), block, ev);
+                let row = k.row(idx);
+                let mut expanded = OpCounts::new();
+                row.add_ops(&mut expanded, 1);
+                let mut emitted = OpCounts::new();
+                for &op in &outcome.ops {
+                    emitted.record(op, 1);
+                }
+                assert_eq!(expanded, emitted, "{name}: event {ev}");
+                assert_eq!(row.has_ops(), emitted.total() > 0, "{name}: event {ev}");
+                assert_eq!(
+                    row.fanout(),
+                    outcome.clean_write_fanout,
+                    "{name}: event {ev}"
+                );
+                assert_eq!(row.kind(), outcome.event, "{name}: event {ev}");
+                widest = widest.max(emitted.iter().map(|(_, n)| n).max().unwrap_or(0));
+                k.commit(0, idx);
+            }
+        }
+        // Invalidations reach one per other cache, and Tang's duplicate
+        // directory lookups one per cache: the deltas run up to the bound.
+        assert_eq!(
+            widest,
+            u64::from(caches),
+            "the grid must reach the op-count bound"
+        );
     }
 
     #[test]

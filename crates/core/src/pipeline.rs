@@ -95,6 +95,12 @@ pub(crate) const PIPELINE_DEPTH: usize = 2;
 /// Capacity (in batches) of each shard's bounded channel.
 const SHARD_CHANNEL_DEPTH: usize = 4;
 
+/// References decoded per block when several kernel lanes share a chunk
+/// (see `LaneBank::step_chunk`). Small enough that the decode buffer
+/// (4096 × 16-byte records = 64 KiB) stays cache-resident while every
+/// lane replays it; large enough that the per-block lane loop amortises.
+const DECODE_BLOCK: usize = 4_096;
+
 /// The step stage's lane state, struct-of-arrays: one entry per scheme in
 /// each parallel vector, so the inner loop walks contiguous accumulation
 /// state instead of chasing one boxed bundle per scheme.
@@ -106,9 +112,10 @@ const SHARD_CHANNEL_DEPTH: usize = 4;
 /// machine and the lane continues on the match path, bit-identically).
 /// While any kernel lane is live the bank also keeps a shared decode
 /// table: every distinct block address is interned to a dense index
-/// exactly once (`intern`/`addrs`), and each chunk is decoded once into
-/// `decoded` before the lanes step it — so the block-map hash probe and
-/// cache attribution are paid per *reference*, not per reference × lane.
+/// exactly once (`intern`/`addrs`), and each block of a chunk is decoded
+/// once into `decoded` before the lanes step it — so the block-map hash
+/// probe and cache attribution are paid per *reference*, not per
+/// reference × lane.
 ///
 /// Under a finite geometry the decode pass also owns the LRU bookkeeping:
 /// a lane's finite-cache contents depend only on the reference stream and
@@ -127,7 +134,7 @@ struct LaneBank {
     intern: FxHashMap<BlockAddr, u32>,
     /// Reverse table: dense index → block address, for materializing.
     addrs: Vec<BlockAddr>,
-    /// Per-chunk decoded references, recycled across chunks.
+    /// One decode block of references, recycled across blocks.
     decoded: Vec<DecodedRef>,
     /// The one finite-cache replica shared by every kernel lane.
     shared_finite: Vec<FiniteCache<()>>,
@@ -177,83 +184,109 @@ impl LaneBank {
     }
 
     /// Steps every lane over one chunk. The kernel/match dispatch is
-    /// hoisted out of the per-reference loop, and when any kernel lane is
-    /// live the chunk is decoded exactly once for all of them. A single
-    /// kernel lane (the serial mode's shape) fuses decode and step into
-    /// one pass instead of staging through the decode buffer.
+    /// hoisted out of the per-reference loop, and when several kernel
+    /// lanes are live the chunk is decoded exactly once for all of them,
+    /// in blocks of [`DECODE_BLOCK`] references: each block is decoded,
+    /// then every kernel lane steps it, so the decode buffer stays small
+    /// and warm however large the chunk. A single kernel lane (the serial
+    /// mode's shape) fuses decode and step into one pass instead of
+    /// staging through the decode buffer.
     fn step_chunk(&mut self, config: &SimConfig, refs: &[MemRef]) -> Result<(), Error> {
-        let LaneBank {
-            protocols,
-            kernels,
-            lanes,
-            intern,
-            addrs,
-            decoded,
-            shared_finite,
-            finite_snapshot,
-        } = self;
-        let live_kernels = kernels.iter().filter(|k| k.is_some()).count();
+        let live_kernels = self.kernel_lanes();
         if live_kernels > 0 && config.geometry.is_some() {
             // Keep the chunk-start LRU state around so an overflowing
             // lane can reconstruct its own replica as of the failed
             // reference (the shared replica will have advanced past it).
-            finite_snapshot.clear();
-            finite_snapshot.extend(shared_finite.iter().cloned());
+            self.finite_snapshot.clear();
+            self.finite_snapshot
+                .extend(self.shared_finite.iter().cloned());
         }
-        if live_kernels > 1 {
-            decoded.clear();
-            decoded.reserve(refs.len());
-            for r in refs {
-                decoded.push(decode_ref(config, intern, addrs, shared_finite, r));
+        for i in 0..self.lanes.len() {
+            if self.kernels[i].is_none() {
+                step_direct(config, &mut self.lanes[i], self.protocols[i].as_mut(), refs)?;
             }
         }
-        for i in 0..lanes.len() {
-            // Take the kernel out so the overflow path can replace the
-            // protocol instance without aliasing; put it back on success.
-            if let Some(mut kernel) = kernels[i].take() {
-                let lane = &mut lanes[i];
-                let mut overflowed_at = None;
-                if live_kernels > 1 {
-                    for (j, &d) in decoded.iter().enumerate() {
-                        if lane.step_with_kernel(&mut kernel, d).is_err() {
-                            overflowed_at = Some(j);
-                            break;
-                        }
-                    }
-                } else {
-                    for (j, r) in refs.iter().enumerate() {
-                        let d = decode_ref(config, intern, addrs, shared_finite, r);
-                        if lane.step_with_kernel(&mut kernel, d).is_err() {
-                            overflowed_at = Some(j);
-                            break;
-                        }
-                    }
+        if live_kernels == 1 {
+            let i = self
+                .kernels
+                .iter()
+                .position(Option::is_some)
+                .expect("one live kernel");
+            let mut kernel = self.kernels[i].take().expect("live kernel");
+            let LaneBank {
+                lanes,
+                intern,
+                addrs,
+                shared_finite,
+                ..
+            } = self;
+            let lane = &mut lanes[i];
+            let overflowed_at = refs.iter().position(|r| {
+                let d = decode_ref(config, intern, addrs, shared_finite, r);
+                lane.step_with_kernel(&mut kernel, d).is_err()
+            });
+            self.settle(config, refs, i, kernel, overflowed_at)?;
+        } else if live_kernels > 1 {
+            for base in (0..refs.len()).step_by(DECODE_BLOCK) {
+                let block = &refs[base..refs.len().min(base + DECODE_BLOCK)];
+                let LaneBank {
+                    intern,
+                    addrs,
+                    decoded,
+                    shared_finite,
+                    ..
+                } = self;
+                decoded.clear();
+                for r in block {
+                    decoded.push(decode_ref(config, intern, addrs, shared_finite, r));
                 }
-                match overflowed_at {
-                    None => kernels[i] = Some(kernel),
-                    // Overflow: the failed reference mutated nothing in
-                    // the lane, so settle the batched counts, materialize
-                    // the machine, rebuild the lane's finite replica as
-                    // of the failed reference, and re-step from it on the
-                    // match path. The kernel stays dropped.
-                    Some(j) => {
-                        lanes[i].absorb_kernel_hits(&mut kernel);
-                        protocols[i] = kernel.materialize(addrs);
-                        if config.geometry.is_some() {
-                            lanes[i].restore_finite(replay_finite(
-                                config,
-                                finite_snapshot,
-                                &refs[..j],
-                            ));
-                        }
-                        step_direct(config, &mut lanes[i], protocols[i].as_mut(), &refs[j..])?;
-                    }
+                for i in 0..self.lanes.len() {
+                    // Take the kernel out so the overflow path can replace
+                    // the protocol instance without aliasing; `settle`
+                    // puts it back on success.
+                    let Some(mut kernel) = self.kernels[i].take() else {
+                        continue;
+                    };
+                    let lane = &mut self.lanes[i];
+                    let overflowed_at = self
+                        .decoded
+                        .iter()
+                        .position(|&d| lane.step_with_kernel(&mut kernel, d).is_err())
+                        .map(|j| base + j);
+                    self.settle(config, refs, i, kernel, overflowed_at)?;
                 }
-            } else {
-                step_direct(config, &mut lanes[i], protocols[i].as_mut(), refs)?;
             }
         }
         Ok(())
+    }
+
+    /// Ends kernel lane `i`'s turn over `refs`: with no overflow the
+    /// kernel goes back into its slot. On overflow at chunk index `j` the
+    /// failed reference mutated nothing in the lane, so this settles the
+    /// batched counts, materializes the machine, rebuilds the lane's
+    /// finite replica as of the failed reference (replaying the chunk
+    /// prefix `refs[..j]` onto the chunk-start snapshot), and re-steps the
+    /// rest of the chunk from it on the match path. The kernel stays
+    /// dropped, so later decode blocks of the chunk skip the lane.
+    fn settle(
+        &mut self,
+        config: &SimConfig,
+        refs: &[MemRef],
+        i: usize,
+        mut kernel: LaneKernel,
+        overflowed_at: Option<usize>,
+    ) -> Result<(), Error> {
+        let Some(j) = overflowed_at else {
+            self.kernels[i] = Some(kernel);
+            return Ok(());
+        };
+        let lane = &mut self.lanes[i];
+        lane.absorb_kernel_hits(&mut kernel);
+        self.protocols[i] = kernel.materialize(&self.addrs);
+        if config.geometry.is_some() {
+            lane.restore_finite(replay_finite(config, &self.finite_snapshot, &refs[..j]));
+        }
+        step_direct(config, lane, self.protocols[i].as_mut(), &refs[j..])
     }
 
     fn finish(self) -> Vec<SimResult> {

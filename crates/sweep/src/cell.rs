@@ -9,7 +9,9 @@
 //! already in the store. Cells over external trace files
 //! ([`CellInput::Trace`]) hash the trace path plus its byte length in
 //! place of the spec text — rewriting the file re-runs its cells under
-//! the same cheap-to-check rule.
+//! the same cheap-to-check rule. Everything in the identity except the
+//! scheme is the cell's [`Cell::input_key`]: cells that share it simulate
+//! the same reference stream, so the sweep runs them as one input group.
 //!
 //! A [`CellRecord`] is the stored result. It deliberately carries both
 //! cost pricings (pipelined and non-pipelined cycles per reference) plus
@@ -60,6 +62,10 @@ pub struct Cell {
     pub cpus: Option<u16>,
     /// References to simulate.
     pub refs: usize,
+    /// Identity of the reference stream: everything the hash covers
+    /// except the scheme. Cells sharing it form one input group, which
+    /// the sweep runs as one engine pass over every pending scheme.
+    pub input_key: String,
     /// Stable identity hash (16 hex digits).
     pub hash: String,
 }
@@ -74,9 +80,8 @@ impl Cell {
         cpus: Option<u16>,
         refs: usize,
     ) -> Cell {
-        let identity = format!(
-            "dirsim-sweep-cell-v{CELL_IDENTITY_VERSION}\nscheme={}\nscenario={}\nspec={}\ngeometry={}\ncpus={}\nrefs={}\n",
-            scheme.name(),
+        let input_key = format!(
+            "scenario={}\nspec={}\ngeometry={}\ncpus={}\nrefs={}\n",
             scenario.name(),
             scenario.to_spec(),
             geometry_label(geometry),
@@ -90,7 +95,8 @@ impl Cell {
             geometry,
             cpus,
             refs,
-            hash: format!("{:016x}", fnv1a64(identity.as_bytes())),
+            hash: identity_hash(scheme, &input_key),
+            input_key,
         }
     }
 
@@ -108,9 +114,8 @@ impl Cell {
         cpus: Option<u16>,
         refs: usize,
     ) -> Cell {
-        let identity = format!(
-            "dirsim-sweep-cell-v{CELL_IDENTITY_VERSION}\nscheme={}\nscenario={path}\nspec=trace:{path}?len={len}\ngeometry={}\ncpus={}\nrefs={}\n",
-            scheme.name(),
+        let input_key = format!(
+            "scenario={path}\nspec=trace:{path}?len={len}\ngeometry={}\ncpus={}\nrefs={}\n",
             geometry_label(geometry),
             cpus_label(cpus),
             refs,
@@ -125,7 +130,8 @@ impl Cell {
             geometry,
             cpus,
             refs,
-            hash: format!("{:016x}", fnv1a64(identity.as_bytes())),
+            hash: identity_hash(scheme, &input_key),
+            input_key,
         }
     }
 
@@ -133,6 +139,17 @@ impl Cell {
     pub fn geometry_label(&self) -> String {
         geometry_label(self.geometry)
     }
+}
+
+/// The identity hash: the versioned scheme line followed by the input
+/// key, so two cells differ in hash exactly when they differ in scheme or
+/// input.
+fn identity_hash(scheme: Scheme, input_key: &str) -> String {
+    let identity = format!(
+        "dirsim-sweep-cell-v{CELL_IDENTITY_VERSION}\nscheme={}\n{input_key}",
+        scheme.name()
+    );
+    format!("{:016x}", fnv1a64(identity.as_bytes()))
 }
 
 /// Renders a geometry the way sweep specs write it.
@@ -323,6 +340,45 @@ mod tests {
             1000,
         );
         assert_ne!(base.hash, thor.hash);
+    }
+
+    #[test]
+    fn hashes_keep_their_full_configuration_rendering() {
+        // Splitting the input key out of the identity must not move a
+        // hash: existing stores stay valid.
+        let scenario = Scenario::named("pops").unwrap();
+        let synthetic = cell(Scheme::Wti, Some(8), 1000);
+        let rendered = format!(
+            "dirsim-sweep-cell-v1\nscheme=WTI\nscenario=pops\nspec={}\ngeometry=infinite\ncpus=8\nrefs=1000\n",
+            scenario.to_spec()
+        );
+        assert_eq!(
+            synthetic.hash,
+            format!("{:016x}", fnv1a64(rendered.as_bytes()))
+        );
+        let trace = Cell::from_trace(Scheme::Wti, "a.dtr", 160, None, None, 1000);
+        let rendered = "dirsim-sweep-cell-v1\nscheme=WTI\nscenario=a.dtr\nspec=trace:a.dtr?len=160\ngeometry=infinite\ncpus=default\nrefs=1000\n";
+        assert_eq!(trace.hash, format!("{:016x}", fnv1a64(rendered.as_bytes())));
+    }
+
+    #[test]
+    fn input_key_is_the_identity_minus_the_scheme() {
+        let base = cell(Scheme::dir0_b(), None, 1000);
+        assert_eq!(base.input_key, cell(Scheme::Wti, None, 1000).input_key);
+        assert_ne!(
+            base.input_key,
+            cell(Scheme::dir0_b(), Some(8), 1000).input_key
+        );
+        assert_ne!(base.input_key, cell(Scheme::dir0_b(), None, 2000).input_key);
+        let trace = |scheme, len| Cell::from_trace(scheme, "a.dtr", len, None, None, 1000);
+        assert_eq!(
+            trace(Scheme::dir0_b(), 160).input_key,
+            trace(Scheme::Wti, 160).input_key
+        );
+        assert_ne!(
+            trace(Scheme::dir0_b(), 160).input_key,
+            trace(Scheme::dir0_b(), 176).input_key
+        );
     }
 
     #[test]

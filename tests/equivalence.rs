@@ -522,6 +522,34 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     std::fs::remove_file(&dtrz).unwrap();
 }
 
+/// 64 CPUs of read-only traffic over a wide shared pool: every block
+/// accumulates holders in its own insertion order, which is exactly what
+/// mints fresh DirnNB states fastest.
+fn wide_finite_config() -> WorkloadConfig {
+    WorkloadConfig::builder()
+        .cpus(64)
+        .processes(64)
+        .instr_frac(0.0)
+        .write_frac(0.0)
+        .shared_frac(0.95)
+        .shared_blocks_per_pool(256)
+        .seed(13)
+        .build()
+        .expect("wide finite workload config is valid")
+}
+
+/// The wide finite runs' engine configuration: per-processor caches of
+/// 8x2, audits off so kernels can engage.
+fn wide_finite_sim(kernels: KernelPolicy) -> SimConfig {
+    SimConfig::builder()
+        .sharing(SharingModel::PerProcessor)
+        .geometry(CacheGeometry { sets: 8, ways: 2 })
+        .check_invariants(false)
+        .kernels(kernels)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn wide_finite_systems_agree_with_kernels_on_auto() {
     // The overflow fallback under a *finite* geometry: 64 caches shrink
@@ -534,44 +562,70 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
     // replica from the chunk-start snapshot — this pins that
     // reconstruction bit-identical in both the staged multi-lane decode
     // (one worker, sharded) and the fused single-lane decode (serial).
-    let wide = NamedWorkload::new(
-        "wide-finite",
-        WorkloadConfig::builder()
-            .cpus(64)
-            .processes(64)
-            // Read-only traffic over a wide shared pool: every block
-            // accumulates holders in its own insertion order, which is
-            // exactly what mints fresh DirnNB states fastest.
-            .instr_frac(0.0)
-            .write_frac(0.0)
-            .shared_frac(0.95)
-            .shared_blocks_per_pool(256)
-            .seed(13)
-            .build()
-            .expect("wide finite workload config is valid"),
-    );
-    let base = SimConfig::builder()
-        .sharing(SharingModel::PerProcessor)
-        .geometry(CacheGeometry { sets: 8, ways: 2 })
-        .check_invariants(false);
-    let auto = base.clone().kernels(KernelPolicy::Auto).build().unwrap();
-    let direct = base.kernels(KernelPolicy::Disabled).build().unwrap();
+    let wide = NamedWorkload::new("wide-finite", wide_finite_config());
     let schemes = vec![Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
     let with_kernels = Experiment::new()
         .workload(wide.clone())
         .schemes(schemes.clone())
         .refs_per_trace(20_000)
-        .sim_config(auto);
+        .sim_config(wide_finite_sim(KernelPolicy::Auto));
     let without = Experiment::new()
         .workload(wide)
         .schemes(schemes)
         .refs_per_trace(20_000)
-        .sim_config(direct);
+        .sim_config(wide_finite_sim(KernelPolicy::Disabled));
     for (mode, what) in [
         (ExecutionMode::Serial, "wide finite serial"),
         (parallel(1), "wide finite 1 worker"),
         (parallel(3), "wide finite 3 workers"),
     ] {
         assert_identical(&run(&with_kernels, mode), &run(&without, mode), what);
+    }
+}
+
+#[test]
+fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
+    // A bank of several kernel lanes decodes each chunk in blocks of 4096
+    // references. An overflow in a later block must rebuild the lane's
+    // LRU replica over the *chunk* prefix up to the failed reference, not
+    // the block prefix. A run of read hits to one block mints no kernel
+    // state, so prefixing it to the wide finite trace pushes every
+    // overflow past the first decode block of the first chunk.
+    let hit = MemRef::new(
+        CpuId::new(0),
+        ProcessId::new(0),
+        Addr::new(0x40),
+        AccessKind::Read,
+    );
+    let trace: Vec<MemRef> = std::iter::repeat(hit)
+        .take(6_000)
+        .chain(Workload::new(wide_finite_config()).take(20_000))
+        .collect();
+    let schemes = [Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
+    let run = |kernels: KernelPolicy, workers: Option<usize>| -> Vec<SimResult> {
+        let engine = BroadcastSimulator::new(wide_finite_sim(kernels));
+        match workers {
+            // Serial: one pass per scheme, as `ExecutionMode::Serial` runs
+            // it — a one-lane bank, which fuses decode and step.
+            None => schemes
+                .iter()
+                .flat_map(|&s| engine.run(&[s], 64, SliceSource::new(&trace)).unwrap())
+                .collect(),
+            Some(workers) => engine
+                .workers(workers)
+                .run(&schemes, 64, SliceSource::new(&trace))
+                .unwrap(),
+        }
+    };
+    for (workers, what) in [
+        (None, "serial"),
+        (Some(1), "1 worker"),
+        (Some(3), "3 workers"),
+    ] {
+        assert_eq!(
+            run(KernelPolicy::Auto, workers),
+            run(KernelPolicy::Disabled, workers),
+            "{what}"
+        );
     }
 }
