@@ -40,8 +40,9 @@ use dirsim::obs::{MetricsRegistry, NoopRecorder, ProgressMeter, Recorder, RunMan
 use dirsim::prelude::*;
 use dirsim_cost::CostCategory;
 use dirsim_mem::CacheGeometry;
+use dirsim_trace::frontend::is_trace_file;
+use dirsim_trace::open_trace;
 use dirsim_trace::scenario::registry;
-use dirsim_trace::{open_trace, FrontendRegistry};
 
 struct Options {
     schemes: Vec<Scheme>,
@@ -179,15 +180,6 @@ fn stream_stats(path: &str) -> Result<TraceStats, Box<dyn std::error::Error>> {
         }
     }
     Ok(stats)
-}
-
-/// Does `arg` (a `--scenario` value) name a trace/corpus file rather
-/// than a scenario? True when it is an existing file the frontend
-/// registry recognises — `.scn` spec files and bundled scenario names
-/// fall through to `Scenario::resolve`.
-fn is_trace_file(arg: &str) -> bool {
-    let path = std::path::Path::new(arg);
-    path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_)))
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {

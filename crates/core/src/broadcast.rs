@@ -151,6 +151,12 @@ impl BroadcastSimulator {
     /// * `scheme_refs/scheme_transactions{scheme}` and
     ///   `scheme_ops{scheme,op}` — per-scheme result totals;
     /// * `shard_refs/shard_ops{shard}` — per-shard totals (sharded runs);
+    /// * `kernel_lanes` — counter of lanes that start on a table kernel
+    ///   (see [`crate::kernel`]), summed over shards: a sharded run steps
+    ///   one lane per scheme per shard;
+    /// * `kernel_materializations{scheme}` — counter of kernel lanes that
+    ///   overflowed their row budget and continued on the match machine,
+    ///   summed over shards;
     /// * pipeline-overlap metrics whenever the source decodes on the
     ///   producer thread (see the module docs):
     ///   `decode_stall_seconds`, `step_stall_seconds`,

@@ -401,22 +401,46 @@ pub enum StepFailure {
 }
 
 /// One protocol's accumulation state over a reference stream: its optional
-/// shadow oracle, finite-cache residency, and running [`SimResult`].
+/// shadow oracle and running [`SimResult`].
 ///
 /// `Lane` is the unit both engines are built from: [`Simulator::run`]
 /// drives one lane, the broadcast engine drives one per scheme (and, when
-/// sharded, one per scheme per worker).
+/// sharded, one per scheme per worker). A lane holds no finite-cache
+/// state: which blocks a cache holds depends only on the reference stream
+/// and the geometry, never on the scheme, so the caller owns the one LRU
+/// replica and either passes it to [`Lane::step`] or resolves residency
+/// itself and hands the lane a [`kernel::DecodedRef`].
 pub(crate) struct Lane {
     oracle: Option<ShadowMemory>,
-    finite: Vec<FiniteCache<()>>,
     result: SimResult,
+}
+
+/// One data reference's access to an LRU replica (one [`FiniteCache`]
+/// per cache, grown on demand): `touch`, then `insert` on a miss.
+/// Returns whether the block was resident and the victim the insert
+/// displaced, if any. Both decodes — [`Lane::step`]'s private one and the
+/// lane bank's shared one — access their replicas through here.
+#[inline]
+pub(crate) fn lru_access(
+    finite: &mut Vec<FiniteCache<()>>,
+    geometry: CacheGeometry,
+    cache: CacheId,
+    block: BlockAddr,
+) -> (bool, Option<BlockAddr>) {
+    while finite.len() <= cache.index() {
+        finite.push(FiniteCache::new(geometry).expect("geometry validated at configuration time"));
+    }
+    let fc = &mut finite[cache.index()];
+    if fc.touch(block).is_some() {
+        return (true, None);
+    }
+    (false, fc.insert(block, ()).map(|(victim, ())| victim))
 }
 
 impl Lane {
     pub(crate) fn new(config: &SimConfig, scheme: String) -> Self {
         Lane {
             oracle: config.check_oracle.then(ShadowMemory::new),
-            finite: Vec::new(),
             result: SimResult::new(scheme),
         }
     }
@@ -427,12 +451,16 @@ impl Lane {
     }
 
     /// Advances the lane by one reference: the full engine step, including
-    /// finite-cache residency, event/op accounting, and (when configured)
-    /// the invariant and oracle audits.
+    /// finite-cache residency against the caller's LRU replica `finite`,
+    /// event/op accounting, and (when configured) the invariant and oracle
+    /// audits. This decodes the reference itself — block mapping, cache
+    /// attribution and LRU access — with no block interning, which keeps
+    /// a lone lane's loop short.
     pub(crate) fn step(
         &mut self,
         config: &SimConfig,
         protocol: &mut dyn CoherenceProtocol,
+        finite: &mut Vec<FiniteCache<()>>,
         r: MemRef,
     ) -> Result<(), StepFailure> {
         self.result.refs += 1;
@@ -442,54 +470,37 @@ impl Lane {
         }
         let block = config.block_map.block_of(r.addr);
         let cache = config.sharing.cache_of(&r);
+        let victim = config
+            .geometry
+            .and_then(|geometry| lru_access(finite, geometry, cache, block).1);
         let write = r.kind == AccessKind::Write;
-
-        // Finite-cache mode: update residency first so that a capacity
-        // victim is evicted from the protocol state *before* the access
-        // is classified.
-        let mut eviction_used_bus = false;
-        if let Some(geometry) = config.geometry {
-            while self.finite.len() <= cache.index() {
-                self.finite.push(
-                    FiniteCache::new(geometry).expect("geometry validated at configuration time"),
-                );
-            }
-            let fc = &mut self.finite[cache.index()];
-            if fc.touch(block).is_none() {
-                if let Some((victim, ())) = fc.insert(block, ()) {
-                    self.result.capacity_evictions += 1;
-                    let ev = protocol.evict(cache, victim);
-                    for &op in &ev.ops {
-                        self.result.ops.record(op, 1);
-                    }
-                    eviction_used_bus = !ev.ops.is_empty();
-                    if config.check_invariants {
-                        if let Err(violation) =
-                            invariant::check_eviction(protocol, cache, victim, &ev)
-                        {
-                            return Err(StepFailure::Invariant {
-                                violation,
-                                during_eviction: true,
-                            });
-                        }
-                    }
-                    if let Some(oracle) = self.oracle.as_mut() {
-                        invariant::replay_movements(oracle, &ev.movements, victim)
-                            .map_err(StepFailure::Oracle)?;
-                    }
-                }
-            }
-        }
-
+        let (oracle, result) = (self.oracle.as_mut(), &mut self.result);
         step_data_ref(
-            config,
-            protocol,
-            self.oracle.as_mut(),
-            &mut self.result,
-            cache,
-            block,
-            write,
-            eviction_used_bus,
+            config, protocol, oracle, result, cache, block, write, victim,
+        )
+    }
+
+    /// Advances the lane by one reference the bank already decoded: the
+    /// match-path twin of [`Self::step_with_kernel`], with the block and
+    /// victim addresses read back from the bank's dense-index table
+    /// `addrs`.
+    pub(crate) fn step_decoded(
+        &mut self,
+        config: &SimConfig,
+        protocol: &mut dyn CoherenceProtocol,
+        addrs: &[BlockAddr],
+        d: kernel::DecodedRef,
+    ) -> Result<(), StepFailure> {
+        self.result.refs += 1;
+        if d.block_idx == kernel::INSTR_REF {
+            self.result.events.record(EventKind::Instr);
+            return Ok(());
+        }
+        let block = addrs[d.block_idx as usize];
+        let victim = (d.victim_idx != kernel::NO_VICTIM).then(|| addrs[d.victim_idx as usize]);
+        let (oracle, result) = (self.oracle.as_mut(), &mut self.result);
+        step_data_ref(
+            config, protocol, oracle, result, d.cache, block, d.write, victim,
         )
     }
 
@@ -498,15 +509,15 @@ impl Lane {
     /// off, driven by memoized transition rows instead of the protocol
     /// machine. The bank decodes each reference once — block mapping,
     /// cache attribution, block-index interning, and (under a finite
-    /// geometry) the shared residency probe and LRU victim choice — and
-    /// every lane replays the [`kernel::DecodedRef`], so the per-lane hot
-    /// path is pure array indexing with no hashing and no cache probing.
+    /// geometry) the residency verdict and LRU victim from its one replica
+    /// — and every lane replays the [`kernel::DecodedRef`], so the
+    /// per-lane hot path is pure array indexing with no hashing and no
+    /// cache probing.
     ///
     /// Row lookups happen *before* any state mutation, so on
     /// [`KernelOverflow`] the lane is exactly as it was before the call
-    /// and the reference can be re-stepped on the match path after
-    /// materializing the protocol (the bank reconstructs the lane's
-    /// finite-cache replica from its chunk-start snapshot).
+    /// and the same record can be re-stepped through
+    /// [`Self::step_decoded`] after materializing the protocol.
     pub(crate) fn step_with_kernel(
         &mut self,
         kernel: &mut LaneKernel,
@@ -554,11 +565,11 @@ impl Lane {
     /// The finite-geometry residency-miss half of [`Self::step_with_kernel`]:
     /// prepares the (possible) eviction row before any commit (the data
     /// row arrives pre-ensured from the caller), so [`KernelOverflow`]
-    /// still leaves the lane pristine. The LRU bookkeeping itself lives in
-    /// the bank's shared residency cache (every lane's replica is
-    /// bit-identical), so only the accounting happens here — per-step,
-    /// because the bus-transaction count folds the data and eviction rows
-    /// into one flag, which a per-row hit count cannot express.
+    /// still leaves the lane pristine. The LRU bookkeeping itself happened
+    /// once, in the bank's decode, so only the accounting happens here —
+    /// per-step, because the bus-transaction count folds the data and
+    /// eviction rows into one flag, which a per-row hit count cannot
+    /// express.
     #[cold]
     fn kernel_step_miss(
         &mut self,
@@ -600,15 +611,6 @@ impl Lane {
         Ok(())
     }
 
-    /// Installs a reconstructed finite-cache replica — used when a kernel
-    /// lane overflows and must continue on the match path: kernel lanes
-    /// never touch their own `finite` (the bank's shared replica carries
-    /// the LRU state), so the bank replays the chunk prefix onto its
-    /// chunk-start snapshot and hands the result over here.
-    pub(crate) fn restore_finite(&mut self, finite: Vec<FiniteCache<()>>) {
-        self.finite = finite;
-    }
-
     /// Finalises the lane into its [`SimResult`].
     pub(crate) fn finish(mut self, protocol: &dyn CoherenceProtocol) -> SimResult {
         self.result.distinct_blocks = protocol.tracked_blocks() as u64;
@@ -645,18 +647,41 @@ impl Lane {
     }
 }
 
-/// The audited data-reference body shared by every execution path.
+/// The audited data-reference body shared by every execution path: a
+/// capacity `victim` (finite caches) is evicted from the protocol state
+/// *before* the access is classified, then the access is stepped.
 #[allow(clippy::too_many_arguments)]
 fn step_data_ref(
     config: &SimConfig,
     protocol: &mut dyn CoherenceProtocol,
-    oracle: Option<&mut ShadowMemory>,
+    mut oracle: Option<&mut ShadowMemory>,
     result: &mut SimResult,
     cache: CacheId,
     block: BlockAddr,
     write: bool,
-    eviction_used_bus: bool,
+    victim: Option<BlockAddr>,
 ) -> Result<(), StepFailure> {
+    let mut eviction_used_bus = false;
+    if let Some(victim) = victim {
+        result.capacity_evictions += 1;
+        let ev = protocol.evict(cache, victim);
+        for &op in &ev.ops {
+            result.ops.record(op, 1);
+        }
+        eviction_used_bus = !ev.ops.is_empty();
+        if config.check_invariants {
+            if let Err(violation) = invariant::check_eviction(protocol, cache, victim, &ev) {
+                return Err(StepFailure::Invariant {
+                    violation,
+                    during_eviction: true,
+                });
+            }
+        }
+        if let Some(oracle) = oracle.as_deref_mut() {
+            invariant::replay_movements(oracle, &ev.movements, victim)
+                .map_err(StepFailure::Oracle)?;
+        }
+    }
     let pre = config
         .check_invariants
         .then(|| protocol.probe(block))
@@ -721,7 +746,7 @@ pub fn audit_step(
         cache,
         block,
         write,
-        false,
+        None,
     )
 }
 
@@ -763,9 +788,10 @@ impl Simulator {
         I: IntoIterator<Item = MemRef>,
     {
         let mut lane = Lane::new(&self.config, protocol.name());
+        let mut finite = Vec::new();
         for r in refs {
             let index = lane.next_index();
-            if let Err(failure) = lane.step(&self.config, protocol, r) {
+            if let Err(failure) = lane.step(&self.config, protocol, &mut finite, r) {
                 match failure {
                     StepFailure::Invariant {
                         violation,

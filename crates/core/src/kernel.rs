@@ -90,15 +90,17 @@ pub(crate) const INSTR_REF: u32 = u32::MAX;
 /// `victim_idx` value when a reference displaces no finite-cache victim.
 pub(crate) const NO_VICTIM: u32 = u32::MAX;
 
-/// One decoded data reference, shared by every kernel lane of a bank.
+/// One decoded reference, shared by every lane of a bank, kernel or match.
 ///
 /// The bank decodes each reference exactly once: block-map lookup,
 /// cache attribution, dense block-index interning, and — under a finite
-/// geometry — the residency probe and LRU victim choice, all of which
-/// are scheme-independent (every lane's finite cache sees the same
-/// reference stream, so their contents are bit-identical replicas).
-/// Per-lane stepping is then pure array indexing, with no hashing and
-/// no cache probing, no matter how many lanes replay the record.
+/// geometry — the residency verdict and LRU victim from the bank's one
+/// replica, all of which are scheme-independent (a cache's contents
+/// depend only on the reference stream and the geometry). Kernel lanes
+/// then step by pure array indexing, with no hashing and no cache
+/// probing; match lanes read the block and victim addresses back from
+/// the bank's dense-index table. The record carries indices, not
+/// addresses, to stay within 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedRef {
     /// Dense bank-wide block index, or [`INSTR_REF`].
@@ -161,6 +163,11 @@ pub(crate) struct Row {
 // The byte-wide deltas hold only while no step can involve more caches
 // than a `u8` counts.
 const _: () = assert!(MAX_KERNEL_CACHES <= u8::MAX as u32);
+
+// The one-lane pass builds a record per reference and every lane of a
+// larger bank streams a block of them, so a record carries dense indices,
+// not addresses, and stays within 16 bytes.
+const _: () = assert!(std::mem::size_of::<DecodedRef>() <= 16);
 
 impl Row {
     const EMPTY: Row = Row {

@@ -77,13 +77,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use dirsim_mem::{BlockAddr, CacheStorage, FiniteCache, FxHashMap};
+use dirsim_mem::{BlockAddr, FiniteCache, FxHashMap};
 use dirsim_obs::{Recorder, Span};
 use dirsim_protocol::{CoherenceProtocol, Scheme};
 use dirsim_trace::source::{BorrowedChunkSource, TraceSource};
 use dirsim_trace::{AccessKind, MemRef, TraceIoError};
 
-use crate::engine::{Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
+use crate::engine::{lru_access, Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
 use crate::error::{Error, InvariantError};
 use crate::kernel::{DecodedRef, KernelPolicy, LaneKernel, NO_VICTIM};
 
@@ -95,8 +95,8 @@ pub(crate) const PIPELINE_DEPTH: usize = 2;
 /// Capacity (in batches) of each shard's bounded channel.
 const SHARD_CHANNEL_DEPTH: usize = 4;
 
-/// References decoded per block when several kernel lanes share a chunk
-/// (see `LaneBank::step_chunk`). Small enough that the decode buffer
+/// References decoded per block when several lanes share a chunk (see
+/// `LaneBank::step_chunk`). Small enough that the decode buffer
 /// (4096 × 16-byte records = 64 KiB) stays cache-resident while every
 /// lane replays it; large enough that the per-block lane loop amortises.
 const DECODE_BLOCK: usize = 4_096;
@@ -110,45 +110,35 @@ const DECODE_BLOCK: usize = 4_096;
 /// stays untouched until the kernel either finishes (the instance is
 /// dropped) or overflows (the instance is replaced by a materialized
 /// machine and the lane continues on the match path, bit-identically).
-/// While any kernel lane is live the bank also keeps a shared decode
-/// table: every distinct block address is interned to a dense index
-/// exactly once (`intern`/`addrs`), and each block of a chunk is decoded
-/// once into `decoded` before the lanes step it — so the block-map hash
-/// probe and cache attribution are paid per *reference*, not per
-/// reference × lane.
 ///
-/// Under a finite geometry the decode pass also owns the LRU bookkeeping:
-/// a lane's finite-cache contents depend only on the reference stream and
-/// the geometry — never the scheme — so every lane's replica is
-/// bit-identical, and the bank keeps exactly one (`shared_finite`),
-/// probed and updated once per reference. Kernel lanes receive the
-/// residency verdict and victim choice inside the [`DecodedRef`]. When a
-/// kernel lane overflows mid-chunk, its private replica (needed by the
-/// match-path continuation) is reconstructed by replaying the chunk
-/// prefix onto `finite_snapshot`, the clone taken at chunk start.
-struct LaneBank {
+/// The bank resolves each reference once for all its lanes, through its
+/// [`Decoder`]. A bank of several lanes decodes each block of a chunk
+/// once into `decoded` and steps every lane over it through
+/// [`Self::step_lane`]. A one-lane bank fuses decode and step instead: a
+/// kernel lane steps each reference straight out of
+/// [`Decoder::decode_ref`], and a match lane steps through [`Lane::step`]
+/// against the decoder's LRU replica, skipping the interning it has no
+/// use for.
+struct LaneBank<'a> {
+    config: SimConfig,
+    rec: &'a dyn Recorder,
     protocols: Vec<Box<dyn CoherenceProtocol>>,
     kernels: Vec<Option<LaneKernel>>,
     lanes: Vec<Lane>,
-    /// Block address → dense index shared by every kernel lane.
-    intern: FxHashMap<BlockAddr, u32>,
-    /// Reverse table: dense index → block address, for materializing.
-    addrs: Vec<BlockAddr>,
+    decoder: Decoder,
     /// One decode block of references, recycled across blocks.
     decoded: Vec<DecodedRef>,
-    /// The one finite-cache replica shared by every kernel lane.
-    shared_finite: Vec<FiniteCache<()>>,
-    /// Chunk-start clone of `shared_finite`, for overflow reconstruction.
-    finite_snapshot: Vec<FiniteCache<()>>,
 }
 
-impl LaneBank {
-    fn new(config: &SimConfig, schemes: &[Scheme], caches: u32) -> Self {
+impl<'a> LaneBank<'a> {
+    /// Builds the bank and records how many of its lanes start on a table
+    /// kernel (`kernel_lanes`).
+    fn new(config: SimConfig, rec: &'a dyn Recorder, schemes: &[Scheme], caches: u32) -> Self {
         let protocols: Vec<Box<dyn CoherenceProtocol>> =
             schemes.iter().map(|&s| s.build(caches)).collect();
         let lanes: Vec<Lane> = protocols
             .iter()
-            .map(|p| Lane::new(config, p.name()))
+            .map(|p| Lane::new(&config, p.name()))
             .collect();
         let kernels: Vec<Option<LaneKernel>> = schemes
             .iter()
@@ -166,127 +156,111 @@ impl LaneBank {
                 kernel
             })
             .collect();
+        let kernel_lanes = kernels.iter().filter(|k| k.is_some()).count();
+        rec.counter("kernel_lanes", &[], kernel_lanes as u64);
         LaneBank {
+            config,
+            rec,
             protocols,
             kernels,
             lanes,
-            intern: FxHashMap::default(),
-            addrs: Vec::new(),
+            decoder: Decoder::default(),
             decoded: Vec::new(),
-            shared_finite: Vec::new(),
-            finite_snapshot: Vec::new(),
         }
     }
 
-    /// Number of lanes currently stepping through table kernels.
-    fn kernel_lanes(&self) -> usize {
-        self.kernels.iter().filter(|k| k.is_some()).count()
-    }
-
-    /// Steps every lane over one chunk. The kernel/match dispatch is
-    /// hoisted out of the per-reference loop, and when several kernel
-    /// lanes are live the chunk is decoded exactly once for all of them,
-    /// in blocks of [`DECODE_BLOCK`] references: each block is decoded,
-    /// then every kernel lane steps it, so the decode buffer stays small
-    /// and warm however large the chunk. A single kernel lane (the serial
-    /// mode's shape) fuses decode and step into one pass instead of
-    /// staging through the decode buffer.
-    fn step_chunk(&mut self, config: &SimConfig, refs: &[MemRef]) -> Result<(), Error> {
-        let live_kernels = self.kernel_lanes();
-        if live_kernels > 0 && config.geometry.is_some() {
-            // Keep the chunk-start LRU state around so an overflowing
-            // lane can reconstruct its own replica as of the failed
-            // reference (the shared replica will have advanced past it).
-            self.finite_snapshot.clear();
-            self.finite_snapshot
-                .extend(self.shared_finite.iter().cloned());
+    /// Steps every lane over one chunk. A bank of several lanes decodes
+    /// the chunk in blocks of [`DECODE_BLOCK`] references: each block is
+    /// decoded once, then every lane steps it, so the decode buffer stays
+    /// small and warm however large the chunk. A one-lane bank (the
+    /// serial mode's shape) fuses decode and step into one pass instead
+    /// of staging through the decode buffer.
+    fn step_chunk(&mut self, refs: &[MemRef]) -> Result<(), Error> {
+        if self.lanes.len() == 1 {
+            return self.step_one_lane(refs);
         }
-        for i in 0..self.lanes.len() {
-            if self.kernels[i].is_none() {
-                step_direct(config, &mut self.lanes[i], self.protocols[i].as_mut(), refs)?;
+        let mut decoded = std::mem::take(&mut self.decoded);
+        for block in refs.chunks(DECODE_BLOCK) {
+            decoded.clear();
+            decoded.extend(
+                block
+                    .iter()
+                    .map(|r| self.decoder.decode_ref(&self.config, r)),
+            );
+            for i in 0..self.lanes.len() {
+                self.step_lane(i, &decoded)?;
             }
         }
-        if live_kernels == 1 {
-            let i = self
-                .kernels
-                .iter()
-                .position(Option::is_some)
-                .expect("one live kernel");
-            let mut kernel = self.kernels[i].take().expect("live kernel");
-            let LaneBank {
-                lanes,
-                intern,
-                addrs,
-                shared_finite,
-                ..
-            } = self;
-            let lane = &mut lanes[i];
-            let overflowed_at = refs.iter().position(|r| {
-                let d = decode_ref(config, intern, addrs, shared_finite, r);
-                lane.step_with_kernel(&mut kernel, d).is_err()
-            });
-            self.settle(config, refs, i, kernel, overflowed_at)?;
-        } else if live_kernels > 1 {
-            for base in (0..refs.len()).step_by(DECODE_BLOCK) {
-                let block = &refs[base..refs.len().min(base + DECODE_BLOCK)];
-                let LaneBank {
-                    intern,
-                    addrs,
-                    decoded,
-                    shared_finite,
-                    ..
-                } = self;
-                decoded.clear();
-                for r in block {
-                    decoded.push(decode_ref(config, intern, addrs, shared_finite, r));
+        self.decoded = decoded;
+        Ok(())
+    }
+
+    /// The fused one-lane pass. A kernel lane decodes and steps each
+    /// reference in turn; on overflow the failed record goes through
+    /// [`Self::step_lane`], like any bank's, and the rest of the chunk
+    /// steps on the match path. A match lane steps through [`Lane::step`].
+    fn step_one_lane(&mut self, refs: &[MemRef]) -> Result<(), Error> {
+        let mut rest = refs;
+        if let Some(k) = &mut self.kernels[0] {
+            let lane = &mut self.lanes[0];
+            let mut overflow = None;
+            for (j, r) in refs.iter().enumerate() {
+                let d = self.decoder.decode_ref(&self.config, r);
+                if lane.step_with_kernel(k, d).is_err() {
+                    overflow = Some((j, d));
+                    break;
                 }
-                for i in 0..self.lanes.len() {
-                    // Take the kernel out so the overflow path can replace
-                    // the protocol instance without aliasing; `settle`
-                    // puts it back on success.
-                    let Some(mut kernel) = self.kernels[i].take() else {
-                        continue;
-                    };
-                    let lane = &mut self.lanes[i];
-                    let overflowed_at = self
-                        .decoded
-                        .iter()
-                        .position(|&d| lane.step_with_kernel(&mut kernel, d).is_err())
-                        .map(|j| base + j);
-                    self.settle(config, refs, i, kernel, overflowed_at)?;
-                }
+            }
+            let Some((j, d)) = overflow else {
+                return Ok(());
+            };
+            self.step_lane(0, &[d])?;
+            rest = &refs[j + 1..];
+        }
+        let (lane, protocol) = (&mut self.lanes[0], self.protocols[0].as_mut());
+        let (config, finite) = (&self.config, &mut self.decoder.finite);
+        for &r in rest {
+            let index = lane.next_index();
+            if let Err(failure) = lane.step(config, protocol, finite, r) {
+                return Err(step_error(protocol.name(), index, failure));
             }
         }
         Ok(())
     }
 
-    /// Ends kernel lane `i`'s turn over `refs`: with no overflow the
-    /// kernel goes back into its slot. On overflow at chunk index `j` the
-    /// failed reference mutated nothing in the lane, so this settles the
-    /// batched counts, materializes the machine, rebuilds the lane's
-    /// finite replica as of the failed reference (replaying the chunk
-    /// prefix `refs[..j]` onto the chunk-start snapshot), and re-steps the
-    /// rest of the chunk from it on the match path. The kernel stays
-    /// dropped, so later decode blocks of the chunk skip the lane.
-    fn settle(
-        &mut self,
-        config: &SimConfig,
-        refs: &[MemRef],
-        i: usize,
-        mut kernel: LaneKernel,
-        overflowed_at: Option<usize>,
-    ) -> Result<(), Error> {
-        let Some(j) = overflowed_at else {
-            self.kernels[i] = Some(kernel);
-            return Ok(());
-        };
-        let lane = &mut self.lanes[i];
-        lane.absorb_kernel_hits(&mut kernel);
-        self.protocols[i] = kernel.materialize(&self.addrs);
-        if config.geometry.is_some() {
-            lane.restore_finite(replay_finite(config, &self.finite_snapshot, &refs[..j]));
+    /// Steps lane `i` over decoded references. A kernel lane that
+    /// overflows at `decoded[j]` settles its batched hits, materializes
+    /// its machine, counts the exit in `kernel_materializations{scheme}`,
+    /// and steps `decoded[j..]` on the match path — the failed record
+    /// mutated nothing, so the lane resumes exactly where it stopped. The
+    /// kernel stays dropped, so the lane takes the match path from then on.
+    fn step_lane(&mut self, i: usize, decoded: &[DecodedRef]) -> Result<(), Error> {
+        let (lane, protocol) = (&mut self.lanes[i], &mut self.protocols[i]);
+        let addrs = &self.decoder.addrs;
+        let mut rest = decoded;
+        if let Some(k) = &mut self.kernels[i] {
+            let Some(j) = decoded
+                .iter()
+                .position(|&d| lane.step_with_kernel(k, d).is_err())
+            else {
+                return Ok(());
+            };
+            lane.absorb_kernel_hits(k);
+            *protocol = k.materialize(addrs);
+            self.kernels[i] = None;
+            let scheme = protocol.name();
+            self.rec
+                .counter("kernel_materializations", &[("scheme", &scheme)], 1);
+            rest = &decoded[j..];
         }
-        step_direct(config, lane, self.protocols[i].as_mut(), &refs[j..])
+        let protocol = protocol.as_mut();
+        for &d in rest {
+            let index = lane.next_index();
+            if let Err(failure) = lane.step_decoded(&self.config, protocol, addrs, d) {
+                return Err(step_error(protocol.name(), index, failure));
+            }
+        }
+        Ok(())
     }
 
     fn finish(self) -> Vec<SimResult> {
@@ -302,111 +276,56 @@ impl LaneBank {
     }
 }
 
-/// Decodes one reference for the kernel lanes: block mapping, cache
-/// attribution, bank-wide block-index interning, and — under a finite
-/// geometry — the shared residency probe, LRU victim choice, and LRU
-/// commit, each paid once per reference no matter how many lanes replay
-/// the result. The LRU op sequence on the shared replica (fused probe on
-/// a hit; `touch` then `insert` on a miss) matches `Lane::step`'s
-/// tick-for-tick, so the replica stays bit-identical to what every
-/// match-based lane would hold.
-#[inline]
-fn decode_ref(
-    config: &SimConfig,
-    intern: &mut FxHashMap<BlockAddr, u32>,
-    addrs: &mut Vec<BlockAddr>,
-    shared_finite: &mut Vec<FiniteCache<()>>,
-    r: &MemRef,
-) -> DecodedRef {
-    if r.kind == AccessKind::InstrFetch {
-        return DecodedRef::instr();
-    }
-    let block = config.block_map.block_of(r.addr);
-    let block_idx = *intern.entry(block).or_insert_with(|| {
-        let idx = u32::try_from(addrs.len()).expect("fewer than 2^32 blocks");
-        addrs.push(block);
-        idx
-    });
-    let cache = config.sharing.cache_of(r);
-    let mut resident = true;
-    let mut victim_idx = NO_VICTIM;
-    if let Some(geometry) = config.geometry {
-        while shared_finite.len() <= cache.index() {
-            shared_finite.push(
-                FiniteCache::new(geometry).expect("geometry validated at configuration time"),
-            );
-        }
-        let fc = &mut shared_finite[cache.index()];
-        if fc.touch_if_resident(block).is_none() {
-            resident = false;
-            if let Some(v) = fc.would_evict(block) {
-                victim_idx = *intern
-                    .get(&v)
-                    .expect("victim blocks were interned by their own data refs");
-            }
-            let touched = fc.touch(block);
-            debug_assert!(touched.is_none(), "the fused probe proved a miss");
-            fc.insert(block, ());
-        }
-    }
-    DecodedRef {
-        block_idx,
-        victim_idx,
-        cache,
-        write: r.kind == AccessKind::Write,
-        resident,
-    }
+/// A lane bank's one decode. A cache's contents depend only on the
+/// reference stream and the geometry, never the scheme, so one LRU
+/// replica serves every lane, kernel or match, and no lane keeps its own.
+#[derive(Default)]
+struct Decoder {
+    /// Block address → dense index shared by every lane.
+    intern: FxHashMap<BlockAddr, u32>,
+    /// Reverse table: dense index → block address.
+    addrs: Vec<BlockAddr>,
+    /// The one LRU replica, one cache per entry (empty under infinite
+    /// caches).
+    finite: Vec<FiniteCache<()>>,
 }
 
-/// Reconstructs the finite-cache replica a match-based lane would hold
-/// after the chunk prefix `refs`: a clone of the chunk-start snapshot
-/// advanced by each data reference's touch/insert LRU ops — the exact op
-/// sequence `Lane::step` performs. Used when a kernel lane overflows
-/// mid-chunk: kernel lanes carry no finite state of their own (the
-/// bank's shared replica does), so the match-path continuation needs a
-/// private copy as of the failed reference.
-fn replay_finite(
-    config: &SimConfig,
-    snapshot: &[FiniteCache<()>],
-    refs: &[MemRef],
-) -> Vec<FiniteCache<()>> {
-    let Some(geometry) = config.geometry else {
-        return Vec::new();
-    };
-    let mut finite: Vec<FiniteCache<()>> = snapshot.to_vec();
-    for r in refs {
+impl Decoder {
+    /// Resolves one reference for every lane: block mapping, cache
+    /// attribution, block-index interning, and — under a finite geometry
+    /// — the access to the LRU replica, which yields the residency
+    /// verdict and the victim. Each is paid once per reference no matter
+    /// how many lanes replay the result.
+    #[inline]
+    fn decode_ref(&mut self, config: &SimConfig, r: &MemRef) -> DecodedRef {
         if r.kind == AccessKind::InstrFetch {
-            continue;
+            return DecodedRef::instr();
         }
         let block = config.block_map.block_of(r.addr);
+        let block_idx = *self.intern.entry(block).or_insert_with(|| {
+            let idx = u32::try_from(self.addrs.len()).expect("fewer than 2^32 blocks");
+            self.addrs.push(block);
+            idx
+        });
         let cache = config.sharing.cache_of(r);
-        while finite.len() <= cache.index() {
-            finite.push(
-                FiniteCache::new(geometry).expect("geometry validated at configuration time"),
-            );
-        }
-        let fc = &mut finite[cache.index()];
-        if fc.touch(block).is_none() {
-            fc.insert(block, ());
-        }
-    }
-    finite
-}
-
-/// Steps one lane over a slice on the match-based path.
-fn step_direct(
-    config: &SimConfig,
-    lane: &mut Lane,
-    protocol: &mut dyn CoherenceProtocol,
-    refs: &[MemRef],
-) -> Result<(), Error> {
-    for &r in refs {
-        let index = lane.next_index();
-        if let Err(failure) = lane.step(config, protocol, r) {
-            return Err(step_error(protocol.name(), index, failure));
+        let (resident, victim) = match config.geometry {
+            Some(geometry) => lru_access(&mut self.finite, geometry, cache, block),
+            None => (true, None),
+        };
+        let victim_idx = victim.map_or(NO_VICTIM, |v| {
+            *self
+                .intern
+                .get(&v)
+                .expect("victim blocks were interned by their own data refs")
+        });
+        DecodedRef {
+            block_idx,
+            victim_idx,
+            cache,
+            write: r.kind == AccessKind::Write,
+            resident,
         }
     }
-    Ok(())
 }
 
 #[cold]
@@ -616,11 +535,10 @@ fn drive_in_thread(
     feed: &mut dyn ChunkFeed,
     observe: &mut dyn FnMut(&MemRef),
 ) -> Result<Vec<SimResult>, Error> {
-    let mut bank = LaneBank::new(&config, schemes, caches);
-    rec.counter("kernel_lanes", &[], bank.kernel_lanes() as u64);
+    let mut bank = LaneBank::new(config, rec, schemes, caches);
     let mut sink = |refs: &[MemRef]| -> Result<(), Error> {
         let _step = Span::with_labels(rec, "phase_seconds", &[("phase", "step")]);
-        bank.step_chunk(&config, refs)
+        bank.step_chunk(refs)
     };
     drive(rec, feed, observe, &mut sink)?;
     Ok(bank.finish())
@@ -661,7 +579,7 @@ fn drive_sharded(
             recycle_rxs.push(recycle_rx);
             handles.push(scope.spawn(move || -> Result<Vec<SimResult>, Error> {
                 let shard_label = shard.to_string();
-                let mut bank = LaneBank::new(&config, schemes, caches);
+                let mut bank = LaneBank::new(config, rec, schemes, caches);
                 for mut batch in rx {
                     if enabled {
                         let queued = depth.fetch_sub(1, Ordering::Relaxed);
@@ -676,7 +594,7 @@ fn drive_sharded(
                         "phase_seconds",
                         &[("phase", "step"), ("shard", &shard_label)],
                     );
-                    bank.step_chunk(&config, &batch)?;
+                    bank.step_chunk(&batch)?;
                     drop(step);
                     batch.clear();
                     // A full (or closed) return queue just means this

@@ -231,43 +231,6 @@ impl<L> FiniteCache<L> {
     fn set_mut(&mut self, set: usize) -> &mut [Way<L>] {
         &mut self.slots[set * self.ways..set * self.ways + self.lens[set] as usize]
     }
-
-    /// A fused residency-check-plus-access: on a hit this behaves exactly
-    /// like [`CacheStorage::touch`] (the access tick advances and the line
-    /// is re-stamped most-recent); on a miss it mutates *nothing* — not
-    /// even the tick — and returns `None`. Callers that must keep the LRU
-    /// tick sequence identical to a plain `touch`-then-`insert` miss path
-    /// follow a `None` here with exactly that pair, which replays the same
-    /// two tick increments `touch` + `insert` would have produced.
-    #[inline]
-    pub fn touch_if_resident(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let set = self.set_of(block);
-        let start = set * self.ways;
-        let end = start + self.lens[set] as usize;
-        let tick = self.tick + 1;
-        // Direct field indexing (not the `set_mut` helper) keeps the slab
-        // and tick borrows disjoint.
-        let w = self.slots[start..end]
-            .iter_mut()
-            .find(|w| w.block == block)?;
-        w.stamp = tick;
-        self.tick = tick;
-        Some(&mut w.line)
-    }
-
-    /// The victim that inserting `block` *would* displace, without
-    /// mutating any replacement state: `None` when the block is already
-    /// resident or its set still has a free way. Mirrors
-    /// [`CacheStorage::insert`]'s LRU choice exactly (first-seen minimum
-    /// stamp), so callers can pre-compute eviction consequences before
-    /// committing the access.
-    pub fn would_evict(&self, block: BlockAddr) -> Option<BlockAddr> {
-        let set = self.set(self.set_of(block));
-        if set.iter().any(|w| w.block == block) || set.len() < self.ways {
-            return None;
-        }
-        set.iter().min_by_key(|w| w.stamp).map(|w| w.block)
-    }
 }
 
 impl<L: Default> CacheStorage<L> for FiniteCache<L> {

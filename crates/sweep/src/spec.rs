@@ -33,8 +33,9 @@ use std::str::FromStr;
 
 use dirsim_mem::CacheGeometry;
 use dirsim_protocol::Scheme;
+use dirsim_trace::frontend::is_trace_file;
 use dirsim_trace::synth::WorkloadConfig;
-use dirsim_trace::{FrontendRegistry, Scenario};
+use dirsim_trace::Scenario;
 
 use crate::cell::Cell;
 
@@ -355,12 +356,8 @@ fn parse_scenarios(values: &[&str], line: usize) -> Result<Vec<SweepSource>, Spe
     let sources = values
         .iter()
         .map(|v| {
-            // The same rule `simulate --scenario` applies: an existing
-            // file the frontend registry recognises is a trace; `.scn`
-            // files and bundled names resolve as scenarios.
-            let path = std::path::Path::new(v);
-            if path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_))) {
-                let len = std::fs::metadata(path)
+            if is_trace_file(v) {
+                let len = std::fs::metadata(v)
                     .map_err(|e| SpecError::at(line, format!("trace `{v}`: {e}")))?
                     .len();
                 return Ok(SweepSource::Trace {

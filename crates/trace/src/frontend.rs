@@ -223,11 +223,6 @@ impl FrontendRegistry {
         }
     }
 
-    /// Adds a frontend, consulted after the built-ins.
-    pub fn register(&mut self, frontend: Box<dyn TraceFrontend + Send + Sync>) {
-        self.frontends.push(frontend);
-    }
-
     /// Names of the registered frontends, in sniffing order.
     pub fn names(&self) -> Vec<&'static str> {
         self.frontends.iter().map(|f| f.name()).collect()
@@ -283,6 +278,15 @@ fn read_prefix(path: &Path) -> Result<Vec<u8>, TraceIoError> {
         }
     }
     Ok(prefix[..filled].to_vec())
+}
+
+/// Whether `path` names a trace file: an existing file a built-in
+/// frontend claims. This is the one rule by which `simulate --scenario`
+/// and `dirsim-sweep` specs tell a trace path from a scenario; `.scn`
+/// spec files and bundled scenario names are not trace files.
+pub fn is_trace_file(path: impl AsRef<Path>) -> bool {
+    let path = path.as_ref();
+    path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_)))
 }
 
 /// Opens a trace file of any registered format (the one-call entry point
@@ -557,6 +561,7 @@ mod tests {
         ] {
             let path = temp_path(&format!("fmt.{ext}"));
             std::fs::write(&path, bytes).unwrap();
+            assert!(is_trace_file(&path), "format {name}");
             let registry = FrontendRegistry::builtin();
             let frontend = registry.find(&path).unwrap().unwrap();
             assert_eq!(frontend.name(), name, "extension {ext}");
@@ -572,39 +577,13 @@ mod tests {
         std::fs::write(&path, b"GARBAGE!").unwrap();
         let registry = FrontendRegistry::builtin();
         assert!(registry.find(&path).unwrap().is_none());
+        assert!(!is_trace_file(&path), "unclaimed files are not traces");
+        assert!(!is_trace_file(std::env::temp_dir()), "directories are not");
         let err = match registry.open(&path) {
             Err(e) => e,
             Ok(_) => panic!("garbage file must not open"),
         };
         assert!(matches!(err, TraceIoError::BadMagic(_)), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn custom_frontends_can_register() {
-        #[derive(Debug)]
-        struct Claims;
-        impl TraceFrontend for Claims {
-            fn name(&self) -> &'static str {
-                "claims"
-            }
-            fn description(&self) -> &'static str {
-                "test"
-            }
-            fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-                ext_of(path).as_deref() == Some("weird")
-            }
-            fn open(&self, _path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-                Ok(Box::new(crate::source::IterSource::new(std::iter::empty())))
-            }
-        }
-        let mut registry = FrontendRegistry::builtin();
-        registry.register(Box::new(Claims));
-        assert!(registry.names().contains(&"claims"));
-        let path = temp_path("x.weird");
-        std::fs::write(&path, b"").unwrap();
-        let frontend = registry.find(&path).unwrap().unwrap();
-        assert_eq!(frontend.name(), "claims");
         std::fs::remove_file(&path).unwrap();
     }
 }

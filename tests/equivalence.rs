@@ -19,6 +19,9 @@
 //! The scheme list mirrors the `dirsim-verify` gauntlet (that crate
 //! depends on this one, so the 14 schemes are enumerated inline).
 
+use std::sync::Arc;
+
+use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
 use dirsim::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
 use dirsim_mem::CacheGeometry;
@@ -550,25 +553,65 @@ fn wide_finite_sim(kernels: KernelPolicy) -> SimConfig {
         .unwrap()
 }
 
+/// Each scheme run alone through `Simulator::run` over `trace`: the
+/// engine's per-reference decode, with a private LRU replica, that every
+/// lane bank's shared decode is checked against.
+fn reference_results(
+    config: SimConfig,
+    schemes: &[Scheme],
+    caches: u32,
+    trace: &[MemRef],
+) -> Vec<SimResult> {
+    schemes
+        .iter()
+        .map(|s| {
+            let mut protocol = s.build(caches);
+            Simulator::new(config)
+                .run(protocol.as_mut(), trace.iter().copied())
+                .unwrap()
+        })
+        .collect()
+}
+
+/// DirnNB's `kernel_materializations` count in `registry`.
+fn dir_n_nb_materializations(registry: &MetricsRegistry) -> u64 {
+    registry
+        .counter_value(
+            "kernel_materializations",
+            &[("scheme", &Scheme::dir_n_nb().name())],
+        )
+        .unwrap_or(0)
+}
+
 #[test]
 fn wide_finite_systems_agree_with_kernels_on_auto() {
     // The overflow fallback under a *finite* geometry: 64 caches shrink
     // the kernel's state budget to ~1365 states, and read-only traffic
     // over a wide shared pool makes every scheme's lane observe a fresh
     // holder subset per block (eviction pruning included), so DirnNB
-    // trips the budget a few thousand references in. Kernel lanes carry
-    // no finite-cache state of their own (the bank's shared replica
-    // does), so the fallback must also reconstruct the lane's LRU
-    // replica from the chunk-start snapshot — this pins that
-    // reconstruction bit-identical in both the staged multi-lane decode
-    // (one worker, sharded) and the fused single-lane decode (serial).
+    // trips the budget a few thousand references in. The overflowing lane
+    // then steps the rest of the trace on the match path, still reading
+    // residency and victims from the bank's one shared decode — in the
+    // staged multi-lane decode (one worker, sharded) and the fused
+    // one-lane pass (serial). Auto and Disabled both read that decode, so
+    // each scheme run alone through `Simulator::run`, whose decode is its
+    // own, is the third input.
     let wide = NamedWorkload::new("wide-finite", wide_finite_config());
     let schemes = vec![Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
+    let trace: Vec<MemRef> = Workload::new(wide_finite_config()).take(20_000).collect();
+    let reference = reference_results(
+        wide_finite_sim(KernelPolicy::Disabled),
+        &schemes,
+        64,
+        &trace,
+    );
+    let registry = Arc::new(MetricsRegistry::new());
     let with_kernels = Experiment::new()
         .workload(wide.clone())
         .schemes(schemes.clone())
         .refs_per_trace(20_000)
-        .sim_config(wide_finite_sim(KernelPolicy::Auto));
+        .sim_config(wide_finite_sim(KernelPolicy::Auto))
+        .recorder(registry.clone());
     let without = Experiment::new()
         .workload(wide)
         .schemes(schemes)
@@ -579,18 +622,30 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
         (parallel(1), "wide finite 1 worker"),
         (parallel(3), "wide finite 3 workers"),
     ] {
-        assert_identical(&run(&with_kernels, mode), &run(&without, mode), what);
+        let auto = run(&with_kernels, mode);
+        assert_identical(&auto, &run(&without, mode), what);
+        for (got, want) in auto.per_scheme.iter().zip(&reference) {
+            assert_eq!(&got.combined, want, "{what}: {} vs Simulator", got.scheme);
+        }
     }
+    // Serial mode keeps the engine's no-op recorder, so the count comes
+    // from the parallel runs (summed over their shards).
+    assert!(
+        dir_n_nb_materializations(&registry) > 0,
+        "DirnNB never left its kernel"
+    );
 }
 
 #[test]
 fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
-    // A bank of several kernel lanes decodes each chunk in blocks of 4096
-    // references. An overflow in a later block must rebuild the lane's
-    // LRU replica over the *chunk* prefix up to the failed reference, not
-    // the block prefix. A run of read hits to one block mints no kernel
-    // state, so prefixing it to the wide finite trace pushes every
-    // overflow past the first decode block of the first chunk.
+    // A bank of several lanes decodes each chunk in blocks of 4096
+    // references. An overflow in a later block must hand the match path
+    // the decoded record it failed on, not one from the block's start. A
+    // run of read hits to one block mints no kernel state, so prefixing
+    // it to the wide finite trace pushes every overflow past the first
+    // decode block of the first chunk. Each scheme run alone through
+    // `Simulator::run` checks the shared decode against an independent
+    // one.
     let hit = MemRef::new(
         CpuId::new(0),
         ProcessId::new(0),
@@ -602,15 +657,21 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
         .chain(Workload::new(wide_finite_config()).take(20_000))
         .collect();
     let schemes = [Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
-    let run = |kernels: KernelPolicy, workers: Option<usize>| -> Vec<SimResult> {
-        let engine = BroadcastSimulator::new(wide_finite_sim(kernels));
+    let reference = reference_results(
+        wide_finite_sim(KernelPolicy::Disabled),
+        &schemes,
+        64,
+        &trace,
+    );
+    let run = |kernels: KernelPolicy, workers: Option<usize>, registry: Arc<MetricsRegistry>| {
+        let engine = BroadcastSimulator::new(wide_finite_sim(kernels)).recorder(registry);
         match workers {
             // Serial: one pass per scheme, as `ExecutionMode::Serial` runs
             // it — a one-lane bank, which fuses decode and step.
             None => schemes
                 .iter()
                 .flat_map(|&s| engine.run(&[s], 64, SliceSource::new(&trace)).unwrap())
-                .collect(),
+                .collect::<Vec<SimResult>>(),
             Some(workers) => engine
                 .workers(workers)
                 .run(&schemes, 64, SliceSource::new(&trace))
@@ -622,10 +683,24 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
         (Some(1), "1 worker"),
         (Some(3), "3 workers"),
     ] {
+        let registry = Arc::new(MetricsRegistry::new());
+        let auto = run(KernelPolicy::Auto, workers, registry.clone());
+        // Every placement counts its kernel lanes: one per scheme per
+        // shard (serial runs one one-lane bank per scheme).
         assert_eq!(
-            run(KernelPolicy::Auto, workers),
-            run(KernelPolicy::Disabled, workers),
+            registry.counter_value("kernel_lanes", &[]),
+            Some(3 * workers.unwrap_or(1) as u64),
             "{what}"
         );
+        assert!(
+            dir_n_nb_materializations(&registry) > 0,
+            "{what}: DirnNB never left its kernel"
+        );
+        assert_eq!(
+            auto,
+            run(KernelPolicy::Disabled, workers, Arc::default()),
+            "{what}"
+        );
+        assert_eq!(auto, reference, "{what}: vs Simulator");
     }
 }
