@@ -12,19 +12,27 @@
 //! a self-contained demo needing no trace file. `--scenario` swaps that
 //! workload for any bundled scenario by name, for a `.scn` spec file
 //! parsed by the scenario language (see DESIGN.md §15), **or for a trace
-//! or corpus file** — any format the frontend registry sniffs (`DTR1`,
-//! `DTR2`, `DTR3` corpus, text, CSV) is accepted wherever a scenario
-//! name is; a single scheme list may still be given as the only
+//! or corpus file** — any format `open_trace` sniffs (`DTR1`, `DTR2`,
+//! `DTR3` corpus, text, CSV) is accepted wherever a scenario name is; a
+//! single scheme list may still be given as the only
 //! positional argument. `--list-scenarios` prints the bundled registry
 //! and exits.
 //!
 //! `<scheme>` uses the paper's notation (`Dir0B`, `Dir2NB`, `DirnNB`,
 //! `CoarseVector`, `Tang`, `YenFu`, `WTI`, `Dragon`, `Berkeley`). Trace
-//! files are opened through the frontend registry: magic bytes first,
-//! extension second (see `trace_tool`). Fixed-record `DTR1` files are
-//! memory-mapped and decoded zero-copy; every file is streamed in two
-//! passes (statistics, then simulation), so multi-GB corpora run in
-//! constant memory.
+//! files are sniffed by magic bytes first, extension second (see
+//! `trace_tool`), and run in full; `--refs` sizes only synthetic
+//! scenarios.
+//!
+//! Both kinds of input run through one `dirsim::Experiment`, which also
+//! decides the cache count: a scenario's declared population, or one
+//! cache per process id in a trace (per CPU id under `--per-processor`).
+//! `--caches` may widen that count, never narrow it: a count too small
+//! for the input, like an empty trace, is a typed error (exit 1).
+//! Fixed-record `DTR1` files are memory-mapped and decoded zero-copy;
+//! every file is streamed in two passes (the sizing scan, then the
+//! simulation), so multi-GB corpora run in constant memory, and
+//! synthetic scenarios stream straight out of their generator.
 //!
 //! `--metrics-json` writes a JSON-lines metrics file (run manifest,
 //! per-phase engine timings, per-scheme operation counts — schema version
@@ -41,7 +49,6 @@ use dirsim::prelude::*;
 use dirsim_cost::CostCategory;
 use dirsim_mem::CacheGeometry;
 use dirsim_trace::frontend::is_trace_file;
-use dirsim_trace::open_trace;
 use dirsim_trace::scenario::registry;
 
 struct Options {
@@ -164,24 +171,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     Ok(opts)
 }
 
-/// Streams one statistics pass over a trace file (any registered
-/// format) without materialising it.
-fn stream_stats(path: &str) -> Result<TraceStats, Box<dyn std::error::Error>> {
-    let mut src = open_trace(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut stats = TraceStats::new();
-    let mut chunk = Vec::new();
-    while src
-        .read_chunk(&mut chunk, 65_536)
-        .map_err(|e| format!("{path}: {e}"))?
-        > 0
-    {
-        for r in &chunk {
-            stats.observe(r);
-        }
-    }
-    Ok(stats)
-}
-
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let opts = parse_args()?;
 
@@ -216,50 +205,30 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         ProgressMeter::disabled()
     }));
 
-    // Resolve the reference stream: an explicit trace file, a --scenario
-    // value that names a trace/corpus file, or a synthetic scenario (the
-    // bundled POPS spec unless --scenario overrides it). Files stream in
-    // two passes — statistics, then simulation — so they are never
-    // materialised; synthetic workloads are generated once up front.
+    // Resolve the input: an explicit trace file, a --scenario value that
+    // names a trace/corpus file (both run in full), or a synthetic
+    // scenario (the bundled POPS spec unless --scenario overrides it).
     let scenario_arg = opts.scenario.as_deref();
     let trace_path = match (&opts.path, scenario_arg) {
         (Some(path), _) => Some(path.clone()),
         (None, Some(arg)) if is_trace_file(arg) => Some(arg.to_string()),
         _ => None,
     };
-    let (refs, stats, trace_desc, seed) = match &trace_path {
-        Some(path) => {
-            let stats = stream_stats(path)?;
-            if stats.total() == 0 {
-                return Err("trace is empty".into());
-            }
-            (Vec::new(), stats, path.clone(), None)
-        }
+    let (workload, refs, seed) = match trace_path {
+        Some(path) => (NamedWorkload::trace(&path, &path), usize::MAX, None),
         None => {
             let scenario = Scenario::resolve(scenario_arg.unwrap_or("pops"))?;
             let config = scenario.config();
-            let seed = config.seed;
             let desc = format!(
                 "scenario:{}(cpus={}, seed={:#x})",
                 scenario.name(),
                 config.cpus,
-                seed
+                config.seed
             );
-            let refs: Vec<MemRef> = scenario.workload().take(opts.refs).collect();
-            let stats = TraceStats::from_refs(refs.iter().copied());
-            (refs, stats, desc, Some(seed))
+            let workload = NamedWorkload::new(desc, config.clone());
+            (workload, opts.refs, Some(config.seed))
         }
     };
-    let caches = opts.caches.unwrap_or_else(|| {
-        if opts.per_processor {
-            stats.cpu_count() as u32
-        } else {
-            // One cache per process *id*, not per distinct process: an
-            // open-system scenario can retire an id without it ever
-            // emitting a reference, leaving gaps in the id space.
-            stats.process_id_bound()
-        }
-    });
     let config = SimConfig {
         block_map: BlockMap::new(opts.block_bytes)?,
         sharing: if opts.per_processor {
@@ -273,34 +242,34 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // One single-pass broadcast run covers every requested scheme and
-    // feeds the phase/scheme instrumentation. Trace files come back
-    // through the frontend registry (mmap-backed and decoded inline,
-    // zero-copy, for fixed-record binary); synthetic workloads lend the
-    // generated buffer in place.
+    // feeds the phase/scheme instrumentation. A trace that fails to open
+    // or decode is reported under its path.
     let started = Instant::now();
-    let mut observed = 0u64;
-    let mut tick = |_: &MemRef| {
-        observed += 1;
-        meter
-            .lock()
-            .expect("progress meter poisoned")
-            .tick(observed, None);
-    };
-    let engine = BroadcastSimulator::new(config).recorder(Arc::clone(&recorder));
-    let results = match &trace_path {
-        Some(path) => engine.run_observed(
-            &opts.schemes,
-            caches,
-            open_trace(path).map_err(|e| format!("{path}: {e}"))?,
-            &mut tick,
-        )?,
-        None => engine.run_observed(&opts.schemes, caches, SliceSource::new(&refs), &mut tick)?,
-    };
+    let input = workload.name.clone();
+    let mut ran = Experiment::new()
+        .workload(workload)
+        .schemes(opts.schemes.clone())
+        .refs_per_trace(refs)
+        .sim_config(config)
+        .caches(opts.caches)
+        .recorder(Arc::clone(&recorder))
+        .progress(Arc::clone(&meter))
+        .run()
+        .map_err(|e| -> Box<dyn std::error::Error> {
+            match e {
+                dirsim::Error::TraceIo(e) => format!("{input}: {e}").into(),
+                e => e.into(),
+            }
+        })?;
     let wall = started.elapsed().as_secs_f64();
+    let (trace_desc, stats) = ran.trace_stats.remove(0);
+    let caches = ran.caches[0];
+    let observed = stats.total();
     meter
         .lock()
         .expect("progress meter poisoned")
         .finish(observed, None);
+    let results: Vec<SimResult> = ran.per_scheme.into_iter().map(|s| s.combined).collect();
 
     if let (Some(path), Some(registry)) = (&opts.metrics_json, &registry) {
         let mut manifest = RunManifest::new("simulate")

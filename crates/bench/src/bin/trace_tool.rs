@@ -1,11 +1,11 @@
 //! Command-line trace tooling: generate, convert, inspect, filter, and
-//! cold-store multiprocessor address traces in every format the
-//! frontend registry knows (`DTR1` binary, `DTR2` compressed, `DTR3`
-//! corpus, text, CSV).
+//! cold-store multiprocessor address traces in every format
+//! `open_trace` reads (`DTR1` binary, `DTR2` compressed, `DTR3` corpus,
+//! text, CSV).
 //!
 //! ```text
 //! trace_tool gen <scenario|spec.scn> <refs> <out>       generate a scenario trace
-//! trace_tool convert <in> <out>                          any format -> any format
+//! trace_tool convert <in> <out>                          any format -> any written format
 //! trace_tool stats <in>                                  Table 3-style statistics
 //! trace_tool stat <in>                                   alias for stats
 //! trace_tool strip-locks <in> <out>                      drop spin-lock test reads
@@ -16,90 +16,57 @@
 //! ```
 //!
 //! Inputs are sniffed by magic bytes first, then extension (see
-//! `dirsim_trace::frontend`), so a `DTR1` file works under any name.
-//! Output format is chosen by extension: `.txt` text, `.csv` CSV,
-//! `.dtr2` compressed, `.dtrz` corpus, anything else fixed-record
-//! binary. `gen`, `stats`/`stat`, `pack`, `unpack`, and `verify` stream
-//! — constant memory no matter how many references the file holds.
-//! `convert`, `strip-locks` and `head` materialise the trace.
+//! `dirsim_trace::frontend::TraceFormat`), so a `DTR1` file works under
+//! any name. Output format is chosen by extension: `.txt` text, `.csv`
+//! CSV, `.dtrz` corpus, anything else fixed-record binary. `DTR2` is
+//! read-only: a `.dtr2` output path is rejected in favour of `.dtrz`,
+//! which is the same compressed stream plus a checksum footer. `gen`,
+//! `stats`/`stat`, `head`, `pack`, `unpack`, and `verify` stream —
+//! constant memory no matter how many references the file holds.
+//! `convert` and `strip-locks` materialise the trace.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
 
 use dirsim_trace::codec::BinaryWriter;
-use dirsim_trace::compress::write_compressed;
 use dirsim_trace::corpus::{verify_corpus, write_corpus, CorpusReader};
 use dirsim_trace::filter::without_lock_tests;
-use dirsim_trace::frontend::write_csv;
-use dirsim_trace::io::{write_binary, write_text, TraceIoError};
-use dirsim_trace::{open_trace, IterSource, MemRef, Scenario, TraceSource, TraceStats};
+use dirsim_trace::frontend::{write_csv, TraceFormat};
+use dirsim_trace::io::{write_binary, write_text};
+use dirsim_trace::source::collect_all;
+use dirsim_trace::{open_trace, IterSource, MemRef, Scenario, TakeSource, TraceSource, TraceStats};
 
 /// Chunk size (in references) for the streaming subcommands.
 const STREAM_CHUNK: usize = 65_536;
 
-fn is_text(path: &str) -> bool {
-    path.ends_with(".txt") || path.ends_with(".trace")
-}
-
-fn is_csv(path: &str) -> bool {
-    path.ends_with(".csv")
-}
-
-fn is_compressed(path: &str) -> bool {
-    path.ends_with(".dtr2")
-}
-
-fn is_corpus(path: &str) -> bool {
-    path.ends_with(".dtrz")
-}
-
-fn read_refs(path: &str) -> Result<Vec<MemRef>, TraceIoError> {
-    let mut src = open_trace(path)?;
-    let mut refs = Vec::new();
-    let mut chunk = Vec::new();
-    while src.read_chunk(&mut chunk, STREAM_CHUNK)? > 0 {
-        refs.extend_from_slice(&chunk);
-    }
-    Ok(refs)
-}
-
 /// Streams `refs` to `path` in the format its extension names. Every
 /// sink writes as it goes, so `gen` at 10^8 references never holds the
 /// trace in memory.
-fn write_stream(path: &str, refs: impl Iterator<Item = MemRef>) -> Result<u64, TraceIoError> {
+fn write_stream(
+    path: &str,
+    refs: impl Iterator<Item = MemRef>,
+) -> Result<u64, Box<dyn std::error::Error>> {
+    let format = TraceFormat::from_extension(path);
+    if format == Some(TraceFormat::Compressed) {
+        return Err(format!(
+            "{path}: DTR2 is read-only; write a .dtrz corpus (the same stream plus a checksum)"
+        )
+        .into());
+    }
     let mut out = BufWriter::new(File::create(path)?);
-    let n = if is_text(path) {
-        write_text(&mut out, refs)?
-    } else if is_csv(path) {
-        write_csv(&mut out, refs)?
-    } else if is_compressed(path) {
-        write_compressed(&mut out, refs)?
-    } else if is_corpus(path) {
-        write_corpus(&mut out, IterSource::new(refs))?
-    } else {
-        write_binary(&mut out, refs)?
+    let n = match format {
+        Some(TraceFormat::Text) => write_text(&mut out, refs)?,
+        Some(TraceFormat::Csv) => write_csv(&mut out, refs)?,
+        Some(TraceFormat::Corpus) => write_corpus(&mut out, IterSource::new(refs))?,
+        _ => write_binary(&mut out, refs)?,
     };
     out.flush()?;
     Ok(n)
 }
 
-fn write_refs(path: &str, refs: &[MemRef]) -> Result<u64, TraceIoError> {
+fn write_refs(path: &str, refs: &[MemRef]) -> Result<u64, Box<dyn std::error::Error>> {
     write_stream(path, refs.iter().copied())
-}
-
-/// One streaming pass over any trace file: Table 3-style statistics in
-/// constant memory.
-fn stream_stats(path: &str) -> Result<TraceStats, TraceIoError> {
-    let mut src = open_trace(path)?;
-    let mut stats = TraceStats::new();
-    let mut chunk = Vec::new();
-    while src.read_chunk(&mut chunk, STREAM_CHUNK)? > 0 {
-        for r in &chunk {
-            stats.observe(r);
-        }
-    }
-    Ok(stats)
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
@@ -122,7 +89,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let [_, input, output] = &args[..] else {
                 return Err("usage: trace_tool convert <in> <out>".into());
             };
-            let refs = read_refs(input)?;
+            let refs = collect_all(open_trace(input)?)?;
             let written = write_refs(output, &refs)?;
             eprintln!("converted {written} references {input} -> {output}");
             Ok(())
@@ -131,7 +98,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let [_, input] = &args[..] else {
                 return Err("usage: trace_tool stats <in>".into());
             };
-            let stats = stream_stats(input)?;
+            let stats = TraceStats::scan(open_trace(input)?)?;
             println!("{stats}");
             println!(
                 "lock-read fraction: {:.3}; read/write ratio: {:.2}",
@@ -144,7 +111,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let [_, input, output] = &args[..] else {
                 return Err("usage: trace_tool strip-locks <in> <out>".into());
             };
-            let refs = read_refs(input)?;
+            let refs = collect_all(open_trace(input)?)?;
             let before = refs.len();
             let filtered: Vec<MemRef> = without_lock_tests(refs).collect();
             write_refs(output, &filtered)?;
@@ -161,9 +128,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 return Err("usage: trace_tool head <n> <in>".into());
             };
             let n: usize = n.parse().map_err(|_| "n must be a number")?;
-            let refs = read_refs(input)?;
+            let refs = collect_all(TakeSource::new(open_trace(input)?, n as u64))?;
             let mut stdout = std::io::stdout().lock();
-            write_text(&mut stdout, refs.into_iter().take(n))?;
+            write_text(&mut stdout, refs)?;
             Ok(())
         }
         Some("pack") => {

@@ -113,6 +113,16 @@ pub enum SimConfigError {
     NoSchemes,
     /// An experiment was asked to run with no workloads.
     NoWorkloads,
+    /// A cache-count override is below what the input needs: one cache
+    /// per id its reference stream names.
+    TooFewCaches {
+        /// The override.
+        caches: u32,
+        /// The caches the input needs.
+        needed: u32,
+    },
+    /// A trace input holds no references; the payload names it.
+    EmptyTrace(String),
 }
 
 impl fmt::Display for SimConfigError {
@@ -134,6 +144,13 @@ impl fmt::Display for SimConfigError {
             SimConfigError::NoWorkloads => {
                 write!(f, "invalid simulation config: no workloads to simulate")
             }
+            SimConfigError::TooFewCaches { caches, needed } => write!(
+                f,
+                "invalid simulation config: {caches} caches are too few, the input needs {needed}"
+            ),
+            SimConfigError::EmptyTrace(name) => {
+                write!(f, "invalid simulation config: trace `{name}` is empty")
+            }
         }
     }
 }
@@ -145,7 +162,9 @@ impl std::error::Error for SimConfigError {
             SimConfigError::ZeroChunk
             | SimConfigError::ZeroWorkers
             | SimConfigError::NoSchemes
-            | SimConfigError::NoWorkloads => None,
+            | SimConfigError::NoWorkloads
+            | SimConfigError::TooFewCaches { .. }
+            | SimConfigError::EmptyTrace(_) => None,
         }
     }
 }

@@ -1,14 +1,17 @@
 //! The experiment harness: a (workloads × schemes) simulation matrix.
 //!
-//! [`Experiment`] drives every configured workload through every configured
-//! scheme and collects per-trace and combined [`SimResult`]s. There is one
-//! way to run it — [`Experiment::run`] — in one of two [`ExecutionMode`]s:
+//! [`Experiment`] is the one way a front end runs an input. Every
+//! configured workload — a synthetic generator or a trace file, behind
+//! one [`Input`] — runs through every configured scheme, and the run
+//! collects per-trace and combined [`SimResult`]s. There is one way to
+//! run it — [`Experiment::run`] — in one of two [`ExecutionMode`]s:
 //!
 //! * [`Parallel { workers }`](ExecutionMode::Parallel) (the default, with
-//!   one worker): each workload is generated once and broadcast through
-//!   all schemes in lockstep via [`BroadcastSimulator`], sharded over
-//!   `workers` threads (by block address for infinite caches, by cache
-//!   set index for finite geometries);
+//!   one worker): each workload is generated or decoded once and
+//!   broadcast through all schemes in lockstep via
+//!   [`BroadcastSimulator`], sharded over `workers` threads (by block
+//!   address for infinite caches, by cache set index for finite
+//!   geometries);
 //! * [`Serial`](ExecutionMode::Serial): the paper's literal
 //!   one-pass-per-scheme method over the materialised trace, kept as the
 //!   oracle the parallel mode is checked against.
@@ -16,40 +19,64 @@
 //! Both run the same staged `decode → route → step → merge` pipeline and
 //! produce bit-identical results. Where decode runs is decided by the
 //! source, not the mode (see [`crate::broadcast`]): streamed generators
-//! decode on a producer thread, materialised traces are lent inline as a
-//! [`SliceSource`]. The paper-specific experiment presets live in
-//! [`crate::paper`].
+//! and buffered file decoders decode on a producer thread, materialised
+//! traces and memory-mapped `DTR1` files are lent inline. The
+//! paper-specific experiment presets live in [`crate::paper`].
+//!
+//! How many caches a workload runs with is decided in one place, before
+//! any engine runs (see [`ExperimentResults::caches`]): a synthetic
+//! workload's declared population, else one cache per id its stream
+//! names. [`Experiment::caches`] may widen that count, never narrow it.
 
 use std::ops::Index;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dirsim_mem::SharingModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
 use dirsim_trace::filter::without_lock_tests;
-use dirsim_trace::source::{IterSource, SliceSource, WithoutLockTests};
+use dirsim_trace::source::{collect_all, IterSource, SliceSource, TakeSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
-use dirsim_trace::{MemRef, Scenario, TraceStats};
+use dirsim_trace::{open_trace, MemRef, Scenario, TraceSource, TraceStats};
 
 use crate::broadcast::{BroadcastSimulator, DEFAULT_CHUNK};
 use crate::engine::{SimConfig, SimConfigError, SimResult};
 use crate::error::Error;
 
+/// What a workload simulates.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Input {
+    /// A synthetic workload, generated from its configuration.
+    Synthetic(WorkloadConfig),
+    /// A trace file in any format [`open_trace`] reads.
+    Trace(PathBuf),
+}
+
 /// One named workload in an experiment.
 #[derive(Debug, Clone)]
 pub struct NamedWorkload {
-    /// Display name (`POPS`, `THOR`, …).
+    /// Display name (`POPS`, `THOR`, a trace path, …).
     pub name: String,
-    /// Generator configuration.
-    pub config: WorkloadConfig,
+    /// The reference stream to simulate.
+    pub input: Input,
 }
 
 impl NamedWorkload {
-    /// Creates a named workload.
+    /// Creates a named synthetic workload.
     pub fn new(name: impl Into<String>, config: WorkloadConfig) -> Self {
         NamedWorkload {
             name: name.into(),
-            config,
+            input: Input::Synthetic(config),
+        }
+    }
+
+    /// Creates a named workload over a trace file, opened with
+    /// [`open_trace`] when the experiment runs.
+    pub fn trace(name: impl Into<String>, path: impl Into<PathBuf>) -> Self {
+        NamedWorkload {
+            name: name.into(),
+            input: Input::Trace(path.into()),
         }
     }
 }
@@ -73,12 +100,12 @@ pub enum ExecutionMode {
     /// paper's literal methodology and the oracle for
     /// [`Parallel`](Self::Parallel). N schemes pay for N passes.
     Serial,
-    /// Generate each trace once and broadcast every chunk through all
-    /// schemes in lockstep, sharded over `workers` threads under the
-    /// configuration's [`ShardKey`](crate::engine::ShardKey): by block
-    /// address for infinite caches, by cache set index for finite
-    /// geometries. Exact for every worker count; one worker steps on the
-    /// calling thread.
+    /// Generate or decode each trace once and broadcast every chunk
+    /// through all schemes in lockstep, sharded over `workers` threads
+    /// under the configuration's [`ShardKey`](crate::engine::ShardKey):
+    /// by block address for infinite caches, by cache set index for
+    /// finite geometries. Exact for every worker count; one worker steps
+    /// on the calling thread.
     Parallel {
         /// Number of step worker threads (not counting a decode
         /// producer thread, which the source decides on).
@@ -123,6 +150,7 @@ pub struct Experiment {
     refs_per_trace: usize,
     chunk: usize,
     sim: SimConfig,
+    caches: Option<u32>,
     exclude_lock_tests: bool,
     mode: ExecutionMode,
     recorder: Arc<dyn Recorder>,
@@ -137,6 +165,7 @@ impl Default for Experiment {
             refs_per_trace: 100_000,
             chunk: DEFAULT_CHUNK,
             sim: SimConfig::default(),
+            caches: None,
             exclude_lock_tests: false,
             mode: ExecutionMode::Parallel { workers: 1 },
             recorder: Arc::new(NoopRecorder),
@@ -181,7 +210,8 @@ impl Experiment {
         self
     }
 
-    /// References simulated per workload (default 100 000).
+    /// References simulated per workload (default 100 000). A trace file
+    /// shorter than the budget runs in full.
     pub fn refs_per_trace(mut self, refs: usize) -> Self {
         self.refs_per_trace = refs;
         self
@@ -197,6 +227,16 @@ impl Experiment {
     /// Overrides the engine configuration.
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
+        self
+    }
+
+    /// Overrides every workload's cache count (`None`, the default, keeps
+    /// the count each workload needs; see [`ExperimentResults::caches`]).
+    /// The override may widen a system but never narrow it: a count
+    /// below what a workload needs fails the run with
+    /// [`SimConfigError::TooFewCaches`] before any engine runs.
+    pub fn caches(mut self, caches: Option<u32>) -> Self {
+        self.caches = caches;
         self
     }
 
@@ -244,65 +284,87 @@ impl Experiment {
         self.schemes.len()
     }
 
-    /// Whether sizing the system needs the materialised trace: open-system
-    /// traces mint fresh process ids past the initial population, and
-    /// per-process attribution needs one cache per id that appears.
-    fn needs_trace_for_bound(&self, config: &WorkloadConfig) -> bool {
-        self.sim.sharing == SharingModel::PerProcess && config.open.is_enabled()
+    /// One generation pass over a synthetic workload, counted in the
+    /// `trace_generations` metric so tests can pin that no code path
+    /// regenerates a trace behind the experiment's back.
+    fn generate(&self, name: &str, config: &WorkloadConfig) -> impl TraceSource + Send {
+        self.recorder
+            .counter("trace_generations", &[("trace", name)], 1);
+        IterSource::new(Workload::new(config.clone()).take(self.refs_per_trace))
     }
 
-    /// Caches the simulated system needs for `config`, given the
-    /// **unfiltered** reference stream `raw` when
-    /// [`Self::needs_trace_for_bound`] says it is required. Lock-test
-    /// filtering never widens the id space, so the unfiltered bound also
-    /// covers the filtered stream.
-    ///
-    /// This used to run a *dry generation pass* over the workload just to
-    /// find max-pid+1, silently doubling trace-generation cost for every
-    /// open-system per-process run; the bound now comes from the same
-    /// materialised pass the run itself consumes
-    /// (`trace_generations` pins the pass count).
-    fn cache_bound(&self, config: &WorkloadConfig, raw: &[MemRef]) -> u32 {
-        match self.sim.sharing {
-            SharingModel::PerProcess if config.open.is_enabled() => raw
-                .iter()
-                .map(|r| r.pid.index() as u32 + 1)
-                .max()
-                .unwrap_or(config.processes),
-            SharingModel::PerProcess => config.processes,
-            SharingModel::PerProcessor => u32::from(config.cpus),
-        }
+    /// Opens a trace file's reference stream, capped at the reference
+    /// budget.
+    fn open(&self, path: &Path) -> Result<impl TraceSource + Send, Error> {
+        Ok(TakeSource::new(
+            open_trace(path)?,
+            self.refs_per_trace as u64,
+        ))
     }
 
-    /// Materialises one workload's unfiltered reference stream — exactly
-    /// one generation pass, counted in the `trace_generations` metric so
-    /// tests can pin that no code path regenerates a trace behind the
-    /// experiment's back.
-    fn generate_raw(&self, w: &NamedWorkload) -> Vec<MemRef> {
-        self.note_generation(&w.name);
-        Workload::new(w.config.clone())
-            .take(self.refs_per_trace)
-            .collect()
+    /// Materialises one workload's **unfiltered** reference stream in one
+    /// pass.
+    fn materialise(&self, w: &NamedWorkload) -> Result<Vec<MemRef>, Error> {
+        Ok(match &w.input {
+            Input::Synthetic(config) => collect_all(self.generate(&w.name, config))?,
+            Input::Trace(path) => collect_all(self.open(path)?)?,
+        })
     }
 
-    /// Materialises one workload's simulated stream: one generation pass,
-    /// the cache bound taken from the unfiltered stream, then lock-test
-    /// filtering when enabled.
-    fn materialise(&self, w: &NamedWorkload) -> (u32, Vec<MemRef>) {
-        let raw = self.generate_raw(w);
-        let caches = self.cache_bound(&w.config, &raw);
-        let refs = if self.exclude_lock_tests {
+    /// Lock-test filtering of a materialised stream, when enabled.
+    fn filtered(&self, raw: Vec<MemRef>) -> Vec<MemRef> {
+        if self.exclude_lock_tests {
             without_lock_tests(raw).collect()
         } else {
             raw
-        };
-        (caches, refs)
+        }
     }
 
-    /// Records one trace-generation pass for `name`.
-    fn note_generation(&self, name: &str) {
-        self.recorder
-            .counter("trace_generations", &[("trace", name)], 1);
+    /// The one cache-sizing rule: how many caches `w` runs with.
+    ///
+    /// A synthetic workload needs its declared population — `processes`
+    /// under per-process attribution, `cpus` under per-processor — except
+    /// an open system attributed per process, which mints ids past its
+    /// initial population. That workload, like every trace file, needs
+    /// one cache per id its stream names: the process-id bound, or the
+    /// CPU-id bound under per-processor attribution (ids, not distinct
+    /// ids: a trace can skip one). The bound comes from one
+    /// [`TraceStats::scan`] of the **unfiltered** stream; lock-test
+    /// filtering never widens the id space, so it covers the filtered
+    /// stream too. The override, if any, is checked against that need.
+    ///
+    /// An open system's stream is materialised to scan it and handed
+    /// back, so the run consumes that same pass instead of generating
+    /// the trace twice.
+    fn size(&self, w: &NamedWorkload) -> Result<(u32, Option<Vec<MemRef>>), Error> {
+        let (needed, raw) = match (&w.input, self.sim.sharing) {
+            (Input::Synthetic(config), SharingModel::PerProcessor) => {
+                (u32::from(config.cpus), None)
+            }
+            (Input::Synthetic(config), _) if !config.open.is_enabled() => (config.processes, None),
+            (input, sharing) => {
+                let (stats, raw) = match input {
+                    Input::Trace(path) => (TraceStats::scan(self.open(path)?)?, None),
+                    Input::Synthetic(_) => {
+                        let raw = self.materialise(w)?;
+                        (TraceStats::scan(SliceSource::new(&raw))?, Some(raw))
+                    }
+                };
+                if stats.total() == 0 {
+                    return Err(SimConfigError::EmptyTrace(w.name.clone()).into());
+                }
+                match sharing {
+                    SharingModel::PerProcess => (stats.process_id_bound(), raw),
+                    SharingModel::PerProcessor => (stats.cpu_id_bound(), raw),
+                }
+            }
+        };
+        match self.caches {
+            Some(caches) if caches < needed => {
+                Err(SimConfigError::TooFewCaches { caches, needed }.into())
+            }
+            caches => Ok((caches.unwrap_or(needed), raw)),
+        }
     }
 
     /// Runs the full matrix in the configured [`ExecutionMode`]
@@ -311,10 +373,12 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`Error`] — an oracle or invariant violation
-    /// when checking is enabled, or an invalid configuration, including
-    /// [`SimConfigError::NoWorkloads`] and [`SimConfigError::NoSchemes`]
-    /// for an empty matrix.
+    /// Propagates the first [`Error`] — a trace that fails to open or
+    /// decode, an oracle or invariant violation when checking is
+    /// enabled, or an invalid configuration: [`SimConfigError::NoWorkloads`]
+    /// and [`SimConfigError::NoSchemes`] for an empty matrix, and
+    /// [`SimConfigError::EmptyTrace`] or [`SimConfigError::TooFewCaches`]
+    /// from sizing, which runs for every workload before any engine does.
     pub fn run(&self) -> Result<ExperimentResults, Error> {
         if self.workloads.is_empty() {
             return Err(Error::Config(SimConfigError::NoWorkloads));
@@ -322,9 +386,14 @@ impl Experiment {
         if self.schemes.is_empty() {
             return Err(Error::Config(SimConfigError::NoSchemes));
         }
+        let sized = self
+            .workloads
+            .iter()
+            .map(|w| self.size(w))
+            .collect::<Result<Vec<_>, _>>()?;
         match self.mode {
-            ExecutionMode::Serial => self.run_serial(),
-            ExecutionMode::Parallel { workers } => self.run_broadcast(workers),
+            ExecutionMode::Serial => self.run_serial(sized),
+            ExecutionMode::Parallel { workers } => self.run_broadcast(workers, sized),
         }
     }
 
@@ -332,13 +401,20 @@ impl Experiment {
     /// pipeline pass per (scheme, workload) cell — the paper's literal
     /// N-passes methodology, expressed on the same staged pipeline as
     /// the parallel mode. The materialised traces are lent inline.
-    fn run_serial(&self) -> Result<ExperimentResults, Error> {
+    fn run_serial(
+        &self,
+        sized: Vec<(u32, Option<Vec<MemRef>>)>,
+    ) -> Result<ExperimentResults, Error> {
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
         let mut trace_refs: Vec<Vec<MemRef>> = Vec::with_capacity(self.workloads.len());
-        let mut trace_caches = Vec::with_capacity(self.workloads.len());
-        for w in &self.workloads {
-            let (caches, refs) = self.materialise(w);
-            trace_caches.push(caches);
+        let mut caches = Vec::with_capacity(self.workloads.len());
+        for (w, (n, raw)) in self.workloads.iter().zip(sized) {
+            let raw = match raw {
+                Some(raw) => raw,
+                None => self.materialise(w)?,
+            };
+            let refs = self.filtered(raw);
+            caches.push(n);
             trace_stats.push((w.name.clone(), TraceStats::from_refs(refs.iter().copied())));
             trace_refs.push(refs);
         }
@@ -352,13 +428,13 @@ impl Experiment {
         for &scheme in &self.schemes {
             let mut per_trace = Vec::with_capacity(self.workloads.len());
             let mut combined: Option<SimResult> = None;
-            for ((w, refs), &caches) in self
+            for ((w, refs), &n) in self
                 .workloads
                 .iter()
                 .zip(trace_refs.iter())
-                .zip(trace_caches.iter())
+                .zip(caches.iter())
             {
-                let mut results = engine.run(&[scheme], caches, SliceSource::new(refs))?;
+                let mut results = engine.run(&[scheme], n, SliceSource::new(refs))?;
                 let result = results.pop().expect("one scheme in, one result out");
                 simulated_refs += result.refs;
                 if let Some(p) = &self.progress {
@@ -383,22 +459,28 @@ impl Experiment {
 
         Ok(ExperimentResults {
             trace_stats,
+            caches,
             per_scheme,
         })
     }
 
-    /// The parallel path: each workload is generated once, streamed in
-    /// chunks, and broadcast through every scheme, sharded over
-    /// `workers`.
-    fn run_broadcast(&self, workers: usize) -> Result<ExperimentResults, Error> {
+    /// The parallel path: each workload is generated or decoded once,
+    /// streamed in chunks, and broadcast through every scheme, sharded
+    /// over `workers`.
+    fn run_broadcast(
+        &self,
+        workers: usize,
+        sized: Vec<(u32, Option<Vec<MemRef>>)>,
+    ) -> Result<ExperimentResults, Error> {
         let broadcaster = BroadcastSimulator::new(self.sim)
             .chunk_size(self.chunk)
             .workers(workers)
             .recorder(Arc::clone(&self.recorder));
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
+        let mut caches = Vec::with_capacity(self.workloads.len());
         let mut per_workload: Vec<Vec<SimResult>> = Vec::with_capacity(self.workloads.len());
         let mut observed = 0u64;
-        for w in &self.workloads {
+        for (w, (n, raw)) in self.workloads.iter().zip(sized) {
             let mut stats = TraceStats::new();
             let mut observe = |r: &MemRef| {
                 stats.observe(r);
@@ -409,31 +491,34 @@ impl Experiment {
                         .tick(observed, None);
                 }
             };
-            // Closed systems stream straight out of the generator (decoded
-            // on the producer thread); open per-process systems
-            // materialise the trace once, derive the cache bound from that
-            // same pass (never a second, dry generation pass — see
-            // `cache_bound`), and lend it inline. Lock-test filtering
-            // happens before the engine either way, so `observe` (and
-            // therefore `TraceStats`) sees exactly the filtered stream, as
-            // in serial mode.
-            let schemes = &self.schemes;
-            let results = if self.needs_trace_for_bound(&w.config) {
-                let (caches, refs) = self.materialise(w);
-                broadcaster.run_observed(schemes, caches, SliceSource::new(&refs), &mut observe)?
-            } else {
-                let caches = self.cache_bound(&w.config, &[]);
-                self.note_generation(&w.name);
-                let stream =
-                    IterSource::new(Workload::new(w.config.clone()).take(self.refs_per_trace));
-                if self.exclude_lock_tests {
-                    let filtered = WithoutLockTests::new(stream);
-                    broadcaster.run_observed(schemes, caches, filtered, &mut observe)?
-                } else {
-                    broadcaster.run_observed(schemes, caches, stream, &mut observe)?
+            // Synthetic streams come straight out of the generator
+            // (decoded on the producer thread) and trace files out of
+            // their reader (inline when it lends its chunks, as a mapped
+            // DTR1 file does). An open system's stream was materialised
+            // by sizing and is lent inline. Lock-test filtering happens
+            // before the engine either way, so `observe` (and therefore
+            // `TraceStats`) sees exactly the filtered stream, as in
+            // serial mode.
+            let results = match (raw, &w.input) {
+                (Some(raw), _) => {
+                    let refs = self.filtered(raw);
+                    broadcaster.run_observed(
+                        &self.schemes,
+                        n,
+                        SliceSource::new(&refs),
+                        &mut observe,
+                    )
                 }
-            };
+                (None, Input::Synthetic(config)) => {
+                    let stream = self.generate(&w.name, config);
+                    self.stream(&broadcaster, n, stream, &mut observe)
+                }
+                (None, Input::Trace(path)) => {
+                    self.stream(&broadcaster, n, self.open(path)?, &mut observe)
+                }
+            }?;
             trace_stats.push((w.name.clone(), stats));
+            caches.push(n);
             per_workload.push(results);
         }
 
@@ -462,8 +547,33 @@ impl Experiment {
 
         Ok(ExperimentResults {
             trace_stats,
+            caches,
             per_scheme,
         })
+    }
+
+    /// Broadcasts one streamed workload, lock-test filtered when enabled.
+    fn stream<S, F>(
+        &self,
+        engine: &BroadcastSimulator,
+        caches: u32,
+        source: S,
+        observe: F,
+    ) -> Result<Vec<SimResult>, Error>
+    where
+        S: TraceSource + Send,
+        F: FnMut(&MemRef),
+    {
+        if self.exclude_lock_tests {
+            engine.run_observed(
+                &self.schemes,
+                caches,
+                WithoutLockTests::new(source),
+                observe,
+            )
+        } else {
+            engine.run_observed(&self.schemes, caches, source, observe)
+        }
     }
 }
 
@@ -481,8 +591,17 @@ pub struct SchemeResult {
 /// Results of a full experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentResults {
-    /// Table 3-style statistics per workload.
+    /// Table 3-style statistics per workload, of the simulated (possibly
+    /// lock-test filtered) stream.
     pub trace_stats: Vec<(String, TraceStats)>,
+    /// The cache count each workload ran with, in workload order: the
+    /// [`Experiment::caches`] override if set, else what the workload
+    /// needs — a synthetic workload's declared population (`processes`,
+    /// or `cpus` under per-processor attribution), or, for a trace file
+    /// or a per-process open system, one past the highest process id
+    /// (CPU id under per-processor attribution) in its unfiltered
+    /// stream.
+    pub caches: Vec<u32>,
     /// Per-scheme results, in scheme order.
     pub per_scheme: Vec<SchemeResult>,
 }
@@ -779,6 +898,121 @@ mod tests {
             matches!(err, Error::Config(SimConfigError::NoSchemes)),
             "{err}"
         );
+    }
+
+    /// Writes `refs` to a fresh DTR1 file named after `tag`.
+    fn dtr1_file(tag: &str, refs: &[MemRef]) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "dirsim-experiment-{}-{tag}.dtr",
+            std::process::id()
+        ));
+        let mut bytes = Vec::new();
+        dirsim_trace::io::write_binary(&mut bytes, refs.iter().copied()).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    fn all_modes() -> [ExecutionMode; 3] {
+        [
+            ExecutionMode::Serial,
+            ExecutionMode::Parallel { workers: 1 },
+            ExecutionMode::Parallel { workers: 2 },
+        ]
+    }
+
+    #[test]
+    fn sparse_cpu_ids_size_per_processor_runs_by_the_id_bound() {
+        use crate::engine::Simulator;
+        use dirsim_trace::CpuId;
+        // CPU ids {0, 2}: two distinct CPUs, but cache index 2 must exist.
+        let refs: Vec<MemRef> = Workload::new(small_config(4))
+            .take(3_000)
+            .map(|mut r| {
+                r.cpu = CpuId::new((r.cpu.index() % 2 * 2) as u16);
+                r
+            })
+            .collect();
+        assert_eq!(TraceStats::from_refs(refs.iter().copied()).cpu_count(), 2);
+        let path = dtr1_file("sparse", &refs);
+        let sim = SimConfig {
+            sharing: SharingModel::PerProcessor,
+            ..SimConfig::default()
+        };
+        let schemes = [Scheme::dir0_b(), Scheme::Dragon];
+        let direct: Vec<SimResult> = schemes
+            .iter()
+            .map(|s| {
+                let mut protocol = s.build(3);
+                Simulator::new(sim)
+                    .run(protocol.as_mut(), refs.iter().copied())
+                    .unwrap()
+            })
+            .collect();
+        for mode in all_modes() {
+            let results = Experiment::new()
+                .workload(NamedWorkload::trace("sparse", &path))
+                .schemes(schemes)
+                .sim_config(sim)
+                .execution(mode)
+                .run()
+                .unwrap();
+            assert_eq!(results.caches, [3], "{mode:?}");
+            for (got, want) in results.per_scheme.iter().zip(&direct) {
+                assert_eq!(&got.combined, want, "{mode:?}: {}", got.scheme);
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_override_may_widen_a_trace_but_never_narrow_it() {
+        let refs: Vec<MemRef> = Workload::new(small_config(5)).take(2_000).collect();
+        let needed = TraceStats::from_refs(refs.iter().copied()).process_id_bound();
+        assert_eq!(needed, 4);
+        let path = dtr1_file("override", &refs);
+        let experiment = |caches| {
+            Experiment::new()
+                .workload(NamedWorkload::trace("t", &path))
+                .scheme(Scheme::Wti)
+                .caches(caches)
+        };
+        for mode in all_modes() {
+            let err = experiment(Some(1)).execution(mode).run().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Config(SimConfigError::TooFewCaches {
+                        caches: 1,
+                        needed: 4
+                    })
+                ),
+                "{mode:?}: {err}"
+            );
+            let wide = experiment(Some(6)).execution(mode).run().unwrap();
+            assert_eq!(wide.caches, [6], "{mode:?}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_empty_trace_is_a_typed_error() {
+        let path = dtr1_file("empty", &[]);
+        for caches in [None, Some(4)] {
+            for mode in all_modes() {
+                let err = Experiment::new()
+                    .workload(NamedWorkload::trace("nothing", &path))
+                    .scheme(Scheme::Wti)
+                    .caches(caches)
+                    .execution(mode)
+                    .run()
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, Error::Config(SimConfigError::EmptyTrace(name)) if name == "nothing"),
+                    "{caches:?}, {mode:?}: {err}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

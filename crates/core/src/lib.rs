@@ -70,7 +70,9 @@ pub use engine::{
     Simulator, StepFailure,
 };
 pub use error::{Error, InvariantError};
-pub use experiment::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload, SchemeResult};
+pub use experiment::{
+    ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload, SchemeResult,
+};
 pub use histogram::FanoutHistogram;
 pub use invariant::InvariantViolation;
 pub use kernel::KernelPolicy;
@@ -81,7 +83,9 @@ pub mod prelude {
     pub use crate::broadcast::BroadcastSimulator;
     pub use crate::engine::{SimConfig, SimResult, Simulator};
     pub use crate::error::Error;
-    pub use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
+    pub use crate::experiment::{
+        ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload,
+    };
     pub use crate::histogram::FanoutHistogram;
     pub use crate::kernel::KernelPolicy;
     pub use dirsim_cost::{BusKind, CostBreakdown, CostCategory, CostModel};

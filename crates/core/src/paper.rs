@@ -24,7 +24,7 @@ use dirsim_trace::synth::{PaperTrace, WorkloadConfig};
 
 use crate::engine::SimResult;
 use crate::error::Error;
-use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
+use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload};
 
 /// The three paper-trace stand-ins, in Table 3 order.
 ///
@@ -503,7 +503,9 @@ pub fn seed_sensitivity(
         let workloads: Vec<NamedWorkload> = paper_workloads()
             .into_iter()
             .map(|mut w| {
-                w.config.seed = w.config.seed.wrapping_add(seed_offset * 0x9e37_79b9);
+                if let Input::Synthetic(config) = &mut w.input {
+                    config.seed = config.seed.wrapping_add(seed_offset * 0x9e37_79b9);
+                }
                 w
             })
             .collect();

@@ -8,9 +8,9 @@
 //!
 //! The spec names the grid's axes (see `crates/sweep/specs/` for the
 //! committed grids); a `scenarios` entry may be a bundled scenario name,
-//! a `.scn` spec file, or a trace/corpus file in any format the frontend
-//! registry sniffs (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) — trace
-//! entries stream the file per cell instead of regenerating a synthetic
+//! a `.scn` spec file, or a trace/corpus file in any format `open_trace`
+//! sniffs (`DTR1`, `DTR2`, `DTR3` corpus, text, CSV) — trace entries
+//! stream the file per cell instead of regenerating a synthetic
 //! workload. The store (default `sweep-store.jsonl`) accumulates
 //! one JSON line per completed cell, keyed by configuration hash. Cells
 //! already in the store are skipped, so re-running after a crash — or

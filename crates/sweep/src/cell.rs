@@ -7,9 +7,9 @@
 //! ([`Scenario::to_spec`]), so editing a `.scn` file changes the hash and
 //! the cell re-runs, while re-running an unchanged spec finds every hash
 //! already in the store. Cells over external trace files
-//! ([`CellInput::Trace`]) hash the trace path plus its byte length in
-//! place of the spec text — rewriting the file re-runs its cells under
-//! the same cheap-to-check rule. Everything in the identity except the
+//! ([`Input::Trace`]) hash the trace path plus its byte length in place
+//! of the spec text — rewriting the file re-runs its cells under the
+//! same cheap-to-check rule. Everything in the identity except the
 //! scheme is the cell's [`Cell::input_key`]: cells that share it simulate
 //! the same reference stream, so the sweep runs them as one input group.
 //!
@@ -22,30 +22,16 @@
 //! identical cell always serialises to identical bytes — that is what
 //! makes "resumed store equals from-scratch store" testable.
 
+use dirsim::Input;
 use dirsim_mem::CacheGeometry;
 use dirsim_obs::{json::float, Json};
 use dirsim_protocol::Scheme;
+use dirsim_trace::corpus::Fnv64;
 use dirsim_trace::synth::WorkloadConfig;
 use dirsim_trace::Scenario;
 
 /// Identity-format version; bump to force a whole-grid re-run.
 pub const CELL_IDENTITY_VERSION: u32 = 1;
-
-/// What a cell simulates: a synthetic workload regenerated from its
-/// scenario seed, or an external trace file streamed through the
-/// frontend registry at run time.
-#[derive(Debug, Clone)]
-pub enum CellInput {
-    /// Synthetic workload (CPU override already applied).
-    Synthetic(WorkloadConfig),
-    /// External trace/corpus file.
-    Trace {
-        /// Path as the spec wrote it.
-        path: String,
-        /// Byte length at spec-parse time; part of the identity hash.
-        len: u64,
-    },
-}
 
 /// One point of the evaluation grid, ready to run.
 #[derive(Debug, Clone)]
@@ -54,8 +40,10 @@ pub struct Cell {
     pub scheme: Scheme,
     /// Scenario display name (the trace path for trace cells).
     pub scenario: String,
-    /// The reference stream to simulate.
-    pub input: CellInput,
+    /// The reference stream to simulate: a synthetic workload
+    /// regenerated from its scenario seed (CPU override already applied),
+    /// or a trace file as the spec wrote its path.
+    pub input: Input,
     /// Cache geometry; `None` is the paper's infinite cache.
     pub geometry: Option<CacheGeometry>,
     /// CPU-count override from the spec; `None` kept the scenario default.
@@ -91,7 +79,7 @@ impl Cell {
         Cell {
             scheme,
             scenario: scenario.name().to_string(),
-            input: CellInput::Synthetic(config),
+            input: Input::Synthetic(config),
             geometry,
             cpus,
             refs,
@@ -123,10 +111,7 @@ impl Cell {
         Cell {
             scheme,
             scenario: path.to_string(),
-            input: CellInput::Trace {
-                path: path.to_string(),
-                len,
-            },
+            input: Input::Trace(path.into()),
             geometry,
             cpus,
             refs,
@@ -168,18 +153,14 @@ pub fn cpus_label(cpus: Option<u16>) -> String {
     }
 }
 
-/// FNV-1a, 64 bit: tiny, dependency-free, and stable across platforms —
-/// exactly what a store key needs (this is an identity, not a defence
-/// against adversarial collisions).
+/// FNV-1a, 64 bit, the same [`Fnv64`] that checksums trace corpora: tiny,
+/// dependency-free, and stable across platforms — exactly what a store
+/// key needs (this is an identity, not a defence against adversarial
+/// collisions).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    let mut hash = Fnv64::new();
+    hash.update(bytes);
+    hash.finish()
 }
 
 /// One completed cell, as stored.
@@ -389,7 +370,7 @@ mod tests {
             Cell::from_trace(Scheme::dir0_b(), "a.dtr", 160, None, None, 1000).hash
         );
         assert_eq!(base.scenario, "a.dtr");
-        assert!(matches!(base.input, CellInput::Trace { ref path, len: 160 } if path == "a.dtr"));
+        assert_eq!(base.input, Input::Trace("a.dtr".into()));
         // A rewritten file (new length), a different path, and a different
         // scheme are all different cells.
         assert_ne!(

@@ -38,7 +38,7 @@ pub mod run;
 pub mod spec;
 pub mod store;
 
-pub use cell::{Cell, CellInput, CellRecord};
+pub use cell::{Cell, CellRecord};
 pub use report::render_report;
 pub use run::{run_sweep, SweepOptions, SweepSummary};
 pub use spec::{CostModelKind, SpecError, SweepSource, SweepSpec};

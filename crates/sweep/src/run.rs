@@ -4,13 +4,14 @@
 //! Cells that differ only in their scheme simulate the same reference
 //! stream, so the pending cells are split into **input groups** by
 //! [`Cell::input_key`] (scenario spec text or trace path and length,
-//! geometry, cpus and refs). Each group makes one pass at
+//! geometry, cpus and refs). Each group makes one [`Experiment`] call at
 //! `Parallel { workers: 1 }` over all of its pending schemes — the
-//! paper's §4 method of measuring event frequencies once per trace: a
-//! synthetic group runs one [`Experiment`], a trace group one
-//! [`BroadcastSimulator`] (and one stats pass to size the system). The
-//! trace is generated or decoded once on the engine's producer thread and
-//! every scheme's lane steps it in lockstep. Every record stays
+//! paper's §4 method of measuring event frequencies once per trace —
+//! whichever kind its input is. The trace is generated or decoded once
+//! and every scheme's lane steps it in lockstep; a trace file is first
+//! scanned once to size the system (always, even when the cell's `cpus`
+//! overrides the count, so an empty trace or a too-small override fails
+//! as a typed error before any engine runs). Every record stays
 //! bit-identical to its cell run alone (the equivalence the engine's
 //! tier-1 tests pin), and resume still skips by cell hash, so a group
 //! whose store already holds some schemes runs only the rest.
@@ -32,21 +33,19 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, NamedWorkload, SimConfig, SimResult};
+use dirsim::{ExecutionMode, Experiment, Input, NamedWorkload, SimConfig};
 use dirsim_cost::CostModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
-use dirsim_protocol::Scheme;
-use dirsim_trace::{open_trace, TakeSource, TraceSource, TraceStats};
 
-use crate::cell::{Cell, CellInput, CellRecord};
+use crate::cell::{Cell, CellRecord};
 use crate::store::Store;
 use crate::{SweepError, SweepSpec};
 
-/// References per chunk in a group's engine pass (and in a trace group's
-/// stats pass): a quarter of the engine default. A group holds one lane
-/// table per pending scheme, so it keeps the decode pipeline's in-flight
-/// buffers at 512 KiB instead of 2 MiB, which holds a group's peak
-/// memory below a single cell's at the default. With many lanes the
+/// References per chunk in a group's engine pass: a quarter of the
+/// engine default. A group holds one lane table per pending scheme, so it
+/// keeps the decode pipeline's in-flight buffers at 512 KiB instead of
+/// 2 MiB, which holds a group's peak memory below a single cell's at the
+/// default. With many lanes the
 /// per-chunk hand-off stays far below 1% of the step work. Results never
 /// depend on the chunk size.
 const GROUP_CHUNK: usize = 8_192;
@@ -207,43 +206,34 @@ fn input_groups(cells: Vec<Cell>) -> Vec<Vec<Cell>> {
 /// and condenses each scheme's result into its cell's store record, in
 /// `group` order.
 ///
-/// Synthetic groups go through the normal [`Experiment`] front door;
-/// trace groups stream their file through the frontend registry into a
-/// one-worker [`BroadcastSimulator`], so both kinds stay bit-identical
-/// to a `simulate` run of each cell's configuration.
+/// Both input kinds go through the one [`Experiment`] front door, so
+/// both stay bit-identical to a `simulate` run of each cell's
+/// configuration. A synthetic cell's `cpus` is already applied to its
+/// workload and recorded as is; a trace cell's `cpus` overrides the
+/// cache count, and the record stores the count the trace ran with.
 fn run_group(group: &[Cell]) -> Result<Vec<CellRecord>, SweepError> {
     let first = &group[0];
-    let schemes: Vec<Scheme> = group.iter().map(|c| c.scheme).collect();
-    let sim = SimConfig {
-        geometry: first.geometry,
-        ..SimConfig::default()
+    let (caches, declared_cpus) = match &first.input {
+        Input::Synthetic(config) => (None, Some(u32::from(config.cpus))),
+        Input::Trace(_) => (first.cpus.map(u32::from), None),
     };
-    let (results, cpus): (Vec<SimResult>, u32) = match &first.input {
-        CellInput::Synthetic(config) => {
-            let results = Experiment::new()
-                .workload(NamedWorkload::new(first.scenario.clone(), config.clone()))
-                .schemes(schemes)
-                .refs_per_trace(first.refs)
-                .chunk_size(GROUP_CHUNK)
-                .sim_config(sim)
-                .execution(ExecutionMode::Parallel { workers: 1 })
-                .run()?;
-            let results = results.per_scheme.into_iter().map(|s| s.combined);
-            (results.collect(), u32::from(config.cpus))
-        }
-        CellInput::Trace { path, .. } => {
-            let caches = trace_caches(first, path)?;
-            let source = TakeSource::new(
-                open_trace(path).map_err(dirsim::Error::from)?,
-                first.refs as u64,
-            );
-            let results = BroadcastSimulator::new(sim)
-                .chunk_size(GROUP_CHUNK)
-                .workers(1)
-                .run(&schemes, caches, source)?;
-            (results, caches)
-        }
-    };
+    let ran = Experiment::new()
+        .workload(NamedWorkload {
+            name: first.scenario.clone(),
+            input: first.input.clone(),
+        })
+        .schemes(group.iter().map(|c| c.scheme))
+        .refs_per_trace(first.refs)
+        .chunk_size(GROUP_CHUNK)
+        .sim_config(SimConfig {
+            geometry: first.geometry,
+            ..SimConfig::default()
+        })
+        .caches(caches)
+        .execution(ExecutionMode::Parallel { workers: 1 })
+        .run()?;
+    let cpus = declared_cpus.unwrap_or(ran.caches[0]);
+    let results = ran.per_scheme.into_iter().map(|s| s.combined);
     Ok(group
         .iter()
         .zip(results)
@@ -262,37 +252,6 @@ fn run_group(group: &[Cell]) -> Result<Vec<CellRecord>, SweepError> {
             non_pipelined_cpr: result.cycles_per_ref(CostModel::non_pipelined()),
         })
         .collect())
-}
-
-/// Cache count for a trace group: the spec's `cpus` override taken as an
-/// explicit cache count, or one cache per process id observed in the
-/// simulated prefix — the same default `simulate` applies to trace
-/// files (ids, not distinct processes: an open-system trace can retire
-/// an id without it ever emitting a reference).
-fn trace_caches(cell: &Cell, path: &str) -> Result<u32, SweepError> {
-    if let Some(cpus) = cell.cpus {
-        return Ok(u32::from(cpus));
-    }
-    let source = open_trace(path).map_err(dirsim::Error::from)?;
-    let mut src = TakeSource::new(source, cell.refs as u64);
-    let mut stats = TraceStats::new();
-    let mut chunk = Vec::new();
-    while src
-        .read_chunk(&mut chunk, GROUP_CHUNK)
-        .map_err(dirsim::Error::from)?
-        > 0
-    {
-        for r in &chunk {
-            stats.observe(r);
-        }
-    }
-    if stats.total() == 0 {
-        return Err(SweepError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("trace `{path}` is empty"),
-        )));
-    }
-    Ok(stats.process_id_bound())
 }
 
 /// Pool size: the requested worker count (0 = one per available CPU),
@@ -342,6 +301,7 @@ fn progress_meter(enabled: bool, total: usize, skipped: usize) -> ProgressMeter 
 mod tests {
     use super::*;
     use dirsim_obs::{MetricValue, MetricsRegistry};
+    use dirsim_protocol::Scheme;
     use std::collections::BTreeMap;
     use std::fs;
     use std::path::{Path, PathBuf};
@@ -491,6 +451,40 @@ mod tests {
         assert_eq!((rerun.ran, rerun.skipped), (2, 0));
 
         fs::remove_file(&path).unwrap();
+        fs::remove_file(&trace).unwrap();
+    }
+
+    #[test]
+    fn a_too_small_trace_override_fails_typed_and_stores_nothing() {
+        let trace = std::env::temp_dir().join(format!(
+            "dirsim-sweep-run-narrow-{}.dtr",
+            std::process::id()
+        ));
+        write_pops_trace(&trace, 1_000);
+        let path = temp_store("narrow");
+        let _ = fs::remove_file(&path);
+        let mut store = Store::open(&path).unwrap();
+        let spec = SweepSpec::parse(&format!(
+            "schemes = Dir1NB, WTI\nscenarios = {}\ncpus = 1\nrefs = 500\n",
+            trace.display()
+        ))
+        .unwrap();
+        let err = run_sweep(&spec, &mut store, &SweepOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SweepError::Sim(dirsim::Error::Config(
+                    dirsim::SimConfigError::TooFewCaches { caches: 1, .. }
+                ))
+            ),
+            "{err}"
+        );
+        assert!(store.records().is_empty());
+        assert!(
+            fs::read(&path).map_or(true, |bytes| bytes.is_empty()),
+            "nothing written"
+        );
+        let _ = fs::remove_file(&path);
         fs::remove_file(&trace).unwrap();
     }
 

@@ -19,10 +19,11 @@
 //! `refs = 100_000`, `cost-models = pipelined`). Scenario entries are
 //! resolved the same way `simulate --scenario` resolves them: a bundled
 //! name (`pops`), a path to a `.scn` file, **or a path to a trace or
-//! corpus file** in any format the frontend registry sniffs (`DTR1`,
-//! `DTR2`, `DTR3` corpus, text, CSV) — an existing file the registry
-//! recognises becomes a [`SweepSource::Trace`] axis entry, streamed at
-//! run time instead of regenerated from a seed. `cost-models` selects
+//! corpus file** in any format `open_trace` sniffs (`DTR1`, `DTR2`,
+//! `DTR3` corpus, text, CSV) — an existing file some
+//! [`TraceFormat`](dirsim_trace::TraceFormat) claims becomes a
+//! [`SweepSource::Trace`] axis entry, streamed at run time instead of
+//! regenerated from a seed. `cost-models` selects
 //! which cost columns the report renders; it is *not* part of a cell's
 //! identity, because every stored record carries both pricings (§4 of
 //! the paper separates event frequencies from event costs, and so does
@@ -107,8 +108,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// One entry of the `scenarios` axis: a synthetic scenario, or an
-/// existing trace/corpus file in any format the frontend registry
-/// recognises. The sniffing rule is the one `simulate --scenario`
+/// existing trace/corpus file in any format `open_trace` sniffs. The sniffing rule is the one `simulate --scenario`
 /// applies — magic bytes first, extension second — so `.scn` spec files
 /// and bundled scenario names fall through to [`Scenario::resolve`].
 #[derive(Debug, Clone)]
@@ -484,7 +484,7 @@ fn parse_number(value: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellInput;
+    use dirsim::Input;
 
     const FULL: &str = "\
 # exercise every axis
@@ -558,7 +558,7 @@ cost-models = pipelined, non-pipelined
             SweepSpec::parse("schemes = Dir0B\nscenarios = pops\ncpus = 16\nrefs = 100\n").unwrap();
         let cells = spec.expand().unwrap();
         assert_eq!(cells.len(), 1);
-        let CellInput::Synthetic(config) = &cells[0].input else {
+        let Input::Synthetic(config) = &cells[0].input else {
             panic!("scenario entry must expand to a synthetic cell");
         };
         assert_eq!(config.cpus, 16);
@@ -593,8 +593,8 @@ cost-models = pipelined, non-pipelined
         // The mixed axis expands to synthetic and trace cells side by side.
         let cells = spec.expand().unwrap();
         assert_eq!(cells.len(), 4);
-        assert!(matches!(cells[0].input, CellInput::Synthetic(_)));
-        assert!(matches!(cells[2].input, CellInput::Trace { .. }));
+        assert!(matches!(cells[0].input, Input::Synthetic(_)));
+        assert_eq!(cells[2].input, Input::Trace(path.clone()));
         assert_eq!(cells[2].scenario, path.display().to_string());
 
         // A duplicate trace path double-counts cells, like any axis entry.

@@ -13,6 +13,10 @@
 //! previous address *of the same access kind* — instruction streams are
 //! sequential and data streams are clustered, so splitting the prediction
 //! per kind keeps most deltas to one or two bytes.
+//!
+//! `DTR2` is read-only: a standalone `.dtr2` file still opens, but the
+//! one writer of this payload is [`crate::corpus::write_corpus`], which
+//! wraps it in the checksummed `DTR3` corpus format.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -66,29 +70,11 @@ fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
-/// Writes the compressed header and all references.
-///
-/// # Errors
-///
-/// Returns any error from the underlying writer.
-///
-/// # Examples
-///
-/// ```
-/// # use std::error::Error;
-/// # fn main() -> Result<(), Box<dyn Error>> {
-/// use dirsim_trace::compress::{read_compressed, write_compressed};
-/// use dirsim_trace::{MemRef, CpuId, ProcessId, Addr};
-///
-/// let refs = vec![MemRef::read(CpuId::new(0), ProcessId::new(0), Addr::new(64))];
-/// let mut buf = Vec::new();
-/// write_compressed(&mut buf, refs.iter().copied())?;
-/// let back: Vec<_> = read_compressed(&buf[..]).collect::<Result<_, _>>()?;
-/// assert_eq!(back, refs);
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_compressed<W, I>(w: &mut W, refs: I) -> Result<u64, TraceIoError>
+/// Writes the compressed header and all references (test fixtures
+/// only: outside this crate, `DTR2` bytes come from
+/// [`crate::corpus::write_corpus`]'s payload).
+#[cfg(test)]
+pub(crate) fn write_compressed<W, I>(w: &mut W, refs: I) -> Result<u64, TraceIoError>
 where
     W: Write,
     I: IntoIterator<Item = MemRef>,
@@ -102,13 +88,11 @@ where
 }
 
 /// Incremental `DTR2` encoder: header on construction, one record per
-/// [`push`](Self::push).
-///
-/// This is the streaming counterpart of [`write_compressed`], used where
-/// references arrive chunk by chunk (corpus packing) rather than as one
-/// iterator.
+/// [`push`](Self::push). Its one writer is
+/// [`crate::corpus::write_corpus`], which wraps the stream in a `DTR3`
+/// header and checksum footer; `DTR2` itself is read-only.
 #[derive(Debug)]
-pub struct Encoder<W> {
+pub(crate) struct Encoder<W> {
     w: W,
     count: u64,
     last_cpu: Option<u16>,
@@ -175,11 +159,6 @@ impl<W: Write> Encoder<W> {
         self.last_pid = Some(pid);
         self.count += 1;
         Ok(())
-    }
-
-    /// Number of records encoded so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Flushes and returns the underlying writer and the record count.
@@ -415,7 +394,6 @@ mod tests {
         for r in &refs {
             enc.push(r).unwrap();
         }
-        assert_eq!(enc.count(), refs.len() as u64);
         let (streamed, count) = enc.finish().unwrap();
         assert_eq!(count, refs.len() as u64);
         assert_eq!(streamed, batch, "byte-identical encodings");

@@ -1,24 +1,18 @@
-//! Pluggable trace-format frontends and `open_trace` path sniffing.
+//! Trace formats and `open_trace` path sniffing.
 //!
 //! Every consumer of trace files (`simulate`, `trace_tool`,
-//! `dirsim-sweep`) used to carry its own extension-based dispatch; this
-//! module centralises the decision behind a [`TraceFrontend`] registry in
-//! the style large-scale cluster simulators use for their per-provider
-//! trace readers (one adapter per foreign schema, all producing the same
-//! internal record stream). A frontend *sniffs* a file — magic bytes
-//! first, extension as a fallback for headerless text formats — and
-//! *opens* it as a boxed [`TraceSource`], so adding a new external format
-//! touches exactly one place.
+//! `dirsim-sweep`) opens them through [`open_trace`], which asks
+//! [`TraceFormat::of`] which of the five formats a file is — magic bytes
+//! for the three binary formats, extension for the headerless text
+//! formats — and opens it as a boxed [`TraceSource`].
 //!
-//! Built-in frontends:
-//!
-//! | name | claims | source |
-//! |------|--------|--------|
-//! | `corpus` | `DTR3` magic, `.dtrz` | [`crate::corpus::CorpusReader`] |
-//! | `compressed` | `DTR2` magic, `.dtr2` | [`crate::compress::CompressedReader`] |
-//! | `binary` | `DTR1` magic, `.dtr`/`.dtr1`/`.bin` | [`crate::mmap::MmapTraceSource`] (zero-copy) |
-//! | `text` | `.txt`, `.trace` | [`crate::io::TextReader`] |
-//! | `csv` | `.csv` | [`CsvReader`] (foreign `timestamp,cpu,op,addr[,pid]` rows) |
+//! | format | claims | source |
+//! |--------|--------|--------|
+//! | [`Corpus`](TraceFormat::Corpus) | `DTR3` magic, `.dtrz` | [`crate::corpus::CorpusReader`] |
+//! | [`Compressed`](TraceFormat::Compressed) | `DTR2` magic, `.dtr2` (read-only) | [`crate::compress::CompressedReader`] |
+//! | [`Binary`](TraceFormat::Binary) | `DTR1` magic, `.dtr`/`.dtr1`/`.bin` | [`crate::mmap::MmapTraceSource`] (zero-copy) |
+//! | [`Text`](TraceFormat::Text) | `.txt`, `.trace` | [`crate::io::TextReader`] |
+//! | [`Csv`](TraceFormat::Csv) | `.csv` | [`CsvReader`] (foreign `timestamp,cpu,op,addr[,pid]` rows) |
 //!
 //! ```no_run
 //! use dirsim_trace::frontend::open_trace;
@@ -40,263 +34,130 @@ use crate::mmap::MmapTraceSource;
 use crate::source::{fill_from_results, TraceSource};
 use crate::types::{AccessKind, Addr, CpuId, MemRef, ProcessId, RefFlags};
 
-/// A format adapter: recognises files of one trace format and opens them
-/// as reference streams.
+/// A trace file format [`open_trace`] reads.
 ///
-/// Contract: `sniff` must be cheap and side-effect free (it sees the
-/// path and the file's first bytes, nothing more); `open` must yield a
-/// stream whose records are in trace order; decode failures surface as
-/// typed [`TraceIoError`]s from the returned source, not panics.
-pub trait TraceFrontend {
-    /// Short identifier (`binary`, `csv`, ...).
-    fn name(&self) -> &'static str;
-
-    /// One-line human description.
-    fn description(&self) -> &'static str;
-
-    /// Whether this frontend claims the file. `prefix` holds the file's
-    /// first bytes (up to 8; shorter for tiny files).
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool;
-
-    /// Opens the file as a reference stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceIoError`] when the file cannot be opened or its
-    /// header is invalid.
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError>;
+/// Variants are listed in sniffing order. Order matters only for
+/// overlap, and the magic-bearing formats come before the
+/// extension-only ones, so a `DTR1` file named `foo.txt` is still read
+/// as binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// Packed `DTR3` corpus: compressed, with a checksum footer.
+    Corpus,
+    /// Delta-compressed `DTR2` stream. Read-only: `DTR3` is the same
+    /// payload plus a checksum, and the one format written.
+    Compressed,
+    /// Fixed-record `DTR1` trace, memory-mapped and decoded zero-copy.
+    Binary,
+    /// Whitespace-separated text records.
+    Text,
+    /// Foreign `timestamp,cpu,op,addr[,pid]` rows.
+    Csv,
 }
 
-fn ext_of(path: &Path) -> Option<String> {
-    path.extension()
-        .and_then(|e| e.to_str())
-        .map(|e| e.to_ascii_lowercase())
-}
+impl TraceFormat {
+    /// Every format, in sniffing order.
+    const ALL: [TraceFormat; 5] = [
+        TraceFormat::Corpus,
+        TraceFormat::Compressed,
+        TraceFormat::Binary,
+        TraceFormat::Text,
+        TraceFormat::Csv,
+    ];
 
-fn has_magic(prefix: &[u8], magic: &[u8; 4]) -> bool {
-    prefix.len() >= 4 && &prefix[0..4] == magic
-}
-
-#[derive(Debug)]
-struct CorpusFrontend;
-
-impl TraceFrontend for CorpusFrontend {
-    fn name(&self) -> &'static str {
-        "corpus"
-    }
-
-    fn description(&self) -> &'static str {
-        "packed DTR3 corpus (compressed, checksum footer)"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &CORPUS_MAGIC) || ext_of(path).as_deref() == Some("dtrz")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        Ok(Box::new(CorpusReader::open(path)?))
-    }
-}
-
-#[derive(Debug)]
-struct CompressedFrontend;
-
-impl TraceFrontend for CompressedFrontend {
-    fn name(&self) -> &'static str {
-        "compressed"
-    }
-
-    fn description(&self) -> &'static str {
-        "delta-compressed DTR2 stream"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &COMPRESSED_MAGIC) || ext_of(path).as_deref() == Some("dtr2")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_compressed(BufReader::new(file))))
-    }
-}
-
-#[derive(Debug)]
-struct BinaryFrontend;
-
-impl TraceFrontend for BinaryFrontend {
-    fn name(&self) -> &'static str {
-        "binary"
-    }
-
-    fn description(&self) -> &'static str {
-        "fixed-record DTR1 trace (memory-mapped, zero-copy)"
-    }
-
-    fn sniff(&self, path: &Path, prefix: &[u8]) -> bool {
-        has_magic(prefix, &BINARY_MAGIC)
-            || matches!(ext_of(path).as_deref(), Some("dtr" | "dtr1" | "bin"))
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        Ok(Box::new(MmapTraceSource::open(path)?))
-    }
-}
-
-#[derive(Debug)]
-struct TextFrontend;
-
-impl TraceFrontend for TextFrontend {
-    fn name(&self) -> &'static str {
-        "text"
-    }
-
-    fn description(&self) -> &'static str {
-        "whitespace-separated text records"
-    }
-
-    fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-        matches!(ext_of(path).as_deref(), Some("txt" | "trace"))
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_text(BufReader::new(file))))
-    }
-}
-
-#[derive(Debug)]
-struct CsvFrontend;
-
-impl TraceFrontend for CsvFrontend {
-    fn name(&self) -> &'static str {
-        "csv"
-    }
-
-    fn description(&self) -> &'static str {
-        "foreign timestamp,cpu,op,addr[,pid] rows"
-    }
-
-    fn sniff(&self, path: &Path, _prefix: &[u8]) -> bool {
-        ext_of(path).as_deref() == Some("csv")
-    }
-
-    fn open(&self, path: &Path) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-        let file = File::open(path)?;
-        Ok(Box::new(read_csv(BufReader::new(file))))
-    }
-}
-
-/// The ordered set of known frontends.
-///
-/// Order matters only for overlap, and magic-bearing formats are checked
-/// before extension-only ones, so a `DTR1` file named `foo.txt` is still
-/// read as binary.
-pub struct FrontendRegistry {
-    frontends: Vec<Box<dyn TraceFrontend + Send + Sync>>,
-}
-
-impl std::fmt::Debug for FrontendRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontendRegistry")
-            .field("frontends", &self.names())
-            .finish()
-    }
-}
-
-impl Default for FrontendRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl FrontendRegistry {
-    /// A registry holding every built-in frontend.
-    pub fn builtin() -> Self {
-        FrontendRegistry {
-            frontends: vec![
-                Box::new(CorpusFrontend),
-                Box::new(CompressedFrontend),
-                Box::new(BinaryFrontend),
-                Box::new(TextFrontend),
-                Box::new(CsvFrontend),
-            ],
+    /// The magic bytes opening a file of this format, if it has any.
+    fn magic(self) -> Option<&'static [u8; 4]> {
+        match self {
+            TraceFormat::Corpus => Some(&CORPUS_MAGIC),
+            TraceFormat::Compressed => Some(&COMPRESSED_MAGIC),
+            TraceFormat::Binary => Some(&BINARY_MAGIC),
+            TraceFormat::Text | TraceFormat::Csv => None,
         }
     }
 
-    /// Names of the registered frontends, in sniffing order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.frontends.iter().map(|f| f.name()).collect()
+    /// The lower-case file extensions this format claims.
+    fn extensions(self) -> &'static [&'static str] {
+        match self {
+            TraceFormat::Corpus => &["dtrz"],
+            TraceFormat::Compressed => &["dtr2"],
+            TraceFormat::Binary => &["dtr", "dtr1", "bin"],
+            TraceFormat::Text => &["txt", "trace"],
+            TraceFormat::Csv => &["csv"],
+        }
     }
 
-    /// The frontend claiming `path`, if any.
+    /// The format `path`'s extension names, ignoring the file's
+    /// contents (`trace_tool` picks its output format this way).
+    pub fn from_extension(path: impl AsRef<Path>) -> Option<TraceFormat> {
+        let ext = path.as_ref().extension()?.to_str()?.to_ascii_lowercase();
+        Self::ALL
+            .into_iter()
+            .find(|f| f.extensions().contains(&ext.as_str()))
+    }
+
+    /// The format claiming the file at `path`: the first format, in
+    /// sniffing order, whose magic opens the file or whose extension it
+    /// carries. `Ok(None)` when no format claims it.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError::Io`] if the file cannot be opened for
     /// sniffing.
-    pub fn find(&self, path: &Path) -> Result<Option<&dyn TraceFrontend>, TraceIoError> {
-        let prefix = read_prefix(path)?;
-        Ok(self
-            .frontends
-            .iter()
-            .find(|f| f.sniff(path, &prefix))
-            .map(|f| f.as_ref() as &dyn TraceFrontend))
+    pub fn of(path: impl AsRef<Path>) -> Result<Option<TraceFormat>, TraceIoError> {
+        let path = path.as_ref();
+        let mut prefix = Vec::with_capacity(4);
+        File::open(path)?.take(4).read_to_end(&mut prefix)?;
+        let by_extension = Self::from_extension(path);
+        Ok(Self::ALL
+            .into_iter()
+            .find(|&f| f.magic().is_some_and(|m| prefix.starts_with(m)) || by_extension == Some(f)))
     }
 
-    /// Sniffs `path` and opens it with the claiming frontend.
-    ///
-    /// When no frontend claims the file, it is handed to the binary
-    /// frontend — the historical default — so unrecognised files fail
-    /// with the usual [`TraceIoError::BadMagic`] rather than a bespoke
-    /// error.
+    /// Opens the file at `path` as a stream of this format.
     ///
     /// # Errors
     ///
-    /// Any open/validation error from the chosen frontend.
-    pub fn open(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
+    /// Returns a [`TraceIoError`] when the file cannot be opened or its
+    /// header is invalid.
+    pub fn open(self, path: impl AsRef<Path>) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
         let path = path.as_ref();
-        match self.find(path)? {
-            Some(frontend) => frontend.open(path),
-            None => BinaryFrontend.open(path),
-        }
+        let buffered = || File::open(path).map(BufReader::new);
+        let source: Box<dyn TraceSource + Send> = match self {
+            TraceFormat::Corpus => Box::new(CorpusReader::open(path)?),
+            TraceFormat::Compressed => Box::new(read_compressed(buffered()?)),
+            TraceFormat::Binary => Box::new(MmapTraceSource::open(path)?),
+            TraceFormat::Text => Box::new(read_text(buffered()?)),
+            TraceFormat::Csv => Box::new(read_csv(buffered()?)),
+        };
+        Ok(source)
     }
 }
 
-fn read_prefix(path: &Path) -> Result<Vec<u8>, TraceIoError> {
-    let mut file = File::open(path)?;
-    let mut prefix = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < prefix.len() {
-        match file.read(&mut prefix[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(prefix[..filled].to_vec())
-}
-
-/// Whether `path` names a trace file: an existing file a built-in
-/// frontend claims. This is the one rule by which `simulate --scenario`
-/// and `dirsim-sweep` specs tell a trace path from a scenario; `.scn`
-/// spec files and bundled scenario names are not trace files.
+/// Whether `path` names a trace file: an existing file some
+/// [`TraceFormat`] claims. This is the one rule by which `simulate
+/// --scenario` and `dirsim-sweep` specs tell a trace path from a
+/// scenario; `.scn` spec files and bundled scenario names are not trace
+/// files.
 pub fn is_trace_file(path: impl AsRef<Path>) -> bool {
     let path = path.as_ref();
-    path.is_file() && matches!(FrontendRegistry::builtin().find(path), Ok(Some(_)))
+    path.is_file() && matches!(TraceFormat::of(path), Ok(Some(_)))
 }
 
-/// Opens a trace file of any registered format (the one-call entry point
-/// the CLIs use).
+/// Opens a trace file of any format (the one-call entry point the CLIs
+/// use).
+///
+/// A file no format claims is opened as [`TraceFormat::Binary`], the
+/// historical default, so it fails with the usual
+/// [`TraceIoError::BadMagic`] rather than a bespoke error.
 ///
 /// # Errors
 ///
-/// See [`FrontendRegistry::open`].
+/// Any open or validation error from the chosen format's reader.
 pub fn open_trace(path: impl AsRef<Path>) -> Result<Box<dyn TraceSource + Send>, TraceIoError> {
-    FrontendRegistry::builtin().open(path)
+    let path = path.as_ref();
+    TraceFormat::of(path)?
+        .unwrap_or(TraceFormat::Binary)
+        .open(path)
 }
 
 /// Streaming reader over foreign CSV rows.
@@ -521,10 +382,9 @@ mod tests {
         // A DTR1 file with a lying .txt extension still opens as binary.
         let path = temp_path("lying.txt");
         std::fs::write(&path, &bin).unwrap();
-        let registry = FrontendRegistry::builtin();
-        let frontend = registry.find(&path).unwrap().unwrap();
-        assert_eq!(frontend.name(), "binary");
-        let got = collect_all(registry.open(&path).unwrap()).unwrap();
+        assert_eq!(TraceFormat::from_extension(&path), Some(TraceFormat::Text));
+        assert_eq!(TraceFormat::of(&path).unwrap(), Some(TraceFormat::Binary));
+        let got = collect_all(open_trace(&path).unwrap()).unwrap();
         assert_eq!(got, refs);
         std::fs::remove_file(&path).unwrap();
     }
@@ -552,21 +412,19 @@ mod tests {
         let mut csv = Vec::new();
         write_csv(&mut csv, refs.iter().copied()).unwrap();
 
-        for (name, ext, bytes) in [
-            ("binary", "dtr", &bin),
-            ("compressed", "dtr2", &packed),
-            ("corpus", "dtrz", &corpus),
-            ("text", "txt", &text),
-            ("csv", "csv", &csv),
+        for (format, ext, bytes) in [
+            (TraceFormat::Binary, "dtr", &bin),
+            (TraceFormat::Compressed, "dtr2", &packed),
+            (TraceFormat::Corpus, "dtrz", &corpus),
+            (TraceFormat::Text, "txt", &text),
+            (TraceFormat::Csv, "csv", &csv),
         ] {
             let path = temp_path(&format!("fmt.{ext}"));
             std::fs::write(&path, bytes).unwrap();
-            assert!(is_trace_file(&path), "format {name}");
-            let registry = FrontendRegistry::builtin();
-            let frontend = registry.find(&path).unwrap().unwrap();
-            assert_eq!(frontend.name(), name, "extension {ext}");
-            let got = collect_all(registry.open(&path).unwrap()).unwrap();
-            assert_eq!(got, refs, "format {name}");
+            assert!(is_trace_file(&path), "format {format:?}");
+            assert_eq!(TraceFormat::of(&path).unwrap(), Some(format), "{ext}");
+            let got = collect_all(open_trace(&path).unwrap()).unwrap();
+            assert_eq!(got, refs, "format {format:?}");
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -575,11 +433,10 @@ mod tests {
     fn unknown_files_fail_with_bad_magic() {
         let path = temp_path("mystery.bits");
         std::fs::write(&path, b"GARBAGE!").unwrap();
-        let registry = FrontendRegistry::builtin();
-        assert!(registry.find(&path).unwrap().is_none());
+        assert_eq!(TraceFormat::of(&path).unwrap(), None);
         assert!(!is_trace_file(&path), "unclaimed files are not traces");
         assert!(!is_trace_file(std::env::temp_dir()), "directories are not");
-        let err = match registry.open(&path) {
+        let err = match open_trace(&path) {
             Err(e) => e,
             Ok(_) => panic!("garbage file must not open"),
         };

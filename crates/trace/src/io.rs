@@ -42,12 +42,6 @@ pub enum TraceIoError {
         /// Description of the problem.
         reason: String,
     },
-    /// A requested window into a fixed-record file does not start on a
-    /// record boundary.
-    Misaligned {
-        /// Byte offset that was requested.
-        offset: u64,
-    },
     /// A corpus checksum footer did not match the payload.
     BadChecksum {
         /// Checksum recorded in the footer.
@@ -75,9 +69,6 @@ impl fmt::Display for TraceIoError {
             TraceIoError::TruncatedRecord => write!(f, "truncated trace record"),
             TraceIoError::BadTextRecord { line, reason } => {
                 write!(f, "bad text trace record on line {line}: {reason}")
-            }
-            TraceIoError::Misaligned { offset } => {
-                write!(f, "offset {offset} is not on a record boundary")
             }
             TraceIoError::BadChecksum { expected, actual } => {
                 write!(

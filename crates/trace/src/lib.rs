@@ -39,7 +39,7 @@ pub mod stats;
 pub mod synth;
 pub mod types;
 
-pub use frontend::{open_trace, FrontendRegistry, TraceFrontend};
+pub use frontend::{open_trace, TraceFormat};
 pub use io::TraceIoError;
 pub use mmap::MmapTraceSource;
 pub use scenario::{Scenario, ScenarioError};

@@ -267,36 +267,6 @@ impl MmapTraceSource {
         })
     }
 
-    /// Opens a window of the file: decoding starts at byte `offset`
-    /// (which must sit on a record boundary past the header) and covers
-    /// at most `max_records` records. Used to shard one corpus file
-    /// across readers.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open), plus [`TraceIoError::Misaligned`] when
-    /// `offset` is inside the header or not on a record boundary.
-    pub fn open_window(
-        path: impl AsRef<Path>,
-        offset: u64,
-        max_records: u64,
-    ) -> Result<Self, TraceIoError> {
-        let mut source = Self::open(path)?;
-        let off = usize::try_from(offset).map_err(|_| TraceIoError::Misaligned { offset })?;
-        if off < HEADER_LEN || (off - HEADER_LEN) % RECORD_LEN != 0 {
-            return Err(TraceIoError::Misaligned { offset });
-        }
-        source.pos = off.min(source.end);
-        let span = (source.end - source.pos) as u64 / RECORD_LEN as u64;
-        if max_records < span {
-            source.end = source.pos + (max_records as usize) * RECORD_LEN;
-            // The cut is ours, not the file's.
-            source.torn_tail = false;
-        }
-        source.prefetched_to = source.pos;
-        Ok(source)
-    }
-
     /// Number of complete records remaining ahead of the cursor (the
     /// whole stream when called right after opening).
     pub fn record_count(&self) -> u64 {
@@ -482,26 +452,6 @@ mod tests {
         let source = MmapTraceSource::open(&path).unwrap();
         assert_eq!(source.record_count(), 0);
         assert!(collect_all(source).unwrap().is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn windows_shard_the_file() {
-        let refs: Vec<MemRef> = PaperTrace::Pops.workload().take(100).collect();
-        let mut buf = Vec::new();
-        write_binary(&mut buf, refs.iter().copied()).unwrap();
-        let path = write_temp(&buf);
-        let offset = (HEADER_LEN + 40 * RECORD_LEN) as u64;
-        let window = MmapTraceSource::open_window(&path, offset, 30).unwrap();
-        assert_eq!(collect_all(window).unwrap(), &refs[40..70]);
-        assert!(matches!(
-            MmapTraceSource::open_window(&path, offset + 1, 30),
-            Err(TraceIoError::Misaligned { .. })
-        ));
-        assert!(matches!(
-            MmapTraceSource::open_window(&path, 4, 30),
-            Err(TraceIoError::Misaligned { .. })
-        ));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -273,7 +273,9 @@ impl<S: TraceSource> TraceSource for WithoutLockTests<S> {
 
 /// Caps an underlying source at `limit` references (the streaming
 /// counterpart of `Iterator::take`), so a fixed reference budget can be
-/// replayed out of an arbitrarily large corpus file.
+/// replayed out of an arbitrarily large corpus file. It lends chunks
+/// exactly when its inner source does, so a capped memory-mapped file
+/// still decodes inline with no copies.
 #[derive(Debug)]
 pub struct TakeSource<S> {
     inner: S,
@@ -288,11 +290,16 @@ impl<S: TraceSource> TakeSource<S> {
             remaining: limit,
         }
     }
+
+    /// `max` clamped to the references left under the cap.
+    fn clamp(&self, max: usize) -> usize {
+        max.min(usize::try_from(self.remaining).unwrap_or(usize::MAX))
+    }
 }
 
 impl<S: TraceSource> TraceSource for TakeSource<S> {
     fn read_chunk(&mut self, buf: &mut Vec<MemRef>, max: usize) -> Result<usize, TraceIoError> {
-        let max = max.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        let max = self.clamp(max);
         if max == 0 {
             buf.clear();
             return Ok(0);
@@ -300,6 +307,23 @@ impl<S: TraceSource> TraceSource for TakeSource<S> {
         let n = self.inner.read_chunk(buf, max)?;
         self.remaining -= n as u64;
         Ok(n)
+    }
+
+    fn borrowed(&mut self) -> Option<&mut dyn BorrowedChunkSource> {
+        self.inner.borrowed()?;
+        Some(self)
+    }
+}
+
+impl<S: TraceSource> BorrowedChunkSource for TakeSource<S> {
+    fn next_chunk(&mut self, max: usize) -> Result<&[MemRef], TraceIoError> {
+        let max = self.clamp(max);
+        let Some(inner) = self.inner.borrowed().filter(|_| max > 0) else {
+            return Ok(&[]);
+        };
+        let chunk = inner.next_chunk(max)?;
+        self.remaining -= chunk.len() as u64;
+        Ok(chunk)
     }
 }
 
@@ -467,6 +491,25 @@ mod tests {
         // A zero limit is empty without touching the inner source.
         let empty = collect_all(TakeSource::new(IterSource::new(refs.iter().copied()), 0)).unwrap();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn take_source_lends_exactly_when_its_inner_source_does() {
+        let refs: Vec<MemRef> = PaperTrace::Pops.workload().take(500).collect();
+        let mut owned = TakeSource::new(IterSource::new(refs.iter().copied()), 123);
+        assert!(owned.borrowed().is_none());
+        let mut lent = TakeSource::new(SliceSource::new(&refs), 123);
+        let view = lent.borrowed().expect("a capped slice still lends");
+        let mut seen = Vec::new();
+        loop {
+            let chunk = view.next_chunk(50).unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            assert!(chunk.len() <= 50);
+            seen.extend_from_slice(chunk);
+        }
+        assert_eq!(seen, &refs[..123]);
     }
 
     #[test]

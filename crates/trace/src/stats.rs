@@ -8,6 +8,8 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use crate::io::TraceIoError;
+use crate::source::TraceSource;
 use crate::types::{AccessKind, MemRef};
 
 /// A set of small non-negative ids, built for the per-reference observe
@@ -142,6 +144,34 @@ impl TraceStats {
         stats
     }
 
+    /// Accumulates statistics over every reference `source` yields, in
+    /// one pass. A source that lends its chunks (a memory-mapped `DTR1`
+    /// file, a [`SliceSource`](crate::SliceSource)) is read in place,
+    /// with no copies.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first decode error from the source.
+    pub fn scan<S: TraceSource>(mut source: S) -> Result<Self, TraceIoError> {
+        const CHUNK: usize = 65_536;
+        let mut stats = Self::new();
+        if let Some(lent) = source.borrowed() {
+            loop {
+                let chunk = lent.next_chunk(CHUNK)?;
+                if chunk.is_empty() {
+                    break;
+                }
+                chunk.iter().for_each(|r| stats.observe(r));
+            }
+        } else {
+            let mut chunk = Vec::new();
+            while source.read_chunk(&mut chunk, CHUNK)? > 0 {
+                chunk.iter().for_each(|r| stats.observe(r));
+            }
+        }
+        Ok(stats)
+    }
+
     /// Records one reference.
     pub fn observe(&mut self, r: &MemRef) {
         self.total += 1;
@@ -217,6 +247,14 @@ impl TraceStats {
     /// earlier-minted id never emitted a reference.
     pub fn process_id_bound(&self) -> u32 {
         self.pids.max().map_or(0, |p| p + 1)
+    }
+
+    /// One past the highest CPU index seen (0 for an empty trace): the
+    /// per-processor cache count a simulation of the trace needs. It
+    /// differs from [`cpu_count`](Self::cpu_count) when the CPU ids are
+    /// sparse, as in a foreign trace that names CPUs 0 and 2 only.
+    pub fn cpu_id_bound(&self) -> u32 {
+        self.cpus.max().map_or(0, |c| c + 1)
     }
 
     /// Fraction of data reads that are lock-spin tests.
@@ -329,6 +367,29 @@ mod tests {
         let stats = TraceStats::from_refs(sample());
         assert_eq!(stats.cpu_count(), 2);
         assert_eq!(stats.process_count(), 2);
+    }
+
+    #[test]
+    fn id_bounds_cover_sparse_ids() {
+        let sparse = [0, 2].map(|i| MemRef::read(CpuId::new(i), ProcessId::new(5), Addr::new(0)));
+        let stats = TraceStats::from_refs(sparse);
+        assert_eq!(stats.cpu_count(), 2);
+        assert_eq!(stats.cpu_id_bound(), 3);
+        assert_eq!(stats.process_id_bound(), 6);
+        assert_eq!(TraceStats::new().cpu_id_bound(), 0);
+    }
+
+    #[test]
+    fn scan_matches_observe_on_lent_and_owned_chunks() {
+        use crate::source::{IterSource, SliceSource};
+        use crate::synth::PaperTrace;
+        let refs: Vec<MemRef> = PaperTrace::Pops.workload().take(70_000).collect();
+        let want = TraceStats::from_refs(refs.iter().copied());
+        assert_eq!(TraceStats::scan(SliceSource::new(&refs)).unwrap(), want);
+        assert_eq!(
+            TraceStats::scan(IterSource::new(refs.into_iter())).unwrap(),
+            want
+        );
     }
 
     #[test]

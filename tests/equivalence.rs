@@ -121,9 +121,10 @@ fn pipelined_matches_serial_for_every_scheme() {
     let exp = experiment();
     let serial = run(&exp, ExecutionMode::Serial);
     let schemes = gauntlet();
-    for (t, w) in dirsim::paper::paper_workloads().iter().enumerate() {
-        let refs: Vec<MemRef> = Workload::new(w.config.clone()).take(REFS).collect();
-        let caches = w.config.processes;
+    for (t, trace) in PaperTrace::ALL.iter().enumerate() {
+        let config = trace.scenario().config();
+        let refs: Vec<MemRef> = Workload::new(config.clone()).take(REFS).collect();
+        let caches = config.processes;
         let oracle: Vec<&SimResult> = serial
             .per_scheme
             .iter()
@@ -137,7 +138,7 @@ fn pipelined_matches_serial_for_every_scheme() {
             let inline = engine
                 .run(&schemes, caches, SliceSource::new(&refs))
                 .unwrap();
-            let what = format!("{} with {workers} workers", w.name);
+            let what = format!("{} with {workers} workers", trace.name());
             assert_eq!(
                 overlapped.iter().collect::<Vec<_>>(),
                 oracle,
@@ -440,7 +441,9 @@ fn wide_systems_agree_with_kernels_on_auto() {
 // decode, and a DTR3 pack/unpack round-trip — must be bit-identical at
 // 1 and 4 workers for all 14 schemes. The slice and mmap sources lend
 // their chunks and decode inline; the others decode on the producer
-// thread, so this round pins both placements.
+// thread, so this round pins both placements. The DTR1 and DTR3 files
+// then run as trace workloads through `Experiment` in every mode, and
+// the DTR1 file against the scenario it was written from.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -520,6 +523,49 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
         assert_eq!(mapped, baseline, "mmap DTR1 ({what})");
         let corpus = run(Box::new(CorpusReader::open(&dtrz).unwrap()));
         assert_eq!(corpus, baseline, "DTR3 corpus ({what})");
+    }
+
+    // The files as trace workloads: `Experiment` sizes each from its own
+    // scan, and every mode equals the direct-engine baseline.
+    let stats = TraceStats::from_refs(refs.iter().copied());
+    for path in [&dtr, &dtrz] {
+        let exp = Experiment::new()
+            .workload(NamedWorkload::trace("corpus", path))
+            .schemes(schemes.clone())
+            .refs_per_trace(CORPUS_REFS);
+        for mode in [ExecutionMode::Serial, parallel(1), parallel(4)] {
+            let what = format!("{} in {mode:?}", path.display());
+            let results = run(&exp, mode);
+            assert_eq!(
+                results.trace_stats,
+                [("corpus".to_string(), stats.clone())],
+                "{what}"
+            );
+            assert_eq!(results.caches, [caches], "{what}");
+            let combined: Vec<SimResult> =
+                results.per_scheme.into_iter().map(|s| s.combined).collect();
+            assert_eq!(combined, baseline, "{what}");
+        }
+    }
+
+    // The two input kinds against each other: the DTR1 file written from
+    // `pops` runs bit-identically to the `pops` scenario itself.
+    for exclude in [false, true] {
+        let experiment = |workload| {
+            Experiment::new()
+                .workload(workload)
+                .schemes(schemes.clone())
+                .refs_per_trace(CORPUS_REFS)
+                .exclude_lock_tests(exclude)
+        };
+        let scenario = run(
+            &experiment(NamedWorkload::from(Scenario::named("pops").unwrap())),
+            parallel(1),
+        );
+        let file = run(&experiment(NamedWorkload::trace("pops", &dtr)), parallel(1));
+        let what = format!("DTR1 file vs pops scenario, exclude_lock_tests = {exclude}");
+        assert_identical(&scenario, &file, &what);
+        assert_eq!(scenario.caches, file.caches, "{what}");
     }
     std::fs::remove_file(&dtr).unwrap();
     std::fs::remove_file(&dtrz).unwrap();

@@ -387,15 +387,18 @@ fn barrier_releases_invalidate_every_waiter() {
 
 #[test]
 fn compressed_traces_feed_the_engine() {
-    use dirsim_trace::compress::{read_compressed, write_compressed};
+    use dirsim_trace::compress::read_compressed;
+    use dirsim_trace::corpus::{write_corpus, CORPUS_FOOTER_LEN, CORPUS_HEADER_LEN};
     let refs: Vec<MemRef> = Scenario::named("pops")
         .unwrap()
         .workload()
         .take(20_000)
         .collect();
-    let mut buf = Vec::new();
-    write_compressed(&mut buf, refs.iter().copied()).unwrap();
-    let from_file: Vec<MemRef> = read_compressed(&buf[..]).collect::<Result<_, _>>().unwrap();
+    // DTR2 is read-only: its bytes are the payload of a DTR3 corpus.
+    let mut corpus = Vec::new();
+    write_corpus(&mut corpus, SliceSource::new(&refs)).unwrap();
+    let dtr2 = &corpus[CORPUS_HEADER_LEN..corpus.len() - CORPUS_FOOTER_LEN];
+    let from_file: Vec<MemRef> = read_compressed(dtr2).collect::<Result<_, _>>().unwrap();
     let sim = Simulator::paper();
     let mut a = Scheme::Dragon.build(4);
     let direct = sim.run(a.as_mut(), refs).unwrap();
