@@ -1,5 +1,6 @@
 //! Raw component throughput: workload generation, trace IO, protocol state
-//! machines, and the end-to-end engine (references per second).
+//! machines, and the end-to-end engine (references per second) at one
+//! worker and at one worker per core.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -152,59 +153,38 @@ fn bench_oracle_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The execution modes of [`ExecutionMode`], timed on the same matrix:
-/// `serial` (the oracle: one pass per scheme over each materialised
-/// trace), `single_pass` (`Parallel { workers: 1 }`: each trace streamed
-/// once through all schemes) and `sharded` (`Parallel { workers: n }`,
-/// one worker per available core).
-fn modes() -> [(&'static str, ExecutionMode); 3] {
-    [
-        ("serial", ExecutionMode::Serial),
-        ("single_pass", ExecutionMode::Parallel { workers: 1 }),
-        ("sharded", ExecutionMode::all_cores()),
-    ]
-}
-
-/// The tentpole comparison: the full headline matrix (3 traces × 4
-/// schemes at 200k refs/trace) under each execution mode (see
-/// [`modes`]). Throughput is engine steps per second (references ×
-/// schemes).
+/// The full headline matrix (3 traces × 4 schemes at 200k refs/trace)
+/// under the infinite-cache model and a 64-set × 4-way LRU geometry, at
+/// two worker counts: `single_pass` (each trace streamed once through all
+/// schemes on one worker) and `sharded` (one worker per available core).
+/// The finite matrix additionally pays for replacement lookups, evictions
+/// and re-fetches, and shards by cache **set index** (LRU state never
+/// crosses sets), which is exactly as parallel as block sharding whenever
+/// `sets >= workers`. Throughput is engine steps per second (references
+/// × schemes). The paper's one pass per scheme is timed by the
+/// `throughput_smoke` binary's `serial` mode.
 fn bench_execution_modes(c: &mut Criterion) {
     const MATRIX_REFS: usize = 200_000;
-    let exp = dirsim::paper::headline_experiment(MATRIX_REFS);
-    let steps = (MATRIX_REFS * exp.workload_count() * exp.scheme_count()) as u64;
-    let mut group = c.benchmark_group("throughput/full_matrix_200k");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(steps));
-    for (label, mode) in modes() {
-        let exp = exp.clone().execution(mode);
-        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let finite = SimConfig {
+        geometry: Some(dirsim_mem::CacheGeometry { sets: 64, ways: 4 }),
+        ..SimConfig::default()
+    };
+    for (group, sim) in [
+        ("throughput/full_matrix_200k", SimConfig::default()),
+        ("throughput/full_matrix_finite_200k", finite),
+    ] {
+        let exp = dirsim::paper::headline_experiment(MATRIX_REFS).sim_config(sim);
+        let steps = (MATRIX_REFS * exp.workload_count() * exp.scheme_count()) as u64;
+        let mut group = c.benchmark_group(group);
+        group.sample_size(10);
+        group.throughput(Throughput::Elements(steps));
+        for (label, workers) in [("single_pass", 1), ("sharded", cores)] {
+            let exp = exp.clone().workers(workers);
+            group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
+        }
+        group.finish();
     }
-    group.finish();
-}
-
-/// The finite-cache counterpart of [`bench_execution_modes`]: the same
-/// headline matrix over a 64-set × 4-way LRU geometry, so every mode
-/// additionally pays for replacement lookups, evictions, and re-fetches.
-/// Sharded execution partitions by cache **set index** here (LRU state
-/// never crosses sets), which is exactly as parallel as block sharding
-/// whenever `sets >= workers`.
-fn bench_execution_modes_finite(c: &mut Criterion) {
-    const MATRIX_REFS: usize = 200_000;
-    let config = SimConfig::builder()
-        .geometry(dirsim_mem::CacheGeometry { sets: 64, ways: 4 })
-        .build()
-        .expect("bench geometry is valid");
-    let exp = dirsim::paper::headline_experiment(MATRIX_REFS).sim_config(config);
-    let steps = (MATRIX_REFS * exp.workload_count() * exp.scheme_count()) as u64;
-    let mut group = c.benchmark_group("throughput/full_matrix_finite_200k");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(steps));
-    for (label, mode) in modes() {
-        let exp = exp.clone().execution(mode);
-        group.bench_function(label, |b| b.iter(|| exp.run().unwrap()));
-    }
-    group.finish();
 }
 
 criterion_group!(
@@ -214,7 +194,6 @@ criterion_group!(
     bench_corpus_decode,
     bench_protocols,
     bench_oracle_overhead,
-    bench_execution_modes,
-    bench_execution_modes_finite
+    bench_execution_modes
 );
 criterion_main!(benches);

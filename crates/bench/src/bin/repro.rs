@@ -98,7 +98,7 @@ fn main() -> ExitCode {
             None => exp,
         };
         exp.progress(Arc::clone(&meter))
-            .execution(dirsim::ExecutionMode::all_cores())
+            .workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
     };
 
     let started = Instant::now();

@@ -1,15 +1,16 @@
 //! CI throughput smoke test: runs the paper's extended scheme matrix
-//! under each execution mode and fails if the single-pass engine is
-//! slower than the serial oracle — the engine's per-reference work is
-//! identical, so a slowdown means a structural regression (an extra
-//! pass over the trace, a per-reference allocation), never tuning drift.
+//! three ways and fails if the single-pass engine is slower than one
+//! pass per scheme — the engine's per-reference work is identical, so a
+//! slowdown means a structural regression (an extra pass over the trace,
+//! a per-reference allocation), never tuning drift.
 //!
-//! Three modes are timed: `serial` (`ExecutionMode::Serial`, one pass
-//! per scheme over the materialised trace, lent inline), `single-pass`
-//! (`Parallel { workers: 1 }`) and `sharded` (`Parallel { workers: n }`
-//! with `n` the available core count). The generated workloads decode on
-//! the engine's producer thread in both parallel modes — the source, not
-//! the mode, decides where decode runs.
+//! Three modes are timed: `serial` (the paper's method: each workload
+//! materialised once, then one single-scheme engine pass per scheme and
+//! workload over the materialised trace, lent inline), `single-pass`
+//! (one `Experiment` run on one worker) and `sharded` (the same on `n`
+//! workers, `n` the available core count). The generated workloads
+//! decode on the engine's producer thread in both `Experiment` modes —
+//! the source, not the worker count, decides where decode runs.
 //!
 //! Two rounds run back to back: the paper's **infinite**-cache model
 //! (block-sharded) and a **finite** 64-set × 4-way geometry (set-sharded,
@@ -55,8 +56,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dirsim::obs::{Json, MetricsRegistry, Recorder, RunManifest};
-use dirsim::prelude::Scheme;
-use dirsim::{BroadcastSimulator, ExecutionMode, Experiment, ExperimentResults, SimConfig};
+use dirsim::prelude::{MemRef, PaperTrace, Scheme, SliceSource};
+use dirsim::{BroadcastSimulator, Experiment, ExperimentResults, SimConfig};
 use dirsim_mem::CacheGeometry;
 use dirsim_trace::io::{read_binary, write_binary};
 use dirsim_trace::{BorrowedChunkSource, MmapTraceSource, Scenario, TraceSource};
@@ -81,7 +82,7 @@ fn calibrate_refs(mut refs: usize) -> Result<usize, dirsim::Error> {
     for _ in 0..MAX_CALIBRATION_DOUBLINGS {
         let exp = dirsim::paper::extended_experiment(refs);
         let start = Instant::now();
-        exp.clone().execution(SINGLE_PASS).run()?;
+        exp.run()?;
         if start.elapsed().as_secs_f64() >= MIN_SECS {
             break;
         }
@@ -108,28 +109,53 @@ const MODES: usize = 3;
 /// pair; sharded (index 2) spreads the steps over every core.
 const MODE_LABELS: [&str; MODES] = ["serial", "single-pass", "sharded"];
 
-/// The one-worker parallel mode: every scheme in lockstep over one pass.
-const SINGLE_PASS: ExecutionMode = ExecutionMode::Parallel { workers: 1 };
-
-fn modes(workers: usize) -> [ExecutionMode; MODES] {
-    [
-        ExecutionMode::Serial,
-        SINGLE_PASS,
-        ExecutionMode::Parallel { workers },
-    ]
+/// The worker count per mode: `None` is the serial mode, `Some(w)` one
+/// `Experiment` run on `w` workers.
+fn modes(workers: usize) -> [Option<usize>; MODES] {
+    [None, Some(1), Some(workers)]
 }
 
 fn steps_of(results: &ExperimentResults) -> u64 {
     results.per_scheme.iter().map(|s| s.combined.refs).sum()
 }
 
-fn timed(exp: &Experiment, mode: ExecutionMode) -> Result<(f64, u64), dirsim::Error> {
-    let exp = exp.clone().execution(mode);
+/// The serial mode: materialise each paper workload once, then one
+/// single-scheme engine pass per (scheme, workload) over the
+/// materialised trace, lent inline. Returns the engine steps taken.
+fn serial(sim: SimConfig, refs: usize) -> Result<u64, dirsim::Error> {
+    let traces: Vec<(u32, Vec<MemRef>)> = PaperTrace::ALL
+        .iter()
+        .map(|t| {
+            let scenario = t.scenario();
+            let trace = scenario.workload().take(refs).collect();
+            (scenario.config().processes, trace)
+        })
+        .collect();
+    let engine = BroadcastSimulator::new(sim);
+    let mut steps = 0;
+    for scheme in dirsim::paper::extended_schemes() {
+        for (caches, trace) in &traces {
+            steps += engine.run(&[scheme], *caches, SliceSource::new(trace))?[0].refs;
+        }
+    }
+    Ok(steps)
+}
+
+/// The extended matrix at `refs` references per workload under `sim`.
+fn experiment(sim: SimConfig, refs: usize) -> Experiment {
+    dirsim::paper::extended_experiment(refs).sim_config(sim)
+}
+
+fn timed(sim: SimConfig, refs: usize, mode: Option<usize>) -> Result<(f64, u64), dirsim::Error> {
+    let exp = mode.map(|workers| experiment(sim, refs).workers(workers));
     let start = Instant::now();
-    let results = exp.run()?;
+    let steps = match exp {
+        None => serial(sim, refs)?,
+        Some(exp) => steps_of(&exp.run()?),
+    };
     // No clamp: `calibrate_refs` scaled the workload past MIN_SECS, so
     // the elapsed time is genuinely non-zero.
-    Ok((start.elapsed().as_secs_f64(), steps_of(&results)))
+    Ok((start.elapsed().as_secs_f64(), steps))
 }
 
 /// One cache model's paired measurement: best seconds and steps per mode,
@@ -140,17 +166,17 @@ struct Round {
     best_ratio: f64,
 }
 
-fn measure(exp: &Experiment, workers: usize) -> Result<Round, dirsim::Error> {
+fn measure(sim: SimConfig, refs: usize, workers: usize) -> Result<Round, dirsim::Error> {
     // Warm-up pass: first-touch page faults and lazy allocations land
     // here instead of skewing round one.
-    exp.clone().execution(SINGLE_PASS).run()?;
+    experiment(sim, refs).run()?;
     let mut best = [f64::INFINITY; MODES];
     let mut steps = [0u64; MODES];
     let mut best_ratio = 0.0f64;
     for _ in 0..ROUNDS {
         let mut round = [f64::INFINITY; MODES];
         for (i, &mode) in modes(workers).iter().enumerate() {
-            let (secs, n) = timed(exp, mode)?;
+            let (secs, n) = timed(sim, refs, mode)?;
             round[i] = secs;
             best[i] = best[i].min(secs);
             steps[i] = n;
@@ -420,29 +446,28 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
              pass exceeds the {MIN_SECS}s floor"
         );
     }
-    let infinite = dirsim::paper::extended_experiment(refs);
-    let finite = dirsim::paper::extended_experiment(refs).sim_config(
-        SimConfig::builder()
-            .geometry(FINITE_GEOMETRY)
-            .build()
-            .expect("smoke geometry is valid"),
-    );
+    let infinite = SimConfig::default();
+    let finite = SimConfig {
+        geometry: Some(FINITE_GEOMETRY),
+        ..SimConfig::default()
+    };
+    let matrix = experiment(infinite, refs);
     println!(
         "throughput smoke: {} workloads x {} schemes at {refs} refs/trace \
          ({workers} cores; finite round {}x{})",
-        infinite.workload_count(),
-        infinite.scheme_count(),
+        matrix.workload_count(),
+        matrix.scheme_count(),
         FINITE_GEOMETRY.sets,
         FINITE_GEOMETRY.ways,
     );
 
     let started = Instant::now();
-    let caches = [("infinite", &infinite), ("finite", &finite)];
+    let caches = [("infinite", infinite), ("finite", finite)];
     let mut rounds = Vec::with_capacity(caches.len());
-    for (label, exp) in &caches {
-        let round = measure(exp, workers)?;
+    for &(label, sim) in &caches {
+        let round = measure(sim, refs, workers)?;
         let rates = report(label, &round);
-        rounds.push((*label, round, rates));
+        rounds.push((label, round, rates));
     }
     let decode = measure_decode(decode_refs)?;
 
@@ -478,13 +503,10 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         // timing): the generated workloads decode on the producer thread,
         // so the pipeline-overlap metrics land in the exported file and
         // CI schema-validates their names and shapes.
-        for (_, exp) in &caches {
-            (*exp)
-                .clone()
+        for &(_, sim) in &caches {
+            experiment(sim, refs)
                 .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
-                .execution(ExecutionMode::Parallel {
-                    workers: workers.min(2),
-                })
+                .workers(workers.min(2))
                 .run()?;
         }
         let manifest = RunManifest::new("throughput_smoke")

@@ -70,16 +70,33 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts a validating builder with the paper's defaults, mirroring
-    /// [`WorkloadConfig::builder`](dirsim_trace::synth::WorkloadConfig::builder).
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::default(),
-        }
-    }
-
     /// Checks the configuration for combinations that would otherwise fail
-    /// mid-run (today: an unusable finite-cache geometry).
+    /// mid-run (today: an unusable finite-cache geometry). Every
+    /// [`BroadcastSimulator`](crate::broadcast::BroadcastSimulator) and
+    /// [`Experiment`](crate::experiment::Experiment) run calls it before
+    /// any engine work, so a bad geometry surfaces as a typed error, not a
+    /// panic mid-run.
+    ///
+    /// ```
+    /// use dirsim::SimConfig;
+    /// use dirsim_mem::CacheGeometry;
+    ///
+    /// let config = SimConfig {
+    ///     check_oracle: true,
+    ///     geometry: Some(CacheGeometry { sets: 64, ways: 4 }),
+    ///     ..SimConfig::default()
+    /// };
+    /// assert!(config.validate().is_ok());
+    ///
+    /// // Non-power-of-two set counts are rejected:
+    /// let err = SimConfig {
+    ///     geometry: Some(CacheGeometry { sets: 3, ways: 4 }),
+    ///     ..SimConfig::default()
+    /// }
+    /// .validate()
+    /// .unwrap_err();
+    /// assert!(err.to_string().contains("invalid"));
+    /// ```
     ///
     /// # Errors
     ///
@@ -220,88 +237,6 @@ impl ShardKey {
             ShardKey::Set { set_mask } => block.raw() & set_mask,
         };
         (key % workers as u64) as usize
-    }
-}
-
-/// Builder for [`SimConfig`] whose [`build`](SimConfigBuilder::build)
-/// validates the configuration, so bad geometry surfaces as a typed error
-/// at construction instead of a panic mid-run.
-///
-/// ```
-/// use dirsim::SimConfig;
-/// use dirsim_mem::CacheGeometry;
-///
-/// let config = SimConfig::builder()
-///     .check_oracle(true)
-///     .geometry(CacheGeometry { sets: 64, ways: 4 })
-///     .build()
-///     .unwrap();
-/// assert!(config.check_oracle);
-///
-/// // Non-power-of-two set counts are rejected up front:
-/// let err = SimConfig::builder()
-///     .geometry(CacheGeometry { sets: 3, ways: 4 })
-///     .build()
-///     .unwrap_err();
-/// assert!(err.to_string().contains("invalid"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets the byte-address to block mapping.
-    pub fn block_map(mut self, block_map: BlockMap) -> Self {
-        self.config.block_map = block_map;
-        self
-    }
-
-    /// Sets the cache-attribution model.
-    pub fn sharing(mut self, sharing: SharingModel) -> Self {
-        self.config.sharing = sharing;
-        self
-    }
-
-    /// Enables or disables the coherence oracle.
-    pub fn check_oracle(mut self, check: bool) -> Self {
-        self.config.check_oracle = check;
-        self
-    }
-
-    /// Simulates finite caches of the given geometry (LRU replacement).
-    pub fn geometry(mut self, geometry: CacheGeometry) -> Self {
-        self.config.geometry = Some(geometry);
-        self
-    }
-
-    /// Restores the paper's infinite-cache model.
-    pub fn infinite_caches(mut self) -> Self {
-        self.config.geometry = None;
-        self
-    }
-
-    /// Enables or disables the per-reference invariant audit.
-    pub fn check_invariants(mut self, check: bool) -> Self {
-        self.config.check_invariants = check;
-        self
-    }
-
-    /// Sets the table-kernel policy (see [`crate::kernel`]).
-    pub fn kernels(mut self, policy: KernelPolicy) -> Self {
-        self.config.kernels = policy;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimConfigError`] for invalid combinations (see
-    /// [`SimConfig::validate`]).
-    pub fn build(self) -> Result<SimConfig, SimConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 

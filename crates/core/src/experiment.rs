@@ -4,24 +4,22 @@
 //! configured workload — a synthetic generator or a trace file, behind
 //! one [`Input`] — runs through every configured scheme, and the run
 //! collects per-trace and combined [`SimResult`]s. There is one way to
-//! run it — [`Experiment::run`] — in one of two [`ExecutionMode`]s:
+//! run it, [`Experiment::run`], and one execution setting,
+//! [`Experiment::workers`]: each workload is generated or decoded once
+//! and broadcast through all schemes in lockstep via
+//! [`BroadcastSimulator`], on the calling thread with one worker (the
+//! default) or sharded over several (by block address for infinite
+//! caches, by cache set index for finite geometries). Results never
+//! depend on the worker count. Where decode runs is decided by the
+//! source (see [`crate::broadcast`]): streamed generators and buffered
+//! file decoders decode on a producer thread, materialised traces and
+//! memory-mapped `DTR1` files are lent inline. The paper-specific
+//! experiment presets live in [`crate::paper`].
 //!
-//! * [`Parallel { workers }`](ExecutionMode::Parallel) (the default, with
-//!   one worker): each workload is generated or decoded once and
-//!   broadcast through all schemes in lockstep via
-//!   [`BroadcastSimulator`], sharded over `workers` threads (by block
-//!   address for infinite caches, by cache set index for finite
-//!   geometries);
-//! * [`Serial`](ExecutionMode::Serial): the paper's literal
-//!   one-pass-per-scheme method over the materialised trace, kept as the
-//!   oracle the parallel mode is checked against.
-//!
-//! Both run the same staged `decode → route → step → merge` pipeline and
-//! produce bit-identical results. Where decode runs is decided by the
-//! source, not the mode (see [`crate::broadcast`]): streamed generators
-//! and buffered file decoders decode on a producer thread, materialised
-//! traces and memory-mapped `DTR1` files are lent inline. The
-//! paper-specific experiment presets live in [`crate::paper`].
+//! The paper's own method, one pass per scheme, is
+//! [`Simulator::run`](crate::Simulator::run) over each workload: that is
+//! the oracle `tests/equivalence.rs` checks every run of this harness
+//! against.
 //!
 //! How many caches a workload runs with is decided in one place, before
 //! any engine runs (see [`ExperimentResults::caches`]): a synthetic
@@ -89,39 +87,6 @@ impl From<&Scenario> for NamedWorkload {
     }
 }
 
-/// How an [`Experiment`] executes its matrix.
-///
-/// Both modes produce bit-identical [`ExperimentResults`]; they differ
-/// only in how many trace passes run and how stepping is spread over
-/// threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// One full pass over each materialised trace per scheme — the
-    /// paper's literal methodology and the oracle for
-    /// [`Parallel`](Self::Parallel). N schemes pay for N passes.
-    Serial,
-    /// Generate or decode each trace once and broadcast every chunk
-    /// through all schemes in lockstep, sharded over `workers` threads
-    /// under the configuration's [`ShardKey`](crate::engine::ShardKey):
-    /// by block address for infinite caches, by cache set index for
-    /// finite geometries. Exact for every worker count; one worker steps
-    /// on the calling thread.
-    Parallel {
-        /// Number of step worker threads (not counting a decode
-        /// producer thread, which the source decides on).
-        workers: usize,
-    },
-}
-
-impl ExecutionMode {
-    /// [`Parallel`](Self::Parallel) with one worker per available core
-    /// (one worker when the core count is unknown).
-    pub fn all_cores() -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ExecutionMode::Parallel { workers }
-    }
-}
-
 /// A simulation matrix over workloads and schemes.
 ///
 /// # Examples
@@ -152,7 +117,7 @@ pub struct Experiment {
     sim: SimConfig,
     caches: Option<u32>,
     exclude_lock_tests: bool,
-    mode: ExecutionMode,
+    workers: usize,
     recorder: Arc<dyn Recorder>,
     progress: Option<Arc<Mutex<ProgressMeter>>>,
 }
@@ -167,7 +132,7 @@ impl Default for Experiment {
             sim: SimConfig::default(),
             caches: None,
             exclude_lock_tests: false,
-            mode: ExecutionMode::Parallel { workers: 1 },
+            workers: 1,
             recorder: Arc::new(NoopRecorder),
             progress: None,
         }
@@ -253,10 +218,13 @@ impl Experiment {
         self
     }
 
-    /// Sets the execution mode used by [`Self::run`] (default
-    /// `Parallel { workers: 1 }`).
-    pub fn execution(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+    /// Sets how many shard workers each workload's engine pass uses
+    /// (default 1, stepping on the calling thread; see
+    /// [`BroadcastSimulator::workers`]). Results never depend on it. Zero
+    /// fails the run with [`SimConfigError::ZeroWorkers`]; one worker per
+    /// core is [`std::thread::available_parallelism`].
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
@@ -302,15 +270,6 @@ impl Experiment {
         ))
     }
 
-    /// Materialises one workload's **unfiltered** reference stream in one
-    /// pass.
-    fn materialise(&self, w: &NamedWorkload) -> Result<Vec<MemRef>, Error> {
-        Ok(match &w.input {
-            Input::Synthetic(config) => collect_all(self.generate(&w.name, config))?,
-            Input::Trace(path) => collect_all(self.open(path)?)?,
-        })
-    }
-
     /// Lock-test filtering of a materialised stream, when enabled.
     fn filtered(&self, raw: Vec<MemRef>) -> Vec<MemRef> {
         if self.exclude_lock_tests {
@@ -345,8 +304,8 @@ impl Experiment {
             (input, sharing) => {
                 let (stats, raw) = match input {
                     Input::Trace(path) => (TraceStats::scan(self.open(path)?)?, None),
-                    Input::Synthetic(_) => {
-                        let raw = self.materialise(w)?;
+                    Input::Synthetic(config) => {
+                        let raw = collect_all(self.generate(&w.name, config))?;
                         (TraceStats::scan(SliceSource::new(&raw))?, Some(raw))
                     }
                 };
@@ -367,9 +326,9 @@ impl Experiment {
         }
     }
 
-    /// Runs the full matrix in the configured [`ExecutionMode`]
-    /// (`Parallel { workers: 1 }` unless overridden via
-    /// [`Self::execution`]).
+    /// Runs the full matrix: each workload is generated or decoded once,
+    /// streamed in chunks, and broadcast through every scheme, sharded
+    /// over [`Self::workers`].
     ///
     /// # Errors
     ///
@@ -391,90 +350,9 @@ impl Experiment {
             .iter()
             .map(|w| self.size(w))
             .collect::<Result<Vec<_>, _>>()?;
-        match self.mode {
-            ExecutionMode::Serial => self.run_serial(sized),
-            ExecutionMode::Parallel { workers } => self.run_broadcast(workers, sized),
-        }
-    }
-
-    /// The oracle path: materialise each trace, then one independent
-    /// pipeline pass per (scheme, workload) cell — the paper's literal
-    /// N-passes methodology, expressed on the same staged pipeline as
-    /// the parallel mode. The materialised traces are lent inline.
-    fn run_serial(
-        &self,
-        sized: Vec<(u32, Option<Vec<MemRef>>)>,
-    ) -> Result<ExperimentResults, Error> {
-        let mut trace_stats = Vec::with_capacity(self.workloads.len());
-        let mut trace_refs: Vec<Vec<MemRef>> = Vec::with_capacity(self.workloads.len());
-        let mut caches = Vec::with_capacity(self.workloads.len());
-        for (w, (n, raw)) in self.workloads.iter().zip(sized) {
-            let raw = match raw {
-                Some(raw) => raw,
-                None => self.materialise(w)?,
-            };
-            let refs = self.filtered(raw);
-            caches.push(n);
-            trace_stats.push((w.name.clone(), TraceStats::from_refs(refs.iter().copied())));
-            trace_refs.push(refs);
-        }
-
-        // The engine keeps its default no-op recorder here: per-chunk
-        // metrics would count every trace `schemes` times in this mode,
-        // so only the per-scheme totals are recorded, as before.
-        let engine = BroadcastSimulator::new(self.sim).chunk_size(self.chunk);
-        let mut per_scheme = Vec::with_capacity(self.schemes.len());
-        let mut simulated_refs = 0u64;
-        for &scheme in &self.schemes {
-            let mut per_trace = Vec::with_capacity(self.workloads.len());
-            let mut combined: Option<SimResult> = None;
-            for ((w, refs), &n) in self
-                .workloads
-                .iter()
-                .zip(trace_refs.iter())
-                .zip(caches.iter())
-            {
-                let mut results = engine.run(&[scheme], n, SliceSource::new(refs))?;
-                let result = results.pop().expect("one scheme in, one result out");
-                simulated_refs += result.refs;
-                if let Some(p) = &self.progress {
-                    p.lock()
-                        .expect("progress meter poisoned")
-                        .tick_now(simulated_refs, None);
-                }
-                match combined.as_mut() {
-                    Some(c) => c.merge(&result),
-                    None => combined = Some(result.clone()),
-                }
-                per_trace.push((w.name.clone(), result));
-            }
-            let combined = combined.expect("at least one workload");
-            crate::pipeline::record_scheme_totals(&*self.recorder, std::slice::from_ref(&combined));
-            per_scheme.push(SchemeResult {
-                scheme,
-                per_trace,
-                combined,
-            });
-        }
-
-        Ok(ExperimentResults {
-            trace_stats,
-            caches,
-            per_scheme,
-        })
-    }
-
-    /// The parallel path: each workload is generated or decoded once,
-    /// streamed in chunks, and broadcast through every scheme, sharded
-    /// over `workers`.
-    fn run_broadcast(
-        &self,
-        workers: usize,
-        sized: Vec<(u32, Option<Vec<MemRef>>)>,
-    ) -> Result<ExperimentResults, Error> {
         let broadcaster = BroadcastSimulator::new(self.sim)
             .chunk_size(self.chunk)
-            .workers(workers)
+            .workers(self.workers)
             .recorder(Arc::clone(&self.recorder));
         let mut trace_stats = Vec::with_capacity(self.workloads.len());
         let mut caches = Vec::with_capacity(self.workloads.len());
@@ -497,8 +375,7 @@ impl Experiment {
             // DTR1 file does). An open system's stream was materialised
             // by sizing and is lent inline. Lock-test filtering happens
             // before the engine either way, so `observe` (and therefore
-            // `TraceStats`) sees exactly the filtered stream, as in
-            // serial mode.
+            // `TraceStats`) sees exactly the filtered stream.
             let results = match (raw, &w.input) {
                 (Some(raw), _) => {
                     let refs = self.filtered(raw);
@@ -703,96 +580,79 @@ mod tests {
         assert!(b < a, "lock filtering removed references ({b} !< {a})");
     }
 
+    /// Asserts two runs agree: trace statistics, cache counts, and every
+    /// scheme's per-trace and combined results.
+    fn assert_same_results(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
+        assert_eq!(a.trace_stats, b.trace_stats, "{what}");
+        assert_eq!(a.caches, b.caches, "{what}");
+        for (x, y) in a.per_scheme.iter().zip(b.per_scheme.iter()) {
+            assert_eq!(x.scheme, y.scheme, "{what}");
+            assert_eq!(x.combined, y.combined, "{what}: {}", x.scheme);
+            assert_eq!(x.per_trace, y.per_trace, "{what}: {}", x.scheme);
+        }
+    }
+
+    fn core_count() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
     #[test]
     fn all_execution_modes_match() {
-        let serial = tiny_experiment()
-            .execution(ExecutionMode::Serial)
-            .run()
-            .unwrap();
-        // The chunk size only paces the pipeline: a 1 000-reference chunk
-        // splits each 5 000-reference trace five ways and changes nothing.
-        for mode in [
-            ExecutionMode::Parallel { workers: 1 },
-            ExecutionMode::Parallel { workers: 3 },
-        ] {
+        // Neither the worker count nor the chunk size may leak into the
+        // results: a 1 000-reference chunk splits each 5 000-reference
+        // trace five ways and changes nothing.
+        let baseline = tiny_experiment().run().unwrap();
+        for workers in [1, 3] {
             for chunk in [DEFAULT_CHUNK, 1_000] {
                 let other = tiny_experiment()
                     .chunk_size(chunk)
-                    .execution(mode)
+                    .workers(workers)
                     .run()
                     .unwrap();
-                let what = format!("{mode:?}, chunk {chunk}");
-                assert_eq!(serial.trace_stats, other.trace_stats, "{what}");
-                for (a, b) in serial.per_scheme.iter().zip(other.per_scheme.iter()) {
-                    assert_eq!(a.scheme, b.scheme);
-                    assert_eq!(a.combined, b.combined, "{what}");
-                    assert_eq!(a.per_trace, b.per_trace, "{what}");
-                }
+                let what = format!("{workers} workers, chunk {chunk}");
+                assert_same_results(&baseline, &other, &what);
             }
         }
     }
 
     #[test]
     fn modes_match_with_lock_exclusion() {
-        let serial = tiny_experiment()
+        let one = tiny_experiment().exclude_lock_tests(true).run().unwrap();
+        let two = tiny_experiment()
             .exclude_lock_tests(true)
-            .execution(ExecutionMode::Serial)
+            .workers(2)
             .run()
             .unwrap();
-        let single = tiny_experiment()
-            .exclude_lock_tests(true)
-            .execution(ExecutionMode::Parallel { workers: 1 })
-            .run()
-            .unwrap();
-        assert_eq!(serial.trace_stats, single.trace_stats);
-        for (a, b) in serial.per_scheme.iter().zip(single.per_scheme.iter()) {
-            assert_eq!(a.combined, b.combined);
-        }
+        assert_same_results(&one, &two, "lock-filtered, 2 workers");
     }
 
     #[test]
     fn parallel_run_matches_sequential() {
         let sequential = tiny_experiment().run().unwrap();
-        let parallel = tiny_experiment()
-            .execution(ExecutionMode::all_cores())
-            .run()
-            .unwrap();
-        assert_eq!(sequential.trace_stats, parallel.trace_stats);
-        for (a, b) in sequential.per_scheme.iter().zip(parallel.per_scheme.iter()) {
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.combined, b.combined);
-            assert_eq!(a.per_trace, b.per_trace);
-        }
+        let parallel = tiny_experiment().workers(core_count()).run().unwrap();
+        assert_same_results(&sequential, &parallel, "all cores");
     }
 
     #[test]
     fn sharded_finite_cache_matches_serial() {
         // Regression: sharded finite-cache experiments used to be
         // rejected with a typed `ShardedFiniteCache` error; set sharding
-        // made them exact. The all-cores mode shards finite geometries
-        // too.
+        // made them exact, so every worker count matches one worker.
         use dirsim_mem::CacheGeometry;
-        let config = SimConfig::builder()
-            .geometry(CacheGeometry { sets: 16, ways: 2 })
-            .build()
-            .unwrap();
-        let finite = |mode| {
+        let config = SimConfig {
+            geometry: Some(CacheGeometry { sets: 16, ways: 2 }),
+            ..SimConfig::default()
+        };
+        let finite = |workers| {
             tiny_experiment()
                 .sim_config(config)
-                .execution(mode)
+                .workers(workers)
                 .run()
                 .unwrap()
         };
-        let serial = finite(ExecutionMode::Serial);
-        for results in [
-            finite(ExecutionMode::Parallel { workers: 4 }),
-            finite(ExecutionMode::all_cores()),
-        ] {
-            for (a, b) in serial.per_scheme.iter().zip(results.per_scheme.iter()) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.combined, b.combined);
-                assert_eq!(a.per_trace, b.per_trace);
-            }
+        let serial = finite(1);
+        for workers in [4, core_count()] {
+            assert_same_results(&serial, &finite(workers), &format!("{workers} workers"));
         }
     }
 
@@ -807,11 +667,7 @@ mod tests {
         // `Workload` stream the experiment constructs.
         let open = Scenario::named("open-system").unwrap();
         assert!(open.config().open.is_enabled(), "scenario must be open");
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Parallel { workers: 1 },
-            ExecutionMode::Parallel { workers: 2 },
-        ] {
+        for workers in [1, 2] {
             let reg = Arc::new(MetricsRegistry::new());
             let results = Experiment::new()
                 .workload(NamedWorkload::from(open))
@@ -819,7 +675,7 @@ mod tests {
                 .schemes([Scheme::dir0_b(), Scheme::Dragon])
                 .refs_per_trace(4_000)
                 .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
-                .execution(mode)
+                .workers(workers)
                 .run()
                 .unwrap();
             assert_eq!(results.per_scheme.len(), 2);
@@ -836,7 +692,10 @@ mod tests {
                         _ => 0,
                     })
                     .sum();
-                assert_eq!(passes, 1, "{mode:?}: trace {name} generated {passes} times");
+                assert_eq!(
+                    passes, 1,
+                    "{workers} workers: trace {name} generated {passes} times"
+                );
             }
         }
     }
@@ -844,27 +703,19 @@ mod tests {
     #[test]
     fn open_system_modes_agree_on_cache_bound() {
         // The materialised bound must match what the old dry pass
-        // computed: every execution mode still sizes the system
-        // identically and produces bit-identical results.
+        // computed: every worker count sizes the system identically and
+        // produces bit-identical results.
         let open = Scenario::named("open-system").unwrap();
-        let experiment = || {
+        let experiment = |workers| {
             Experiment::new()
                 .workload(NamedWorkload::from(open))
                 .scheme(Scheme::dir0_b())
                 .refs_per_trace(4_000)
+                .workers(workers)
+                .run()
+                .unwrap()
         };
-        let serial = experiment().execution(ExecutionMode::Serial).run().unwrap();
-        for mode in [
-            ExecutionMode::Parallel { workers: 1 },
-            ExecutionMode::Parallel { workers: 2 },
-        ] {
-            let other = experiment().execution(mode).run().unwrap();
-            assert_eq!(serial.trace_stats, other.trace_stats, "{mode:?}");
-            assert_eq!(
-                serial.per_scheme[0].combined, other.per_scheme[0].combined,
-                "{mode:?}"
-            );
-        }
+        assert_same_results(&experiment(1), &experiment(2), "2 workers");
     }
 
     #[test]
@@ -891,7 +742,6 @@ mod tests {
     fn empty_schemes_is_a_typed_error() {
         let err = Experiment::new()
             .workload(NamedWorkload::new("a", small_config(1)))
-            .execution(ExecutionMode::Serial)
             .run()
             .unwrap_err();
         assert!(
@@ -912,13 +762,8 @@ mod tests {
         path
     }
 
-    fn all_modes() -> [ExecutionMode; 3] {
-        [
-            ExecutionMode::Serial,
-            ExecutionMode::Parallel { workers: 1 },
-            ExecutionMode::Parallel { workers: 2 },
-        ]
-    }
+    /// The worker counts the trace-input tests run at.
+    const WORKERS: [usize; 2] = [1, 2];
 
     #[test]
     fn sparse_cpu_ids_size_per_processor_runs_by_the_id_bound() {
@@ -948,17 +793,17 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        for mode in all_modes() {
+        for workers in WORKERS {
             let results = Experiment::new()
                 .workload(NamedWorkload::trace("sparse", &path))
                 .schemes(schemes)
                 .sim_config(sim)
-                .execution(mode)
+                .workers(workers)
                 .run()
                 .unwrap();
-            assert_eq!(results.caches, [3], "{mode:?}");
+            assert_eq!(results.caches, [3], "{workers} workers");
             for (got, want) in results.per_scheme.iter().zip(&direct) {
-                assert_eq!(&got.combined, want, "{mode:?}: {}", got.scheme);
+                assert_eq!(&got.combined, want, "{workers} workers: {}", got.scheme);
             }
         }
         std::fs::remove_file(&path).unwrap();
@@ -976,8 +821,8 @@ mod tests {
                 .scheme(Scheme::Wti)
                 .caches(caches)
         };
-        for mode in all_modes() {
-            let err = experiment(Some(1)).execution(mode).run().unwrap_err();
+        for workers in WORKERS {
+            let err = experiment(Some(1)).workers(workers).run().unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -986,10 +831,10 @@ mod tests {
                         needed: 4
                     })
                 ),
-                "{mode:?}: {err}"
+                "{workers} workers: {err}"
             );
-            let wide = experiment(Some(6)).execution(mode).run().unwrap();
-            assert_eq!(wide.caches, [6], "{mode:?}");
+            let wide = experiment(Some(6)).workers(workers).run().unwrap();
+            assert_eq!(wide.caches, [6], "{workers} workers");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -998,17 +843,17 @@ mod tests {
     fn an_empty_trace_is_a_typed_error() {
         let path = dtr1_file("empty", &[]);
         for caches in [None, Some(4)] {
-            for mode in all_modes() {
+            for workers in WORKERS {
                 let err = Experiment::new()
                     .workload(NamedWorkload::trace("nothing", &path))
                     .scheme(Scheme::Wti)
                     .caches(caches)
-                    .execution(mode)
+                    .workers(workers)
                     .run()
                     .unwrap_err();
                 assert!(
                     matches!(&err, Error::Config(SimConfigError::EmptyTrace(name)) if name == "nothing"),
-                    "{caches:?}, {mode:?}: {err}"
+                    "{caches:?}, {workers} workers: {err}"
                 );
             }
         }
@@ -1017,10 +862,7 @@ mod tests {
 
     #[test]
     fn zero_workers_is_a_typed_error() {
-        let err = tiny_experiment()
-            .execution(ExecutionMode::Parallel { workers: 0 })
-            .run()
-            .unwrap_err();
+        let err = tiny_experiment().workers(0).run().unwrap_err();
         assert!(
             matches!(err, Error::Config(SimConfigError::ZeroWorkers)),
             "{err}"

@@ -42,11 +42,11 @@ use dirsim_protocol::{BusOp, CoherenceProtocol, EventKind, OpCounts, Scheme};
 
 /// Whether lanes may use table-driven kernels (see [`crate::kernel`]).
 ///
-/// This runtime value, set through
-/// [`SimConfigBuilder::kernels`](crate::SimConfigBuilder::kernels), is the
-/// only kernel switch; tests pin either path by setting
-/// [`Disabled`](KernelPolicy::Disabled) or
-/// [`Required`](KernelPolicy::Required) directly.
+/// This runtime value, the [`SimConfig::kernels`](crate::SimConfig::kernels)
+/// field, is the only kernel switch. Tests pin the match path with
+/// [`Disabled`](KernelPolicy::Disabled), and show the kernel path ran
+/// under [`Auto`](KernelPolicy::Auto) through the engine's `kernel_lanes`
+/// counter (see [`BroadcastSimulator::recorder`](crate::BroadcastSimulator::recorder)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Use kernels whenever a lane is eligible (audits off, cache count
@@ -56,11 +56,6 @@ pub enum KernelPolicy {
     Auto,
     /// Never use kernels: every lane steps its match-based machine.
     Disabled,
-    /// Kernels must engage on every audit-free lane; an ineligible cache
-    /// count panics instead of silently falling back. Audited lanes still
-    /// take the match path (the audits need movements and probes that
-    /// rows do not carry). Meant for tests that pin the kernel path.
-    Required,
 }
 
 /// Widest system a kernel will table. Beyond this the event alphabet and

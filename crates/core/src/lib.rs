@@ -19,14 +19,14 @@
 //!   directories, and the snoopy baselines;
 //! * [`dirsim_cost`] — the Table 1/2 bus cost models;
 //!
-//! and adds the [`engine`] (event counting + oracle replay), the
+//! and adds the [`engine`] (event counting + oracle replay, and
+//! [`Simulator::run`], the paper's one-pass-per-scheme method), the
 //! single-pass multi-protocol [`broadcast`] engine (one staged
 //! `decode → route → step → merge` pipeline; the trace source decides
 //! whether decode runs inline or on a producer thread), the
-//! [`experiment`] matrix harness with its two execution modes — `Serial`,
-//! the paper-literal oracle, and `Parallel { workers }` — the paper's
-//! experiment presets ([`paper`]), and text renderers for every table and
-//! figure ([`report`]).
+//! [`experiment`] matrix harness, whose one execution setting is its
+//! worker count, the paper's experiment presets ([`paper`]), and text
+//! renderers for every table and figure ([`report`]).
 //!
 //! ## Quick start
 //!
@@ -66,13 +66,10 @@ pub mod timing;
 pub use broadcast::BroadcastSimulator;
 pub use dirsim_obs as obs;
 pub use engine::{
-    audit_step, ShardKey, SimConfig, SimConfigBuilder, SimConfigError, SimError, SimResult,
-    Simulator, StepFailure,
+    audit_step, ShardKey, SimConfig, SimConfigError, SimError, SimResult, Simulator, StepFailure,
 };
 pub use error::{Error, InvariantError};
-pub use experiment::{
-    ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload, SchemeResult,
-};
+pub use experiment::{Experiment, ExperimentResults, Input, NamedWorkload, SchemeResult};
 pub use histogram::FanoutHistogram;
 pub use invariant::InvariantViolation;
 pub use kernel::KernelPolicy;
@@ -83,9 +80,7 @@ pub mod prelude {
     pub use crate::broadcast::BroadcastSimulator;
     pub use crate::engine::{SimConfig, SimResult, Simulator};
     pub use crate::error::Error;
-    pub use crate::experiment::{
-        ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload,
-    };
+    pub use crate::experiment::{Experiment, ExperimentResults, Input, NamedWorkload};
     pub use crate::histogram::FanoutHistogram;
     pub use crate::kernel::KernelPolicy;
     pub use dirsim_cost::{BusKind, CostBreakdown, CostCategory, CostModel};

@@ -24,7 +24,7 @@ use dirsim_trace::synth::{PaperTrace, WorkloadConfig};
 
 use crate::engine::SimResult;
 use crate::error::Error;
-use crate::experiment::{ExecutionMode, Experiment, ExperimentResults, Input, NamedWorkload};
+use crate::experiment::{Experiment, ExperimentResults, Input, NamedWorkload};
 
 /// The three paper-trace stand-ins, in Table 3 order.
 ///
@@ -513,7 +513,7 @@ pub fn seed_sensitivity(
             .workloads(workloads)
             .schemes(schemes.clone())
             .refs_per_trace(refs_per_trace)
-            .execution(ExecutionMode::all_cores())
+            .workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
             .run()?;
         for (i, s) in results.per_scheme.iter().enumerate() {
             samples[i].push(s.combined.cycles_per_ref(model));

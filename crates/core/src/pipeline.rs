@@ -85,7 +85,7 @@ use dirsim_trace::{AccessKind, MemRef, TraceIoError};
 
 use crate::engine::{lru_access, Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
 use crate::error::{Error, InvariantError};
-use crate::kernel::{DecodedRef, KernelPolicy, LaneKernel, NO_VICTIM};
+use crate::kernel::{DecodedRef, LaneKernel, NO_VICTIM};
 
 /// Depth (in chunks) of the producer thread's decode queue. Two is enough for
 /// full overlap — one chunk being stepped, one decoded ahead — without
@@ -143,17 +143,10 @@ impl<'a> LaneBank<'a> {
         let kernels: Vec<Option<LaneKernel>> = schemes
             .iter()
             .map(|&s| {
-                if !config.kernel_eligible() {
-                    return None;
-                }
-                let kernel = LaneKernel::new(s, caches);
-                if kernel.is_none() && config.kernels == KernelPolicy::Required {
-                    panic!(
-                        "KernelPolicy::Required, but {caches} caches exceed the \
-                         table-kernel cap for {s:?}"
-                    );
-                }
-                kernel
+                config
+                    .kernel_eligible()
+                    .then(|| LaneKernel::new(s, caches))
+                    .flatten()
             })
             .collect();
         let kernel_lanes = kernels.iter().filter(|k| k.is_some()).count();
@@ -172,9 +165,9 @@ impl<'a> LaneBank<'a> {
     /// Steps every lane over one chunk. A bank of several lanes decodes
     /// the chunk in blocks of [`DECODE_BLOCK`] references: each block is
     /// decoded once, then every lane steps it, so the decode buffer stays
-    /// small and warm however large the chunk. A one-lane bank (the
-    /// serial mode's shape) fuses decode and step into one pass instead
-    /// of staging through the decode buffer.
+    /// small and warm however large the chunk. A one-lane bank (a
+    /// one-scheme run) fuses decode and step into one pass instead of
+    /// staging through the decode buffer.
     fn step_chunk(&mut self, refs: &[MemRef]) -> Result<(), Error> {
         if self.lanes.len() == 1 {
             return self.step_one_lane(refs);
@@ -793,9 +786,9 @@ where
 
 /// Record per-scheme result totals into `recorder`: `scheme_refs`,
 /// `scheme_transactions`, and a `scheme_ops` counter per non-zero bus
-/// operation. Shared by every execution mode so the exported totals do not
+/// operation, once per run after the merge, so the exported totals do not
 /// depend on how the run was parallelised.
-pub(crate) fn record_scheme_totals(recorder: &dyn Recorder, results: &[SimResult]) {
+fn record_scheme_totals(recorder: &dyn Recorder, results: &[SimResult]) {
     if !recorder.enabled() {
         return;
     }

@@ -4,8 +4,8 @@
 //! Cells that differ only in their scheme simulate the same reference
 //! stream, so the pending cells are split into **input groups** by
 //! [`Cell::input_key`] (scenario spec text or trace path and length,
-//! geometry, cpus and refs). Each group makes one [`Experiment`] call at
-//! `Parallel { workers: 1 }` over all of its pending schemes — the
+//! geometry, cpus and refs). Each group makes one one-worker
+//! [`Experiment`] call over all of its pending schemes — the
 //! paper's §4 method of measuring event frequencies once per trace —
 //! whichever kind its input is. The trace is generated or decoded once
 //! and every scheme's lane steps it in lockstep; a trace file is first
@@ -33,7 +33,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dirsim::{ExecutionMode, Experiment, Input, NamedWorkload, SimConfig};
+use dirsim::{Experiment, Input, NamedWorkload, SimConfig};
 use dirsim_cost::CostModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 
@@ -230,7 +230,6 @@ fn run_group(group: &[Cell]) -> Result<Vec<CellRecord>, SweepError> {
             ..SimConfig::default()
         })
         .caches(caches)
-        .execution(ExecutionMode::Parallel { workers: 1 })
         .run()?;
     let cpus = declared_cpus.unwrap_or(ran.caches[0]);
     let results = ran.per_scheme.into_iter().map(|s| s.combined);

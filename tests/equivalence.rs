@@ -1,31 +1,32 @@
-//! Engine-path equivalence: the serial per-scheme oracle
-//! (`ExecutionMode::Serial`) and the parallel broadcast mode
-//! (`ExecutionMode::Parallel`) with one worker and with several must
-//! produce **bit-identical** results for every scheme, whichever thread
-//! decodes the trace.
+//! Engine-path equivalence: every way the engine runs an experiment —
+//! one worker or several, decode inline or on the producer thread, table
+//! kernels or match machines, one lane per bank or many — must produce
+//! results **bit-identical** to the serial oracle: each (scheme, workload)
+//! cell run alone through `Simulator::run`, the paper's one pass per
+//! scheme (see `common::Matrix::oracle`).
 //!
-//! This is the load-bearing guarantee behind `ExecutionMode`: sharding is
-//! exact because per-block protocol state never interacts across blocks
-//! and every counter merged across shards is a commutative sum. Infinite
-//! caches shard by block address; finite caches shard by cache set index
-//! (LRU state never crosses sets, and a block's set is a pure function of
-//! its address), so both geometries get the full guarantee. Decode on the
-//! producer thread (generators, buffered decoders) is exact because only
-//! decode *work* moves there — chunks arrive in stream order over one
-//! bounded FIFO and chunk boundaries carry no simulation state — and
-//! inline decode (lent slices, mmap) steps the very same chunks. Any
-//! drift here means one of the paths is wrong, not "parallel noise".
-//!
-//! The scheme list mirrors the `dirsim-verify` gauntlet (that crate
-//! depends on this one, so the 14 schemes are enumerated inline).
+//! Sharding is exact because per-block protocol state never interacts
+//! across blocks and every counter merged across shards is a commutative
+//! sum. Infinite caches shard by block address; finite caches shard by
+//! cache set index (LRU state never crosses sets, and a block's set is a
+//! pure function of its address), so both geometries get the full
+//! guarantee. Decode on the producer thread (generators, buffered
+//! decoders) is exact because only decode *work* moves there — chunks
+//! arrive in stream order over one bounded FIFO and chunk boundaries
+//! carry no simulation state — and inline decode (lent slices, mmap)
+//! steps the very same chunks. The oracle shares none of that machinery,
+//! nor the lane bank's one shared decode, so any drift here means an
+//! engine path is wrong, not "parallel noise".
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{alone, assert_identical, gauntlet, Matrix};
 use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
-use dirsim::{ExecutionMode, Experiment, ExperimentResults, NamedWorkload};
+use dirsim::{ExperimentResults, NamedWorkload};
 use dirsim_mem::CacheGeometry;
-use dirsim_protocol::DirSpec;
 
 const REFS: usize = 12_000;
 
@@ -34,82 +35,104 @@ const REFS: usize = 12_000;
 /// the finite gauntlet runs a slightly shorter trace.
 const FINITE_REFS: usize = 8_000;
 
-/// The paper's Table 5 line-up plus the remaining directory organisations
-/// and snoopy baselines — every protocol the model checker gauntlets.
-fn gauntlet() -> Vec<Scheme> {
-    vec![
-        Scheme::dir_n_nb(),
-        Scheme::dir0_b(),
-        Scheme::dir1_b(),
-        Scheme::dir_i_b(2),
-        Scheme::dir1_nb(),
-        Scheme::Directory(DirSpec::dir_i_nb(2).expect("two pointers is a valid NB spec")),
-        Scheme::CoarseVector,
-        Scheme::Tang,
-        Scheme::YenFu,
-        Scheme::DirUpdate,
-        Scheme::Wti,
-        Scheme::Illinois,
-        Scheme::Dragon,
-        Scheme::Berkeley,
-    ]
-}
-
-fn experiment() -> Experiment {
-    Experiment::new()
-        .workloads(dirsim::paper::paper_workloads())
-        .schemes(gauntlet())
-        .refs_per_trace(REFS)
-}
-
-/// Runs `exp` in `mode`.
-fn run(exp: &Experiment, mode: ExecutionMode) -> ExperimentResults {
-    exp.clone().execution(mode).run().unwrap()
-}
-
-/// `Parallel { workers }`, spelled short.
-fn parallel(workers: usize) -> ExecutionMode {
-    ExecutionMode::Parallel { workers }
-}
-
-fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
-    assert_eq!(a.trace_stats, b.trace_stats, "{what}: trace statistics");
-    assert_eq!(
-        a.per_scheme.len(),
-        b.per_scheme.len(),
-        "{what}: scheme count"
-    );
-    for (x, y) in a.per_scheme.iter().zip(&b.per_scheme) {
-        assert_eq!(x.scheme, y.scheme, "{what}: scheme order");
-        assert_eq!(x.per_trace, y.per_trace, "{what}: {} per-trace", x.scheme);
-        assert_eq!(x.combined, y.combined, "{what}: {} combined", x.scheme);
+/// Checks `matrix` against its oracle at each worker count and returns
+/// the oracle's results.
+fn assert_matches_oracle(matrix: &Matrix, workers: &[usize], what: &str) -> ExperimentResults {
+    let oracle = matrix.oracle();
+    for &w in workers {
+        let what = format!("{what}, {w} workers vs serial");
+        assert_identical(&oracle, &matrix.run(w), &what);
     }
+    oracle
+}
+
+/// The gauntlet over the paper workloads under a finite geometry.
+fn finite_matrix(geometry: CacheGeometry) -> Matrix {
+    let mut matrix = Matrix::paper(gauntlet(), FINITE_REFS);
+    matrix.sim.geometry = Some(geometry);
+    matrix
+}
+
+/// An audited workload: the shadow-memory oracle replays every movement.
+fn audited(geometry: Option<CacheGeometry>) -> Matrix {
+    let workload = NamedWorkload::new(
+        "audited",
+        WorkloadConfig::builder().seed(7).build().unwrap(),
+    );
+    let mut matrix = Matrix::new(vec![workload], gauntlet(), 6_000);
+    matrix.sim.check_oracle = true;
+    matrix.sim.geometry = geometry;
+    matrix
+}
+
+/// `matrix` with both audits off. Audits force the match path (they read
+/// machine internals a table kernel never touches) and debug builds audit
+/// by default, so kernel rounds turn them off.
+fn unaudited(mut matrix: Matrix) -> Matrix {
+    matrix.sim.check_invariants = false;
+    matrix
+}
+
+/// Checks `matrix` under both kernel policies against its oracle at each
+/// worker count, and the `kernel_lanes` count: under `Auto` every
+/// unaudited lane of at most 64 caches starts on a kernel, one per
+/// scheme, per workload pass, per shard; under `Disabled` none does.
+/// Returns the metrics of the `Auto` runs, in `workers` order.
+fn assert_kernels_match_oracle(
+    matrix: &Matrix,
+    workers: &[usize],
+    what: &str,
+) -> Vec<Arc<MetricsRegistry>> {
+    let oracle = matrix.oracle();
+    let mut auto = Vec::new();
+    for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
+        let matrix = Matrix {
+            sim: SimConfig {
+                kernels,
+                ..matrix.sim
+            },
+            ..matrix.clone()
+        };
+        for &w in workers {
+            let what = format!("{what}, {kernels:?}, {w} workers vs serial");
+            let registry = Arc::new(MetricsRegistry::new());
+            let results = matrix
+                .experiment()
+                .workers(w)
+                .recorder(registry.clone())
+                .run()
+                .unwrap();
+            assert_identical(&oracle, &results, &what);
+            let lanes = registry.counter_value("kernel_lanes", &[]).unwrap_or(0);
+            if kernels == KernelPolicy::Auto {
+                let every_lane = matrix.schemes.len() * matrix.workloads.len() * w;
+                assert_eq!(lanes, every_lane as u64, "{what}: kernel_lanes");
+                auto.push(registry);
+            } else {
+                assert_eq!(lanes, 0, "{what}: kernel_lanes");
+            }
+        }
+    }
+    auto
 }
 
 #[test]
-fn gauntlet_covers_all_fourteen_schemes() {
-    let schemes = gauntlet();
-    assert_eq!(schemes.len(), 14);
-    let names: std::collections::HashSet<String> = schemes.iter().map(|s| s.name()).collect();
-    assert_eq!(names.len(), 14, "scheme names must be distinct");
+fn gauntlet_covers_all_sixteen_schemes() {
+    let names: std::collections::HashSet<String> = gauntlet().iter().map(|s| s.name()).collect();
+    assert_eq!(names.len(), 16, "scheme names must be distinct");
+    for name in ["Dir4B", "Dir4NB"] {
+        assert!(names.contains(name), "{name} is missing");
+    }
 }
 
 #[test]
 fn single_pass_matches_serial_for_every_scheme() {
-    let exp = experiment();
-    let serial = run(&exp, ExecutionMode::Serial);
-    let single = run(&exp, parallel(1));
-    assert_identical(&serial, &single, "parallel (1 worker) vs serial");
+    assert_matches_oracle(&Matrix::paper(gauntlet(), REFS), &[1], "paper workloads");
 }
 
 #[test]
 fn sharded_matches_serial_for_every_scheme() {
-    let exp = experiment();
-    let serial = run(&exp, ExecutionMode::Serial);
-    for workers in [2, 5] {
-        let sharded = run(&exp, parallel(workers));
-        assert_identical(&serial, &sharded, &format!("{workers} shards vs serial"));
-    }
+    assert_matches_oracle(&Matrix::paper(gauntlet(), REFS), &[2, 5], "paper workloads");
 }
 
 #[test]
@@ -118,14 +141,13 @@ fn pipelined_matches_serial_for_every_scheme() {
     // materialised trace is served once by an `IterSource` (decoded on the
     // producer thread) and once by a `SliceSource` (lent inline), at one
     // worker and at four, and both must equal the serial oracle.
-    let exp = experiment();
-    let serial = run(&exp, ExecutionMode::Serial);
+    let oracle = Matrix::paper(gauntlet(), REFS).oracle();
     let schemes = gauntlet();
     for (t, trace) in PaperTrace::ALL.iter().enumerate() {
         let config = trace.scenario().config();
         let refs: Vec<MemRef> = Workload::new(config.clone()).take(REFS).collect();
         let caches = config.processes;
-        let oracle: Vec<&SimResult> = serial
+        let want: Vec<&SimResult> = oracle
             .per_scheme
             .iter()
             .map(|s| &s.per_trace[t].1)
@@ -141,10 +163,10 @@ fn pipelined_matches_serial_for_every_scheme() {
             let what = format!("{} with {workers} workers", trace.name());
             assert_eq!(
                 overlapped.iter().collect::<Vec<_>>(),
-                oracle,
+                want,
                 "producer thread, {what}"
             );
-            assert_eq!(inline.iter().collect::<Vec<_>>(), oracle, "inline, {what}");
+            assert_eq!(inline.iter().collect::<Vec<_>>(), want, "inline, {what}");
         }
     }
 }
@@ -153,70 +175,39 @@ fn pipelined_matches_serial_for_every_scheme() {
 fn shard_count_is_immaterial() {
     // Per-shard counters are commutative sums, so the worker count must
     // not leak into the results at all.
-    let exp = experiment();
-    let three = run(&exp, parallel(3));
-    let eight = run(&exp, parallel(8));
-    assert_identical(&three, &eight, "3 shards vs 8 shards");
+    assert_matches_oracle(&Matrix::paper(gauntlet(), REFS), &[3, 8], "paper workloads");
 }
 
 #[test]
 fn equivalence_holds_with_lock_tests_excluded() {
     // The §5.2 ablation filters the stream *before* it reaches the
     // engine; every execution path must see the identical filtered trace.
-    let exp = experiment().exclude_lock_tests(true);
-    let serial = run(&exp, ExecutionMode::Serial);
-    assert_identical(&serial, &run(&exp, parallel(1)), "lock-filtered 1 worker");
-    assert_identical(&serial, &run(&exp, parallel(4)), "lock-filtered 4 workers");
+    let matrix = Matrix {
+        exclude_lock_tests: true,
+        ..Matrix::paper(gauntlet(), REFS)
+    };
+    assert_matches_oracle(&matrix, &[1, 4], "lock-filtered");
 }
 
 #[test]
 fn equivalence_holds_under_the_oracle() {
     // The shadow-memory audit must neither perturb results nor behave
     // differently per path (each shard audits its own blocks).
-    let exp = Experiment::new()
-        .workload(NamedWorkload::new(
-            "audited",
-            WorkloadConfig::builder().seed(7).build().unwrap(),
-        ))
-        .schemes(gauntlet())
-        .refs_per_trace(6_000)
-        .check_oracle(true);
-    let serial = run(&exp, ExecutionMode::Serial);
-    assert_identical(&serial, &run(&exp, parallel(1)), "audited 1 worker");
-    assert_identical(&serial, &run(&exp, parallel(3)), "audited 3 workers");
-}
-
-fn finite_experiment(geometry: CacheGeometry) -> Experiment {
-    let config = SimConfig::builder()
-        .geometry(geometry)
-        .build()
-        .expect("test geometry is valid");
-    Experiment::new()
-        .workloads(dirsim::paper::paper_workloads())
-        .schemes(gauntlet())
-        .refs_per_trace(FINITE_REFS)
-        .sim_config(config)
+    assert_matches_oracle(&audited(None), &[1, 3], "audited");
 }
 
 #[test]
 fn finite_cache_sharded_matches_serial_for_every_scheme() {
     // The tentpole guarantee: set-sharded finite-cache execution is
-    // bit-identical to serial for all 14 schemes. This configuration was
+    // bit-identical to serial for every scheme. This configuration was
     // rejected outright (`SimConfigError::ShardedFiniteCache`) before
     // set sharding existed, so this doubles as the regression test that
     // the old rejection path now succeeds.
-    let exp = finite_experiment(CacheGeometry { sets: 8, ways: 2 });
-    let serial = run(&exp, ExecutionMode::Serial);
-    for workers in [1, 2, 5] {
-        assert_identical(
-            &serial,
-            &run(&exp, parallel(workers)),
-            &format!("finite {workers} workers vs serial"),
-        );
-    }
+    let matrix = finite_matrix(CacheGeometry { sets: 8, ways: 2 });
+    let oracle = assert_matches_oracle(&matrix, &[1, 2, 5], "finite 8x2");
     // The geometry is small enough that the equivalence is exercised by
     // real replacement traffic, not a trivially infinite-looking run.
-    for s in &serial.per_scheme {
+    for s in &oracle.per_scheme {
         assert!(
             s.combined.capacity_evictions > 0,
             "{}: no capacity evictions — geometry too large for the trace",
@@ -227,10 +218,8 @@ fn finite_cache_sharded_matches_serial_for_every_scheme() {
 
 #[test]
 fn finite_cache_shard_count_is_immaterial() {
-    let exp = finite_experiment(CacheGeometry { sets: 8, ways: 2 });
-    let three = run(&exp, parallel(3));
-    let eight = run(&exp, parallel(8));
-    assert_identical(&three, &eight, "finite 3 shards vs 8 shards");
+    let matrix = finite_matrix(CacheGeometry { sets: 8, ways: 2 });
+    assert_matches_oracle(&matrix, &[3, 8], "finite 8x2");
 }
 
 #[test]
@@ -247,18 +236,7 @@ fn degenerate_finite_geometries_agree_across_modes() {
         ("sets < shards", CacheGeometry { sets: 2, ways: 2 }),
     ];
     for (label, geometry) in cases {
-        let exp = finite_experiment(geometry);
-        let serial = run(&exp, ExecutionMode::Serial);
-        assert_identical(
-            &serial,
-            &run(&exp, parallel(1)),
-            &format!("{label} 1 worker"),
-        );
-        assert_identical(
-            &serial,
-            &run(&exp, parallel(8)),
-            &format!("{label} 8 workers"),
-        );
+        assert_matches_oracle(&finite_matrix(geometry), &[1, 8], label);
     }
 }
 
@@ -266,22 +244,8 @@ fn degenerate_finite_geometries_agree_across_modes() {
 fn finite_cache_equivalence_holds_under_the_oracle() {
     // Eviction write-backs and post-eviction re-fetches must replay
     // identically against each shard's shadow memory.
-    let config = SimConfig::builder()
-        .geometry(CacheGeometry { sets: 4, ways: 2 })
-        .check_oracle(true)
-        .build()
-        .unwrap();
-    let exp = Experiment::new()
-        .workload(NamedWorkload::new(
-            "audited",
-            WorkloadConfig::builder().seed(7).build().unwrap(),
-        ))
-        .schemes(gauntlet())
-        .refs_per_trace(6_000)
-        .sim_config(config);
-    let serial = run(&exp, ExecutionMode::Serial);
-    assert_identical(&serial, &run(&exp, parallel(1)), "audited finite 1 worker");
-    assert_identical(&serial, &run(&exp, parallel(3)), "audited finite 3 workers");
+    let geometry = CacheGeometry { sets: 4, ways: 2 };
+    assert_matches_oracle(&audited(Some(geometry)), &[1, 3], "audited finite");
 }
 
 #[test]
@@ -291,20 +255,16 @@ fn open_system_scenario_agrees_across_all_modes() {
     // process IDs and departures retire them, with a Zipf-skewed shared
     // pool and a phased write ramp layered on top ("open-zipf-phased").
     // The engine paths only ever see the emitted reference stream, so
-    // every mode must still be bit-identical across all 14 schemes. (The
-    // parallel mode materialises open per-process traces to size the
-    // system and lends them inline, so this also pins that placement.)
+    // every worker count must still be bit-identical to serial across the
+    // gauntlet. (`Experiment` materialises open per-process traces to
+    // size the system and lends them inline, so this also pins that
+    // placement.)
     let scenario = Scenario::named("open-zipf-phased").unwrap();
-    let exp = Experiment::new()
-        .workload(NamedWorkload::from(scenario))
-        .schemes(gauntlet())
-        .refs_per_trace(REFS);
-    let serial = run(&exp, ExecutionMode::Serial);
-    assert_identical(&serial, &run(&exp, parallel(1)), "open-system 1 worker");
-    assert_identical(&serial, &run(&exp, parallel(4)), "open-system 4 workers");
+    let matrix = Matrix::new(vec![NamedWorkload::from(scenario)], gauntlet(), REFS);
+    let oracle = assert_matches_oracle(&matrix, &[1, 4], "open-system");
     // The run really is open: more processes appear than the six that
     // start, so the equivalence covers mid-trace arrivals.
-    let procs = serial.trace_stats[0].1.process_count();
+    let procs = oracle.trace_stats[0].1.process_count();
     assert!(
         procs > 6,
         "expected arrivals beyond the initial population, saw {procs} processes"
@@ -313,81 +273,53 @@ fn open_system_scenario_agrees_across_all_modes() {
 
 #[test]
 fn default_and_parallel_runs_agree_with_serial() {
-    // The default mode and the all-cores mode sit on top of the same
-    // machinery; they must agree with the serial oracle too.
-    let exp = Experiment::new()
-        .workloads(dirsim::paper::paper_workloads())
-        .schemes(Scheme::paper_lineup())
-        .refs_per_trace(REFS);
-    let serial = run(&exp, ExecutionMode::Serial);
-    assert_identical(&serial, &exp.run().unwrap(), "default run");
-    assert_identical(&serial, &run(&exp, ExecutionMode::all_cores()), "all cores");
+    // The default worker count and one worker per core sit on top of the
+    // same machinery; they must agree with the serial oracle too.
+    let matrix = Matrix::paper(Scheme::paper_lineup(), REFS);
+    let oracle = matrix.oracle();
+    assert_identical(&oracle, &matrix.experiment().run().unwrap(), "default run");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_identical(&oracle, &matrix.run(cores), "all cores");
 }
 
 // ---------------------------------------------------------------------
 // Table kernels: the memoized transition-table step path must be
-// bit-identical to the match-based machines it replaces. These runs set
-// `check_invariants(false)` because the per-reference audit forces the
-// direct path (audits read machine internals the kernel never touches),
-// and debug builds audit by default.
+// bit-identical to the match-based machines it replaces, which the
+// oracle steps. Each round runs both kernel policies with audits off and
+// checks `kernel_lanes`, so a lane that silently falls back to its match
+// machine under `Auto` fails the round.
 // ---------------------------------------------------------------------
-
-fn kernel_experiment(kernels: KernelPolicy, geometry: Option<CacheGeometry>) -> Experiment {
-    let mut builder = SimConfig::builder()
-        .check_invariants(false)
-        .kernels(kernels);
-    if let Some(g) = geometry {
-        builder = builder.geometry(g);
-    }
-    let config = builder.build().expect("kernel test config is valid");
-    Experiment::new()
-        .workloads(dirsim::paper::paper_workloads())
-        .schemes(gauntlet())
-        .refs_per_trace(FINITE_REFS)
-        .sim_config(config)
-}
 
 #[test]
 fn table_kernels_match_the_direct_machines() {
-    // `Required` panics if any lane silently falls back at construction,
-    // so passing proves the kernel path actually ran on the left side.
-    let kernels = kernel_experiment(KernelPolicy::Required, None);
-    let direct = kernel_experiment(KernelPolicy::Disabled, None);
-    for (mode, what) in [
-        (ExecutionMode::Serial, "kernel serial"),
-        (parallel(1), "kernel 1 worker"),
-        (parallel(3), "kernel 3 workers"),
-    ] {
-        assert_identical(&run(&kernels, mode), &run(&direct, mode), what);
+    // Infinite caches, and a finite geometry whose LRU capacity evictions
+    // take the kernel's two-phase prepare/commit step (the small geometry
+    // guarantees real replacement traffic; see the finite gauntlet above).
+    for geometry in [None, Some(CacheGeometry { sets: 8, ways: 2 })] {
+        let mut matrix = unaudited(Matrix::paper(gauntlet(), FINITE_REFS));
+        matrix.sim.geometry = geometry;
+        assert_kernels_match_oracle(&matrix, &[1, 3], &format!("{geometry:?}"));
     }
 }
 
 #[test]
-fn table_kernels_match_the_direct_machines_with_finite_caches() {
-    // Finite geometries route LRU capacity evictions through the kernel's
-    // two-phase prepare/commit step; the small geometry guarantees real
-    // replacement traffic (asserted in the finite gauntlet above).
-    let geometry = CacheGeometry { sets: 8, ways: 2 };
-    let kernels = kernel_experiment(KernelPolicy::Required, Some(geometry));
-    let direct = kernel_experiment(KernelPolicy::Disabled, Some(geometry));
-    for (mode, what) in [
-        (ExecutionMode::Serial, "finite kernel serial"),
-        (parallel(1), "finite kernel 1 worker"),
-        (parallel(3), "finite kernel 3 workers"),
-    ] {
-        assert_identical(&run(&kernels, mode), &run(&direct, mode), what);
+fn each_scheme_alone_matches_serial() {
+    // One scheme per run makes every bank a one-lane bank, which fuses
+    // decode and step: a kernel lane steps each record as the bank decodes
+    // it, and a match lane steps through `Lane::step` against the bank's
+    // replica. Both kernel policies run with audits off, so both branches
+    // run in debug builds too.
+    for geometry in [None, Some(CacheGeometry { sets: 8, ways: 2 })] {
+        let mut all = unaudited(Matrix::paper(gauntlet(), FINITE_REFS));
+        all.sim.geometry = geometry;
+        for scheme in gauntlet() {
+            let matrix = Matrix {
+                schemes: vec![scheme],
+                ..all.clone()
+            };
+            assert_kernels_match_oracle(&matrix, &[1, 3], &format!("{scheme} alone, {geometry:?}"));
+        }
     }
-}
-
-#[test]
-fn table_kernels_match_the_direct_machines_under_auto_policy() {
-    // `Auto` is the shipped default; it must agree with `Disabled` too
-    // (and with `Required`, by transitivity with the test above).
-    let auto = kernel_experiment(KernelPolicy::Auto, None);
-    let direct = kernel_experiment(KernelPolicy::Disabled, None);
-    let a = run(&auto, parallel(1));
-    let d = run(&direct, parallel(1));
-    assert_identical(&a, &d, "auto-policy 1 worker");
 }
 
 #[test]
@@ -405,45 +337,20 @@ fn wide_systems_agree_with_kernels_on_auto() {
             .build()
             .expect("wide workload config is valid"),
     );
-    let base = SimConfig::builder().sharing(SharingModel::PerProcessor);
-    let auto = base
-        .clone()
-        .check_invariants(false)
-        .kernels(KernelPolicy::Auto)
-        .build()
-        .unwrap();
-    let direct = base
-        .check_invariants(false)
-        .kernels(KernelPolicy::Disabled)
-        .build()
-        .unwrap();
-    let with_kernels = Experiment::new()
-        .workload(wide.clone())
-        .schemes(gauntlet())
-        .refs_per_trace(10_000)
-        .sim_config(auto);
-    let without = Experiment::new()
-        .workload(wide)
-        .schemes(gauntlet())
-        .refs_per_trace(10_000)
-        .sim_config(direct);
-    for (mode, what) in [
-        (parallel(1), "wide 1 worker"),
-        (parallel(4), "wide 4 workers"),
-    ] {
-        assert_identical(&run(&with_kernels, mode), &run(&without, mode), what);
-    }
+    let mut matrix = unaudited(Matrix::new(vec![wide], gauntlet(), 10_000));
+    matrix.sim.sharing = SharingModel::PerProcessor;
+    assert_kernels_match_oracle(&matrix, &[1, 4], "wide");
 }
 
 // ---------------------------------------------------------------------
 // Corpus ingestion: the same trace served five ways — an in-memory
 // iterator, an in-memory slice, buffered DTR1 decode, zero-copy mmap
-// decode, and a DTR3 pack/unpack round-trip — must be bit-identical at
-// 1 and 4 workers for all 14 schemes. The slice and mmap sources lend
-// their chunks and decode inline; the others decode on the producer
+// decode, and a DTR3 pack/unpack round-trip — must be bit-identical to
+// serial at 1 and 4 workers for every scheme. The slice and mmap sources
+// lend their chunks and decode inline; the others decode on the producer
 // thread, so this round pins both placements. The DTR1 and DTR3 files
-// then run as trace workloads through `Experiment` in every mode, and
-// the DTR1 file against the scenario it was written from.
+// then run as trace workloads through `Experiment`, and the DTR1 file
+// against the scenario it was written from.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -502,9 +409,7 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
 
     let schemes = gauntlet();
     let engine = |workers: usize| BroadcastSimulator::new(SimConfig::default()).workers(workers);
-    let baseline = engine(1)
-        .run(&schemes, caches, IterSource::new(refs.iter().copied()))
-        .unwrap();
+    let baseline = alone(SimConfig::default(), &schemes, caches, &refs);
 
     for workers in [1, 4] {
         let run = |source: Box<dyn TraceSource + Send + '_>| {
@@ -526,16 +431,16 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     }
 
     // The files as trace workloads: `Experiment` sizes each from its own
-    // scan, and every mode equals the direct-engine baseline.
+    // scan, and every worker count equals serial.
     let stats = TraceStats::from_refs(refs.iter().copied());
     for path in [&dtr, &dtrz] {
         let exp = Experiment::new()
             .workload(NamedWorkload::trace("corpus", path))
             .schemes(schemes.clone())
             .refs_per_trace(CORPUS_REFS);
-        for mode in [ExecutionMode::Serial, parallel(1), parallel(4)] {
-            let what = format!("{} in {mode:?}", path.display());
-            let results = run(&exp, mode);
+        for workers in [1, 4] {
+            let what = format!("{} on {workers} workers", path.display());
+            let results = exp.clone().workers(workers).run().unwrap();
             assert_eq!(
                 results.trace_stats,
                 [("corpus".to_string(), stats.clone())],
@@ -549,23 +454,29 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     }
 
     // The two input kinds against each other: the DTR1 file written from
-    // `pops` runs bit-identically to the `pops` scenario itself.
-    for exclude in [false, true] {
-        let experiment = |workload| {
-            Experiment::new()
-                .workload(workload)
-                .schemes(schemes.clone())
-                .refs_per_trace(CORPUS_REFS)
-                .exclude_lock_tests(exclude)
+    // `pops` runs bit-identically to the `pops` scenario itself, and both
+    // to serial.
+    for exclude_lock_tests in [false, true] {
+        let matrix = Matrix {
+            exclude_lock_tests,
+            ..Matrix::new(
+                vec![NamedWorkload::from(Scenario::named("pops").unwrap())],
+                schemes.clone(),
+                CORPUS_REFS,
+            )
         };
-        let scenario = run(
-            &experiment(NamedWorkload::from(Scenario::named("pops").unwrap())),
-            parallel(1),
+        let oracle = matrix.oracle();
+        let what = format!("exclude_lock_tests = {exclude_lock_tests}");
+        assert_identical(&oracle, &matrix.run(1), &format!("pops scenario, {what}"));
+        let file = Matrix {
+            workloads: vec![NamedWorkload::trace("pops", &dtr)],
+            ..matrix
+        };
+        assert_identical(
+            &oracle,
+            &file.experiment().run().unwrap(),
+            &format!("DTR1 file, {what}"),
         );
-        let file = run(&experiment(NamedWorkload::trace("pops", &dtr)), parallel(1));
-        let what = format!("DTR1 file vs pops scenario, exclude_lock_tests = {exclude}");
-        assert_identical(&scenario, &file, &what);
-        assert_eq!(scenario.caches, file.caches, "{what}");
     }
     std::fs::remove_file(&dtr).unwrap();
     std::fs::remove_file(&dtrz).unwrap();
@@ -590,33 +501,13 @@ fn wide_finite_config() -> WorkloadConfig {
 /// The wide finite runs' engine configuration: per-processor caches of
 /// 8x2, audits off so kernels can engage.
 fn wide_finite_sim(kernels: KernelPolicy) -> SimConfig {
-    SimConfig::builder()
-        .sharing(SharingModel::PerProcessor)
-        .geometry(CacheGeometry { sets: 8, ways: 2 })
-        .check_invariants(false)
-        .kernels(kernels)
-        .build()
-        .unwrap()
-}
-
-/// Each scheme run alone through `Simulator::run` over `trace`: the
-/// engine's per-reference decode, with a private LRU replica, that every
-/// lane bank's shared decode is checked against.
-fn reference_results(
-    config: SimConfig,
-    schemes: &[Scheme],
-    caches: u32,
-    trace: &[MemRef],
-) -> Vec<SimResult> {
-    schemes
-        .iter()
-        .map(|s| {
-            let mut protocol = s.build(caches);
-            Simulator::new(config)
-                .run(protocol.as_mut(), trace.iter().copied())
-                .unwrap()
-        })
-        .collect()
+    SimConfig {
+        sharing: SharingModel::PerProcessor,
+        geometry: Some(CacheGeometry { sets: 8, ways: 2 }),
+        check_invariants: false,
+        kernels,
+        ..SimConfig::default()
+    }
 }
 
 /// DirnNB's `kernel_materializations` count in `registry`.
@@ -637,49 +528,23 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
     // holder subset per block (eviction pruning included), so DirnNB
     // trips the budget a few thousand references in. The overflowing lane
     // then steps the rest of the trace on the match path, still reading
-    // residency and victims from the bank's one shared decode — in the
-    // staged multi-lane decode (one worker, sharded) and the fused
-    // one-lane pass (serial). Auto and Disabled both read that decode, so
-    // each scheme run alone through `Simulator::run`, whose decode is its
-    // own, is the third input.
+    // residency and victims from the bank's one shared decode, at one
+    // worker and sharded. Serial decodes on its own, so it checks that
+    // shared decode too.
     let wide = NamedWorkload::new("wide-finite", wide_finite_config());
     let schemes = vec![Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
-    let trace: Vec<MemRef> = Workload::new(wide_finite_config()).take(20_000).collect();
-    let reference = reference_results(
-        wide_finite_sim(KernelPolicy::Disabled),
-        &schemes,
-        64,
-        &trace,
-    );
-    let registry = Arc::new(MetricsRegistry::new());
-    let with_kernels = Experiment::new()
-        .workload(wide.clone())
-        .schemes(schemes.clone())
-        .refs_per_trace(20_000)
-        .sim_config(wide_finite_sim(KernelPolicy::Auto))
-        .recorder(registry.clone());
-    let without = Experiment::new()
-        .workload(wide)
-        .schemes(schemes)
-        .refs_per_trace(20_000)
-        .sim_config(wide_finite_sim(KernelPolicy::Disabled));
-    for (mode, what) in [
-        (ExecutionMode::Serial, "wide finite serial"),
-        (parallel(1), "wide finite 1 worker"),
-        (parallel(3), "wide finite 3 workers"),
-    ] {
-        let auto = run(&with_kernels, mode);
-        assert_identical(&auto, &run(&without, mode), what);
-        for (got, want) in auto.per_scheme.iter().zip(&reference) {
-            assert_eq!(&got.combined, want, "{what}: {} vs Simulator", got.scheme);
-        }
+    let matrix = Matrix {
+        sim: wide_finite_sim(KernelPolicy::Auto),
+        ..Matrix::new(vec![wide], schemes, 20_000)
+    };
+    let workers = [1, 3];
+    let auto = assert_kernels_match_oracle(&matrix, &workers, "wide finite");
+    for (w, registry) in workers.iter().zip(&auto) {
+        assert!(
+            dir_n_nb_materializations(registry) > 0,
+            "{w} workers: DirnNB never left its kernel"
+        );
     }
-    // Serial mode keeps the engine's no-op recorder, so the count comes
-    // from the parallel runs (summed over their shards).
-    assert!(
-        dir_n_nb_materializations(&registry) > 0,
-        "DirnNB never left its kernel"
-    );
 }
 
 #[test]
@@ -703,7 +568,7 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
         .chain(Workload::new(wide_finite_config()).take(20_000))
         .collect();
     let schemes = [Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
-    let reference = reference_results(
+    let reference = alone(
         wide_finite_sim(KernelPolicy::Disabled),
         &schemes,
         64,
@@ -712,8 +577,8 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
     let run = |kernels: KernelPolicy, workers: Option<usize>, registry: Arc<MetricsRegistry>| {
         let engine = BroadcastSimulator::new(wide_finite_sim(kernels)).recorder(registry);
         match workers {
-            // Serial: one pass per scheme, as `ExecutionMode::Serial` runs
-            // it — a one-lane bank, which fuses decode and step.
+            // One engine pass per scheme: a one-lane bank, which fuses
+            // decode and step.
             None => schemes
                 .iter()
                 .flat_map(|&s| engine.run(&[s], 64, SliceSource::new(&trace)).unwrap())
@@ -725,14 +590,14 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
         }
     };
     for (workers, what) in [
-        (None, "serial"),
+        (None, "one pass per scheme"),
         (Some(1), "1 worker"),
         (Some(3), "3 workers"),
     ] {
         let registry = Arc::new(MetricsRegistry::new());
         let auto = run(KernelPolicy::Auto, workers, registry.clone());
         // Every placement counts its kernel lanes: one per scheme per
-        // shard (serial runs one one-lane bank per scheme).
+        // shard (one pass per scheme runs one one-lane bank each).
         assert_eq!(
             registry.counter_value("kernel_lanes", &[]),
             Some(3 * workers.unwrap_or(1) as u64),

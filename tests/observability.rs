@@ -1,49 +1,31 @@
 //! Observability contract: metrics must describe the run faithfully and
 //! must never change it.
 //!
-//! Three guarantees matter enough to pin down across the full 14-scheme
+//! Three guarantees matter enough to pin down across the full 16-scheme
 //! gauntlet:
 //!
-//! 1. **Zero perturbation** — attaching a recorder (or leaving the default
-//!    no-op one) yields bit-identical [`ExperimentResults`] on every
-//!    execution path.
+//! 1. **Zero perturbation** — attaching a recorder yields
+//!    [`ExperimentResults`] bit-identical to an uninstrumented one-worker
+//!    run, at every worker count.
 //! 2. **Faithful totals** — the exported counters agree exactly with the
 //!    simulation's own results (`engine_refs`, per-scheme refs /
 //!    transactions / bus-op counts).
 //! 3. **Lossless export** — writing the registry as JSON lines and parsing
 //!    it back reproduces the manifest and every series exactly.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use common::{assert_identical, gauntlet};
 use dirsim::obs::{
     parse_metrics, write_jsonl, MetricsRegistry, ProgressMeter, Recorder, RunManifest,
 };
 use dirsim::prelude::*;
-use dirsim::{ExecutionMode, Experiment, ExperimentResults};
-use dirsim_protocol::DirSpec;
+use dirsim::{Experiment, ExperimentResults};
 
 const REFS: usize = 6_000;
-
-/// The 14-scheme model-checker gauntlet (mirrors `tests/equivalence.rs`).
-fn gauntlet() -> Vec<Scheme> {
-    vec![
-        Scheme::dir_n_nb(),
-        Scheme::dir0_b(),
-        Scheme::dir1_b(),
-        Scheme::dir_i_b(2),
-        Scheme::dir1_nb(),
-        Scheme::Directory(DirSpec::dir_i_nb(2).expect("two pointers is a valid NB spec")),
-        Scheme::CoarseVector,
-        Scheme::Tang,
-        Scheme::YenFu,
-        Scheme::DirUpdate,
-        Scheme::Wti,
-        Scheme::Illinois,
-        Scheme::Dragon,
-        Scheme::Berkeley,
-    ]
-}
 
 fn experiment() -> Experiment {
     Experiment::new()
@@ -52,40 +34,23 @@ fn experiment() -> Experiment {
         .refs_per_trace(REFS)
 }
 
-/// Runs `exp` in `mode`.
-fn run(exp: Experiment, mode: ExecutionMode) -> ExperimentResults {
-    exp.execution(mode).run().unwrap()
-}
-
-fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {
-    assert_eq!(a.trace_stats, b.trace_stats, "{what}: trace statistics");
-    assert_eq!(
-        a.per_scheme.len(),
-        b.per_scheme.len(),
-        "{what}: scheme count"
-    );
-    for (x, y) in a.per_scheme.iter().zip(&b.per_scheme) {
-        assert_eq!(x.scheme, y.scheme, "{what}: scheme order");
-        assert_eq!(x.per_trace, y.per_trace, "{what}: {} per-trace", x.scheme);
-        assert_eq!(x.combined, y.combined, "{what}: {} combined", x.scheme);
-    }
+/// Runs `exp` on `workers` workers.
+fn run(exp: Experiment, workers: usize) -> ExperimentResults {
+    exp.workers(workers).run().unwrap()
 }
 
 #[test]
 fn recorder_never_perturbs_results() {
-    // Baseline: the serial oracle with the default no-op recorder.
-    let baseline = run(experiment(), ExecutionMode::Serial);
-    for (what, mode) in [
-        ("serial", ExecutionMode::Serial),
-        ("1 worker", ExecutionMode::Parallel { workers: 1 }),
-        ("3 workers", ExecutionMode::Parallel { workers: 3 }),
-    ] {
+    // Baseline: one worker with the default no-op recorder.
+    let baseline = run(experiment(), 1);
+    for workers in [1, 3] {
+        let what = format!("{workers} workers");
         let registry = Arc::new(MetricsRegistry::new());
         let instrumented = run(
             experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-            mode,
+            workers,
         );
-        assert_identical(&baseline, &instrumented, what);
+        assert_identical(&baseline, &instrumented, &what);
         assert!(
             !registry.is_empty(),
             "{what}: an attached registry must actually collect metrics"
@@ -98,7 +63,7 @@ fn recorded_counters_match_simulation_results() {
     let registry = Arc::new(MetricsRegistry::new());
     let results = run(
         experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-        ExecutionMode::Parallel { workers: 1 },
+        1,
     );
 
     // The engine decodes each workload's stream exactly once, which every
@@ -152,7 +117,7 @@ fn sharded_run_records_per_shard_series() {
     let registry = Arc::new(MetricsRegistry::new());
     let results = run(
         experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-        ExecutionMode::Parallel { workers: 3 },
+        3,
     );
 
     // Shards partition the reference stream: per-shard refs sum to the
@@ -179,18 +144,18 @@ fn finite_sharded_run_records_per_shard_series() {
     // series as block-sharded infinite runs, and attaching the recorder
     // must not perturb the (replacement-heavy) results.
     use dirsim_mem::CacheGeometry;
-    let config = SimConfig::builder()
-        .geometry(CacheGeometry { sets: 8, ways: 2 })
-        .build()
-        .unwrap();
+    let config = SimConfig {
+        geometry: Some(CacheGeometry { sets: 8, ways: 2 }),
+        ..SimConfig::default()
+    };
     let workers = 3;
-    let baseline = run(experiment().sim_config(config), ExecutionMode::Serial);
+    let baseline = run(experiment().sim_config(config), 1);
     let registry = Arc::new(MetricsRegistry::new());
     let results = run(
         experiment()
             .sim_config(config)
             .recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-        ExecutionMode::Parallel { workers },
+        workers,
     );
     assert_identical(&baseline, &results, "finite sharded instrumented");
 
@@ -229,11 +194,11 @@ fn pipelined_run_records_overlap_metrics() {
     // occupancy gauge in [0, 1] — on top of everything inline decode
     // records.
     let workers = 3;
-    let baseline = run(experiment(), ExecutionMode::Serial);
+    let baseline = run(experiment(), 1);
     let registry = Arc::new(MetricsRegistry::new());
     let results = run(
         experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-        ExecutionMode::Parallel { workers },
+        workers,
     );
     assert_identical(&baseline, &results, "pipelined instrumented");
 
@@ -291,7 +256,7 @@ fn exported_jsonl_round_trips_exactly() {
     let registry = Arc::new(MetricsRegistry::new());
     run(
         experiment().recorder(Arc::clone(&registry) as Arc<dyn Recorder>),
-        ExecutionMode::Parallel { workers: 1 },
+        1,
     );
 
     let manifest = RunManifest::new("observability-test")
@@ -319,10 +284,7 @@ fn progress_meter_sees_monotone_cumulative_refs() {
         Duration::ZERO,
         Box::new(move |p| sink.lock().unwrap().push(p.done)),
     );
-    let results = run(
-        experiment().progress(Arc::new(Mutex::new(meter))),
-        ExecutionMode::Parallel { workers: 1 },
-    );
+    let results = run(experiment().progress(Arc::new(Mutex::new(meter))), 1);
 
     let seen = seen.lock().unwrap();
     // 3 workloads × 6 000 refs comfortably clears the tick stride.
