@@ -434,9 +434,17 @@ impl Lane {
         )
     }
 
-    /// Advances the lane by one reference the bank already decoded: the
-    /// match-path twin of [`Self::step_with_kernel`], with the block and
-    /// victim addresses read back from the bank's dense-index table
+    /// Adds a decode block's `n` instruction fetches: each is a reference
+    /// and an [`EventKind::Instr`] event, with no protocol work, so the
+    /// bank's lanes count them once per block instead of stepping them.
+    pub(crate) fn count_fetches(&mut self, n: u64) {
+        self.result.refs += n;
+        self.result.events.record_n(EventKind::Instr, n);
+    }
+
+    /// Advances the lane by one data reference the bank already decoded:
+    /// the match-path twin of [`Self::step_kernel_block`], with the block
+    /// and victim addresses read back from the bank's dense-index table
     /// `addrs`.
     pub(crate) fn step_decoded(
         &mut self,
@@ -446,10 +454,6 @@ impl Lane {
         d: kernel::DecodedRef,
     ) -> Result<(), StepFailure> {
         self.result.refs += 1;
-        if d.block_idx == kernel::INSTR_REF {
-            self.result.events.record(EventKind::Instr);
-            return Ok(());
-        }
         let block = addrs[d.block_idx as usize];
         let victim = (d.victim_idx != kernel::NO_VICTIM).then(|| addrs[d.victim_idx as usize]);
         let (oracle, result) = (self.oracle.as_mut(), &mut self.result);
@@ -458,72 +462,71 @@ impl Lane {
         )
     }
 
-    /// Advances the lane by one pre-decoded reference through a table
-    /// kernel: the same accumulation as [`Lane::step`] with both audits
-    /// off, driven by memoized transition rows instead of the protocol
-    /// machine. The bank decodes each reference once — block mapping,
-    /// cache attribution, block-index interning, and (under a finite
-    /// geometry) the residency verdict and LRU victim from its one replica
-    /// — and every lane replays the [`kernel::DecodedRef`], so the
-    /// per-lane hot path is pure array indexing with no hashing and no
-    /// cache probing.
+    /// Advances the lane over a decoded block of data references through
+    /// a table kernel: the same accumulation as [`Lane::step`] with both
+    /// audits off, driven by memoized transition rows instead of the
+    /// protocol machine. The bank decodes each reference once — block
+    /// mapping, cache attribution, block-index interning, and (under a
+    /// finite geometry) the residency verdict and LRU victim from its one
+    /// replica — and every lane replays the block, so the per-record hot
+    /// path is pure array indexing with no hashing and no cache probing.
+    /// `blocks` is the bank's interned-block count: the lane's state
+    /// table grows to it once, up front, instead of once per record.
     ///
-    /// Row lookups happen *before* any state mutation, so on
-    /// [`KernelOverflow`] the lane is exactly as it was before the call
-    /// and the same record can be re-stepped through
-    /// [`Self::step_decoded`] after materializing the protocol.
-    pub(crate) fn step_with_kernel(
+    /// Returns the position of the record that overflowed the kernel's
+    /// row budget, if one did. Row lookups happen *before* any state
+    /// mutation, so that record left the lane exactly as it was: every
+    /// record before it is stepped and counted, and it and the rest can
+    /// be re-stepped through [`Self::step_decoded`] after materializing
+    /// the protocol.
+    pub(crate) fn step_kernel_block(
         &mut self,
         kernel: &mut LaneKernel,
-        d: kernel::DecodedRef,
-    ) -> Result<(), KernelOverflow> {
-        if d.block_idx == kernel::INSTR_REF {
-            self.result.refs += 1;
-            self.result.events.record(EventKind::Instr);
-            return Ok(());
+        decoded: &[kernel::DecodedRef],
+        blocks: usize,
+    ) -> Option<usize> {
+        if kernel.states.len() < blocks {
+            kernel.states.resize(blocks, kernel::ABSENT);
         }
-        let data_event = kernel::data_event(d.cache, d.write);
-
-        // Hot path: the bank interned the block to a dense index and
-        // resolved residency up front, so the state lookup, the row
-        // lookup, and the hit count are all array indexing. Per-row
-        // counter effects are not accumulated here: the step is recorded
-        // as `hits[idx] += 1` and multiplied out once at drain time (see
-        // `LaneKernel::drain_hits`), which is bit-identical because every
-        // counter is a commutative sum. The fallible row lookup comes
-        // first, so on overflow the lane is exactly as it was before the
-        // call.
-        let LaneKernel {
-            table,
-            states,
-            tracked: _,
-        } = kernel;
-        let i = d.block_idx as usize;
-        if states.len() <= i {
-            states.resize(i + 1, kernel::ABSENT);
+        for (j, &d) in decoded.iter().enumerate() {
+            // Hot path: the state lookup, the row lookup, and the hit
+            // count are all array indexing. Per-row counter effects are
+            // not accumulated here: the step is recorded as
+            // `hits[idx] += 1` and multiplied out once at drain time (see
+            // `LaneKernel::drain_hits`), which is bit-identical because
+            // every counter is a commutative sum.
+            let LaneKernel { table, states, .. } = &mut *kernel;
+            let i = d.block_idx as usize;
+            let stepped = match table.ensure_row(states[i], kernel::data_event(d.cache, d.write)) {
+                Ok(idx) if d.resident => {
+                    table.hits[idx] += 1;
+                    states[i] = table.nexts[idx];
+                    continue;
+                }
+                // Residency miss: may need two block slots at once (data
+                // + victim), so it takes the cold path with the prepared
+                // data row.
+                Ok(idx) => self.kernel_step_miss(kernel, d, idx),
+                Err(overflow) => Err(overflow),
+            };
+            if stepped.is_err() {
+                self.result.refs += j as u64;
+                return Some(j);
+            }
         }
-        let idx = table.ensure_row(states[i], data_event)?;
-        if !d.resident {
-            // Residency miss: may need two block slots at once (data +
-            // victim), so it takes the cold path. Nothing has been
-            // mutated yet; the prepared data row is passed along.
-            return self.kernel_step_miss(kernel, d, idx);
-        }
-        self.result.refs += 1;
-        let LaneKernel { table, states, .. } = kernel;
-        table.hits[idx] += 1;
-        states[i] = table.nexts[idx];
-        Ok(())
+        self.result.refs += decoded.len() as u64;
+        None
     }
 
-    /// The finite-geometry residency-miss half of [`Self::step_with_kernel`]:
-    /// prepares the (possible) eviction row before any commit (the data
-    /// row arrives pre-ensured from the caller), so [`KernelOverflow`]
-    /// still leaves the lane pristine. The LRU bookkeeping itself happened
-    /// once, in the bank's decode, so only the accounting happens here —
-    /// per-step, because the bus-transaction count folds the data and
-    /// eviction rows into one flag, which a per-row hit count cannot
-    /// express.
+    /// The finite-geometry residency-miss half of
+    /// [`Self::step_kernel_block`]: prepares the (possible) eviction row
+    /// before any commit (the data row arrives pre-ensured from the
+    /// caller), so [`KernelOverflow`] still leaves the lane pristine. The
+    /// LRU bookkeeping itself happened once, in the bank's decode, so
+    /// only the accounting happens here — per-step, because the
+    /// bus-transaction count folds the data and eviction rows into one
+    /// flag, which a per-row hit count cannot express. The caller counts
+    /// the reference.
     #[cold]
     fn kernel_step_miss(
         &mut self,
@@ -541,7 +544,6 @@ impl Lane {
         };
 
         // Commit: infallible, mirrors `step` field for field.
-        self.result.refs += 1;
         let mut eviction_used_bus = false;
         if let Some((v_idx, idx)) = prepared {
             self.result.capacity_evictions += 1;

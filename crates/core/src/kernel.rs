@@ -79,26 +79,26 @@ const UNFILLED: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelOverflow;
 
-/// `block_idx` value marking an instruction fetch (no block involved).
-pub(crate) const INSTR_REF: u32 = u32::MAX;
-
 /// `victim_idx` value when a reference displaces no finite-cache victim.
 pub(crate) const NO_VICTIM: u32 = u32::MAX;
 
-/// One decoded reference, shared by every lane of a bank, kernel or match.
+/// One decoded data reference, shared by every lane of a bank, kernel or
+/// match.
 ///
-/// The bank decodes each reference exactly once: block-map lookup,
+/// The bank decodes each data reference exactly once: block-map lookup,
 /// cache attribution, dense block-index interning, and — under a finite
 /// geometry — the residency verdict and LRU victim from the bank's one
 /// replica, all of which are scheme-independent (a cache's contents
-/// depend only on the reference stream and the geometry). Kernel lanes
-/// then step by pure array indexing, with no hashing and no cache
-/// probing; match lanes read the block and victim addresses back from
-/// the bank's dense-index table. The record carries indices, not
-/// addresses, to stay within 16 bytes.
+/// depend only on the reference stream and the geometry). Instruction
+/// fetches get no record: decode sets them aside and counts them, and
+/// each lane adds a block's count once. Kernel lanes then step by pure
+/// array indexing, with no hashing and no cache probing; match lanes
+/// read the block and victim addresses back from the bank's dense-index
+/// table. The record carries indices, not addresses, to stay within 16
+/// bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedRef {
-    /// Dense bank-wide block index, or [`INSTR_REF`].
+    /// Dense bank-wide block index.
     pub(crate) block_idx: u32,
     /// Block index of the LRU victim this reference displaces, or
     /// [`NO_VICTIM`] (always the latter when `resident`).
@@ -108,19 +108,6 @@ pub(crate) struct DecodedRef {
     /// Whether the block was resident in the attributed finite cache
     /// (`true` under the infinite-cache model).
     pub(crate) resident: bool,
-}
-
-impl DecodedRef {
-    /// An instruction fetch (classified and counted, no protocol work).
-    pub(crate) fn instr() -> DecodedRef {
-        DecodedRef {
-            block_idx: INSTR_REF,
-            victim_idx: NO_VICTIM,
-            cache: CacheId::new(0),
-            write: false,
-            resident: true,
-        }
-    }
 }
 
 /// Block-state content, minus the block address: the interning key.
@@ -159,9 +146,8 @@ pub(crate) struct Row {
 // than a `u8` counts.
 const _: () = assert!(MAX_KERNEL_CACHES <= u8::MAX as u32);
 
-// The one-lane pass builds a record per reference and every lane of a
-// larger bank streams a block of them, so a record carries dense indices,
-// not addresses, and stays within 16 bytes.
+// Every lane of a bank streams a decode block of these records, so a
+// record carries dense indices, not addresses, and stays within 16 bytes.
 const _: () = assert!(std::mem::size_of::<DecodedRef>() <= 16);
 
 impl Row {
@@ -247,8 +233,9 @@ pub(crate) struct KernelTable {
 pub(crate) struct LaneKernel {
     /// The transition tables (fallible side of a step).
     pub(crate) table: KernelTable,
-    /// Current interned state per bank block index (grown on demand;
-    /// [`ABSENT`] until the block's first data reference).
+    /// Current interned state per bank block index (grown to the bank's
+    /// interned-block count once per decode block; [`ABSENT`] until the
+    /// block's first data reference).
     pub(crate) states: Vec<u32>,
     /// Blocks whose current state holds a directory entry — the lane's
     /// `distinct_blocks` (equals `tracked_blocks()` on the match path).
@@ -431,14 +418,10 @@ impl LaneKernel {
         })
     }
 
-    /// Current interned state at bank block index `block_idx` ([`ABSENT`]
-    /// if the lane has never grown that far).
+    /// Current interned state at bank block index `block_idx`.
     #[inline]
     pub(crate) fn state_of(&self, block_idx: u32) -> u32 {
-        self.states
-            .get(block_idx as usize)
-            .copied()
-            .unwrap_or(ABSENT)
+        self.states[block_idx as usize]
     }
 
     /// The lane's distinct-block count (blocks with a directory entry).
@@ -465,11 +448,7 @@ impl LaneKernel {
     pub(crate) fn commit(&mut self, block_idx: u32, idx: usize) {
         let next = self.table.nexts[idx];
         let delta = self.table.rows[idx].tracked_delta;
-        let i = block_idx as usize;
-        if self.states.len() <= i {
-            self.states.resize(i + 1, ABSENT);
-        }
-        self.states[i] = next;
+        self.states[block_idx as usize] = next;
         self.tracked = self.tracked.wrapping_add(delta as i64 as u64);
     }
 
@@ -516,6 +495,7 @@ mod tests {
     #[test]
     fn absent_state_transitions_to_tracked() {
         let mut k = LaneKernel::new(Scheme::Directory(DirSpec::dir0_b()), 4).unwrap();
+        k.states.resize(8, ABSENT);
         let block_idx = 7u32;
         assert_eq!(k.state_of(block_idx), ABSENT);
         let ev = data_event(CacheId::new(1), false);
@@ -547,6 +527,7 @@ mod tests {
     fn materialize_reproduces_block_state() {
         let scheme = Scheme::Directory(DirSpec::dir_i_nb(2).expect("valid spec"));
         let mut k = LaneKernel::new(scheme, 3).unwrap();
+        k.states.resize(1, ABSENT);
         let block = BlockAddr::new(42);
         let block_idx = 0u32;
         // read by 0, read by 1, write by 2 — exercises pointer eviction.
@@ -602,6 +583,7 @@ mod tests {
         ] {
             let scheme: Scheme = name.parse().expect("known scheme");
             let mut k = LaneKernel::new(scheme, caches).unwrap();
+            k.states.resize(1, ABSENT);
             let mut direct = scheme.build(caches);
             let mut events = Vec::new();
             for round in 0..2u32 {
@@ -654,6 +636,7 @@ mod tests {
         let caches = MAX_KERNEL_CACHES;
         let mut k = LaneKernel::new(scheme, caches).unwrap();
         let addrs: Vec<BlockAddr> = (0..256u64).map(BlockAddr::new).collect();
+        k.states.resize(addrs.len(), ABSENT);
         let mut log: Vec<(BlockAddr, CacheId)> = Vec::new();
         let mut overflowed = false;
         'blocks: for b in 0..256u32 {

@@ -95,10 +95,11 @@ pub(crate) const PIPELINE_DEPTH: usize = 2;
 /// Capacity (in batches) of each shard's bounded channel.
 const SHARD_CHANNEL_DEPTH: usize = 4;
 
-/// References decoded per block when several lanes share a chunk (see
-/// `LaneBank::step_chunk`). Small enough that the decode buffer
-/// (4096 × 16-byte records = 64 KiB) stays cache-resident while every
-/// lane replays it; large enough that the per-block lane loop amortises.
+/// References per decode block (see `LaneBank::step_chunk`). Small
+/// enough that the decode buffer (at most 4096 × 16-byte records = 64 KiB,
+/// one per data reference) stays cache-resident while every lane replays
+/// it; large enough that the per-block lane loop and each lane's one
+/// fetch count per block amortise.
 const DECODE_BLOCK: usize = 4_096;
 
 /// The step stage's lane state, struct-of-arrays: one entry per scheme in
@@ -112,13 +113,15 @@ const DECODE_BLOCK: usize = 4_096;
 /// machine and the lane continues on the match path, bit-identically).
 ///
 /// The bank resolves each reference once for all its lanes, through its
-/// [`Decoder`]. A bank of several lanes decodes each block of a chunk
-/// once into `decoded` and steps every lane over it through
-/// [`Self::step_lane`]. A one-lane bank fuses decode and step instead: a
-/// kernel lane steps each reference straight out of
-/// [`Decoder::decode_ref`], and a match lane steps through [`Lane::step`]
-/// against the decoder's LRU replica, skipping the interning it has no
-/// use for.
+/// [`Decoder`], one block of [`DECODE_BLOCK`] references at a time. Only
+/// data references reach the lanes: decode sets instruction fetches
+/// aside and counts them, and each lane adds a block's count once
+/// ([`Lane::count_fetches`]). A kernel lane steps the block's data
+/// references in one tight loop ([`Lane::step_kernel_block`]); a match
+/// lane steps them one by one ([`Lane::step_decoded`]). A one-lane bank
+/// whose lane is on its match machine skips the block instead: it steps
+/// through [`Lane::step`] against the decoder's LRU replica, with no
+/// interning it has no use for.
 struct LaneBank<'a> {
     config: SimConfig,
     rec: &'a dyn Recorder,
@@ -126,7 +129,7 @@ struct LaneBank<'a> {
     kernels: Vec<Option<LaneKernel>>,
     lanes: Vec<Lane>,
     decoder: Decoder,
-    /// One decode block of references, recycled across blocks.
+    /// One decode block's data references, recycled across blocks.
     decoded: Vec<DecodedRef>,
 }
 
@@ -162,14 +165,14 @@ impl<'a> LaneBank<'a> {
         }
     }
 
-    /// Steps every lane over one chunk. A bank of several lanes decodes
-    /// the chunk in blocks of [`DECODE_BLOCK`] references: each block is
-    /// decoded once, then every lane steps it, so the decode buffer stays
-    /// small and warm however large the chunk. A one-lane bank (a
-    /// one-scheme run) fuses decode and step into one pass instead of
-    /// staging through the decode buffer.
+    /// Steps every lane over one chunk, in blocks of [`DECODE_BLOCK`]
+    /// references: each block is decoded once, then every lane steps its
+    /// data references and adds its fetch count, so the decode buffer
+    /// stays small and warm however large the chunk. A one-lane bank on
+    /// its match machine takes the fused [`Self::step_one_lane`] pass
+    /// instead.
     fn step_chunk(&mut self, refs: &[MemRef]) -> Result<(), Error> {
-        if self.lanes.len() == 1 {
+        if self.lanes.len() == 1 && self.kernels[0].is_none() {
             return self.step_one_lane(refs);
         }
         let mut decoded = std::mem::take(&mut self.decoded);
@@ -178,41 +181,25 @@ impl<'a> LaneBank<'a> {
             decoded.extend(
                 block
                     .iter()
+                    .filter(|r| r.kind.is_data())
                     .map(|r| self.decoder.decode_ref(&self.config, r)),
             );
+            let fetches = (block.len() - decoded.len()) as u64;
             for i in 0..self.lanes.len() {
-                self.step_lane(i, &decoded)?;
+                self.step_lane(i, block, &decoded)?;
+                self.lanes[i].count_fetches(fetches);
             }
         }
         self.decoded = decoded;
         Ok(())
     }
 
-    /// The fused one-lane pass. A kernel lane decodes and steps each
-    /// reference in turn; on overflow the failed record goes through
-    /// [`Self::step_lane`], like any bank's, and the rest of the chunk
-    /// steps on the match path. A match lane steps through [`Lane::step`].
+    /// The fused one-lane match pass: decode and step each reference in
+    /// turn through [`Lane::step`], against the decoder's LRU replica.
     fn step_one_lane(&mut self, refs: &[MemRef]) -> Result<(), Error> {
-        let mut rest = refs;
-        if let Some(k) = &mut self.kernels[0] {
-            let lane = &mut self.lanes[0];
-            let mut overflow = None;
-            for (j, r) in refs.iter().enumerate() {
-                let d = self.decoder.decode_ref(&self.config, r);
-                if lane.step_with_kernel(k, d).is_err() {
-                    overflow = Some((j, d));
-                    break;
-                }
-            }
-            let Some((j, d)) = overflow else {
-                return Ok(());
-            };
-            self.step_lane(0, &[d])?;
-            rest = &refs[j + 1..];
-        }
         let (lane, protocol) = (&mut self.lanes[0], self.protocols[0].as_mut());
         let (config, finite) = (&self.config, &mut self.decoder.finite);
-        for &r in rest {
+        for &r in refs {
             let index = lane.next_index();
             if let Err(failure) = lane.step(config, protocol, finite, r) {
                 return Err(step_error(protocol.name(), index, failure));
@@ -221,21 +208,28 @@ impl<'a> LaneBank<'a> {
         Ok(())
     }
 
-    /// Steps lane `i` over decoded references. A kernel lane that
-    /// overflows at `decoded[j]` settles its batched hits, materializes
-    /// its machine, counts the exit in `kernel_materializations{scheme}`,
-    /// and steps `decoded[j..]` on the match path — the failed record
-    /// mutated nothing, so the lane resumes exactly where it stopped. The
-    /// kernel stays dropped, so the lane takes the match path from then on.
-    fn step_lane(&mut self, i: usize, decoded: &[DecodedRef]) -> Result<(), Error> {
+    /// Steps lane `i` over the data references `decoded` of one decode
+    /// `block`. A kernel lane that overflows at `decoded[j]` settles its
+    /// batched hits, materializes its machine, counts the exit in
+    /// `kernel_materializations{scheme}`, and steps `decoded[j..]` on the
+    /// match path — the failed record mutated nothing, so the lane
+    /// resumes exactly where it stopped. The kernel stays dropped, so the
+    /// lane takes the match path from then on. The caller adds the
+    /// block's fetches afterwards, so a failing record's reference index
+    /// is the lane's count at block start plus the record's position in
+    /// `block`.
+    fn step_lane(
+        &mut self,
+        i: usize,
+        block: &[MemRef],
+        decoded: &[DecodedRef],
+    ) -> Result<(), Error> {
         let (lane, protocol) = (&mut self.lanes[i], &mut self.protocols[i]);
         let addrs = &self.decoder.addrs;
-        let mut rest = decoded;
+        let start = lane.next_index();
+        let mut resume = 0;
         if let Some(k) = &mut self.kernels[i] {
-            let Some(j) = decoded
-                .iter()
-                .position(|&d| lane.step_with_kernel(k, d).is_err())
-            else {
+            let Some(j) = lane.step_kernel_block(k, decoded, addrs.len()) else {
                 return Ok(());
             };
             lane.absorb_kernel_hits(k);
@@ -244,12 +238,12 @@ impl<'a> LaneBank<'a> {
             let scheme = protocol.name();
             self.rec
                 .counter("kernel_materializations", &[("scheme", &scheme)], 1);
-            rest = &decoded[j..];
+            resume = j;
         }
         let protocol = protocol.as_mut();
-        for &d in rest {
-            let index = lane.next_index();
+        for (j, &d) in decoded.iter().enumerate().skip(resume) {
             if let Err(failure) = lane.step_decoded(&self.config, protocol, addrs, d) {
+                let index = start + data_position(block, j);
                 return Err(step_error(protocol.name(), index, failure));
             }
         }
@@ -284,16 +278,13 @@ struct Decoder {
 }
 
 impl Decoder {
-    /// Resolves one reference for every lane: block mapping, cache
+    /// Resolves one data reference for every lane: block mapping, cache
     /// attribution, block-index interning, and — under a finite geometry
     /// — the access to the LRU replica, which yields the residency
     /// verdict and the victim. Each is paid once per reference no matter
     /// how many lanes replay the result.
     #[inline]
     fn decode_ref(&mut self, config: &SimConfig, r: &MemRef) -> DecodedRef {
-        if r.kind == AccessKind::InstrFetch {
-            return DecodedRef::instr();
-        }
         let block = config.block_map.block_of(r.addr);
         let block_idx = *self.intern.entry(block).or_insert_with(|| {
             let idx = u32::try_from(self.addrs.len()).expect("fewer than 2^32 blocks");
@@ -319,6 +310,19 @@ impl Decoder {
             resident,
         }
     }
+}
+
+/// Position in `block` of its `j`-th data reference: the error path's
+/// way back from a decoded record to the reference it came from.
+#[cold]
+fn data_position(block: &[MemRef], j: usize) -> u64 {
+    let (position, _) = block
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.kind.is_data())
+        .nth(j)
+        .expect("every decoded record came from a data reference of its block");
+    position as u64
 }
 
 #[cold]
@@ -812,8 +816,12 @@ fn record_scheme_totals(recorder: &dyn Recorder, results: &[SimResult]) {
 mod tests {
     use super::*;
     use crate::broadcast::BroadcastSimulator;
+    use crate::engine::Simulator;
+    use dirsim_mem::CacheId;
+    use dirsim_protocol::api::{BlockProbe, StateSnapshot};
+    use dirsim_protocol::{DataMovement, EventKind, RefOutcome};
     use dirsim_trace::source::{IterSource, SliceSource};
-    use dirsim_trace::Scenario;
+    use dirsim_trace::{Addr, CpuId, ProcessId, Scenario};
 
     const REFS: usize = 12_000;
 
@@ -832,6 +840,131 @@ mod tests {
         dirsim_trace::io::write_binary(&mut file, refs.iter().copied()).unwrap();
         std::io::Write::flush(&mut file).unwrap();
         path
+    }
+
+    /// A correct machine with its invalidations dropped: a cache that a
+    /// write should have invalidated keeps its copy, and its next read of
+    /// the block is a hit on that stale copy, which the shadow-memory
+    /// oracle rejects.
+    struct DropsInvalidations {
+        inner: Box<dyn CoherenceProtocol>,
+        stale: Vec<(CacheId, BlockAddr)>,
+    }
+
+    impl CoherenceProtocol for DropsInvalidations {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn cache_count(&self) -> u32 {
+            self.inner.cache_count()
+        }
+
+        fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
+            if !write && self.stale.contains(&(cache, block)) {
+                return RefOutcome::event(EventKind::RdHit);
+            }
+            let mut outcome = self.inner.on_data_ref(cache, block, write);
+            outcome.movements.retain(|&m| match m {
+                DataMovement::Invalidate { cache } => {
+                    self.stale.push((cache, block));
+                    false
+                }
+                _ => true,
+            });
+            outcome
+        }
+
+        fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
+            self.inner.evict(cache, block)
+        }
+
+        fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
+            self.inner.probe(block)
+        }
+
+        fn tracked_blocks(&self) -> usize {
+            self.inner.tracked_blocks()
+        }
+
+        fn snapshot(&self) -> StateSnapshot {
+            self.inner.snapshot()
+        }
+
+        fn boxed_clone(&self) -> Box<dyn CoherenceProtocol> {
+            Box::new(DropsInvalidations {
+                inner: self.inner.boxed_clone(),
+                stale: self.stale.clone(),
+            })
+        }
+    }
+
+    #[test]
+    fn error_indices_count_the_fetches_set_aside_at_decode() {
+        // Fetches interleaved with clean reads carry the stream past the
+        // first decode block; then cache 1 writes a block cache 0 holds,
+        // and cache 0 reads its stale copy. The reported index must be
+        // that read's position in the whole stream, fetches included, as
+        // `Simulator::run` reports it.
+        let (c0, c1) = (CpuId::new(0), CpuId::new(1));
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let shared = Addr::new(0x40);
+        let mut refs: Vec<MemRef> = (0..2_500u64)
+            .flat_map(|k| {
+                [
+                    MemRef::instr(c0, p0, Addr::new(0x9000 + 4 * k)),
+                    MemRef::read(c0, p0, Addr::new(0x1000 + 16 * (k % 50))),
+                ]
+            })
+            .collect();
+        refs.extend([
+            MemRef::read(c0, p0, shared),
+            MemRef::instr(c1, p1, Addr::new(0x9000)),
+            MemRef::read(c1, p1, shared),
+            MemRef::write(c1, p1, shared),
+            MemRef::instr(c0, p0, Addr::new(0x9004)),
+            MemRef::instr(c0, p0, Addr::new(0x9008)),
+            MemRef::read(c0, p0, shared),
+            MemRef::instr(c0, p0, Addr::new(0x900c)),
+        ]);
+        let config = SimConfig {
+            check_oracle: true,
+            check_invariants: false,
+            ..SimConfig::default()
+        };
+        let broken = || DropsInvalidations {
+            inner: Scheme::dir0_b().build(2),
+            stale: Vec::new(),
+        };
+        let want = Simulator::new(config)
+            .run(&mut broken(), refs.iter().copied())
+            .expect_err("the oracle rejects the stale read")
+            .ref_index;
+        assert_eq!(want, refs.len() as u64 - 2, "the stale read");
+        assert!(want > DECODE_BLOCK as u64, "in the second decode block");
+
+        let rec = dirsim_obs::NoopRecorder;
+        // Two lanes, the broken one second, so a correct lane steps each
+        // block first; and one lane alone.
+        for schemes in [&[Scheme::Wti, Scheme::dir0_b()][..], &[Scheme::dir0_b()]] {
+            for chunk in [refs.len(), 777] {
+                let mut bank = LaneBank::new(config, &rec, schemes, 2);
+                *bank.protocols.last_mut().unwrap() = Box::new(broken());
+                let err = refs
+                    .chunks(chunk)
+                    .try_for_each(|c| bank.step_chunk(c))
+                    .expect_err("the bank's oracle rejects the stale read");
+                let Error::Sim(err) = err else {
+                    panic!("expected a coherence violation, got {err}");
+                };
+                assert_eq!(
+                    err.ref_index,
+                    want,
+                    "{} lanes, chunks of {chunk}",
+                    schemes.len()
+                );
+            }
+        }
     }
 
     #[test]

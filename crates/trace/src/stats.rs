@@ -172,24 +172,20 @@ impl TraceStats {
         Ok(stats)
     }
 
-    /// Records one reference.
+    /// Records one reference. Every tally is a 0-or-1 addend rather than
+    /// a branch: this runs once per reference on every scanned and every
+    /// simulated stream, whose kinds and flags interleave too finely for
+    /// a branch predictor. A lock flag counts only on a read.
     pub fn observe(&mut self, r: &MemRef) {
+        let read = u64::from(r.kind == AccessKind::Read);
+        let os = u64::from(r.flags.is_os());
         self.total += 1;
-        match r.kind {
-            AccessKind::InstrFetch => self.instr += 1,
-            AccessKind::Read => {
-                self.data_reads += 1;
-                if r.flags.is_lock() {
-                    self.lock_reads += 1;
-                }
-            }
-            AccessKind::Write => self.data_writes += 1,
-        }
-        if r.flags.is_os() {
-            self.system += 1;
-        } else {
-            self.user += 1;
-        }
+        self.instr += u64::from(r.kind == AccessKind::InstrFetch);
+        self.data_reads += read;
+        self.data_writes += u64::from(r.kind == AccessKind::Write);
+        self.lock_reads += read & u64::from(r.flags.is_lock());
+        self.system += os;
+        self.user += 1 - os;
         self.cpus.insert(r.cpu.index() as u32);
         self.pids.insert(r.pid.index() as u32);
     }

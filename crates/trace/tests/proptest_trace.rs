@@ -323,6 +323,37 @@ proptest! {
     }
 
     /// Filters are idempotent and only remove what they claim.
+    /// `observe`'s arithmetic tallies agree with a tally written with
+    /// `match`, over streams that mix every kind with every flag pair: a
+    /// lock flag on a write or a fetch is not a lock read, and an OS flag
+    /// counts on every kind.
+    #[test]
+    fn observe_matches_a_match_tally(refs in arbitrary_refs(200)) {
+        let stats = TraceStats::from_refs(refs.iter().copied());
+        let (mut instr, mut reads, mut writes, mut locks, mut system) = (0, 0, 0, 0, 0);
+        for r in &refs {
+            match (r.kind, r.flags.is_lock()) {
+                (AccessKind::InstrFetch, _) => instr += 1,
+                (AccessKind::Read, true) => {
+                    reads += 1;
+                    locks += 1;
+                }
+                (AccessKind::Read, false) => reads += 1,
+                (AccessKind::Write, _) => writes += 1,
+            }
+            if r.flags.is_os() {
+                system += 1;
+            }
+        }
+        prop_assert_eq!(stats.total(), refs.len() as u64);
+        prop_assert_eq!(stats.instructions(), instr);
+        prop_assert_eq!(stats.data_reads(), reads);
+        prop_assert_eq!(stats.data_writes(), writes);
+        prop_assert_eq!(stats.lock_reads(), locks);
+        prop_assert_eq!(stats.system(), system);
+        prop_assert_eq!(stats.user(), refs.len() as u64 - system);
+    }
+
     #[test]
     fn filters_are_idempotent(refs in arbitrary_refs(150)) {
         let once: Vec<MemRef> = without_lock_tests(refs.clone()).collect();

@@ -304,11 +304,11 @@ fn table_kernels_match_the_direct_machines() {
 
 #[test]
 fn each_scheme_alone_matches_serial() {
-    // One scheme per run makes every bank a one-lane bank, which fuses
-    // decode and step: a kernel lane steps each record as the bank decodes
-    // it, and a match lane steps through `Lane::step` against the bank's
-    // replica. Both kernel policies run with audits off, so both branches
-    // run in debug builds too.
+    // One scheme per run makes every bank a one-lane bank: a kernel lane
+    // steps decode blocks like any bank's, and a match lane fuses decode
+    // and step through `Lane::step` against the bank's replica. Both
+    // kernel policies run with audits off, so both branches run in debug
+    // builds too.
     for geometry in [None, Some(CacheGeometry { sets: 8, ways: 2 })] {
         let mut all = unaudited(Matrix::paper(gauntlet(), FINITE_REFS));
         all.sim.geometry = geometry;
@@ -577,8 +577,7 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
     let run = |kernels: KernelPolicy, workers: Option<usize>, registry: Arc<MetricsRegistry>| {
         let engine = BroadcastSimulator::new(wide_finite_sim(kernels)).recorder(registry);
         match workers {
-            // One engine pass per scheme: a one-lane bank, which fuses
-            // decode and step.
+            // One engine pass per scheme: a one-lane bank.
             None => schemes
                 .iter()
                 .flat_map(|&s| engine.run(&[s], 64, SliceSource::new(&trace)).unwrap())
@@ -613,5 +612,145 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
             "{what}"
         );
         assert_eq!(auto, reference, "{what}: vs Simulator");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fetch edges: a lane bank sets instruction fetches aside at decode, and
+// each lane adds a decode block's fetch count once instead of stepping
+// every fetch. These rounds aim at the edges of that split — a stream
+// with no data at all, decode blocks with no data reference, fetch runs
+// across chunk and decode-block boundaries (odd chunk sizes), and a
+// kernel overflow on the first data reference after a fetch run — with
+// one bank of every scheme and one one-lane bank per scheme, under both
+// kernel policies, against each scheme run alone through
+// `Simulator::run`.
+// ---------------------------------------------------------------------
+
+/// An instruction fetch by CPU and process `k % 4`. The addresses walk
+/// distinct blocks, so the route spreads fetch runs over every shard.
+fn fetch(k: u64) -> MemRef {
+    MemRef::instr(
+        CpuId::new((k % 4) as u16),
+        ProcessId::new((k % 4) as u32),
+        Addr::new(0x10_0000 + 16 * k),
+    )
+}
+
+/// Checks `trace` under `sim` against the oracle at 1 and 3 workers and
+/// two odd chunk sizes, as one bank of every scheme and as one one-lane
+/// bank per scheme, and checks `kernel_lanes`. Returns each placement's
+/// label and metrics.
+fn assert_fetch_edge(
+    sim: SimConfig,
+    schemes: &[Scheme],
+    caches: u32,
+    trace: &[MemRef],
+    what: &str,
+) -> Vec<(String, Arc<MetricsRegistry>)> {
+    let want = alone(sim, schemes, caches, trace);
+    let mut registries = Vec::new();
+    for workers in [1, 3] {
+        for chunk in [1_001, 4_097] {
+            let what = format!(
+                "{what}, {:?}, {workers} workers, chunks of {chunk}",
+                sim.kernels
+            );
+            let registry = Arc::new(MetricsRegistry::new());
+            let engine = BroadcastSimulator::new(sim)
+                .workers(workers)
+                .chunk_size(chunk)
+                .recorder(registry.clone());
+            let bank = engine
+                .run(schemes, caches, SliceSource::new(trace))
+                .unwrap();
+            assert_eq!(bank, want, "{what}: one bank");
+            let one_lane: Vec<SimResult> = schemes
+                .iter()
+                .flat_map(|&s| engine.run(&[s], caches, SliceSource::new(trace)).unwrap())
+                .collect();
+            assert_eq!(one_lane, want, "{what}: one-lane banks");
+            let kernel_lanes = match sim.kernels {
+                KernelPolicy::Auto => 2 * schemes.len() * workers,
+                KernelPolicy::Disabled => 0,
+            };
+            assert_eq!(
+                registry.counter_value("kernel_lanes", &[]).unwrap_or(0),
+                kernel_lanes as u64,
+                "{what}: kernel_lanes"
+            );
+            registries.push((what, registry));
+        }
+    }
+    registries
+}
+
+#[test]
+fn fetch_edges_agree_with_the_oracle() {
+    let pops: Vec<MemRef> = Scenario::named("pops")
+        .unwrap()
+        .workload()
+        .take(6_000)
+        .collect();
+    let caches = TraceStats::from_refs(pops.iter().copied()).process_id_bound();
+    // Fetch runs of 1 to 7 between the pops references, so runs end and
+    // start on every side of each chunk and decode-block boundary.
+    let straddling: Vec<MemRef> = pops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &r)| (0..(i as u64 * 5) % 7 + 1).map(fetch).chain([r]))
+        .collect();
+    // 30,000 fetches in a row: at 3 workers each shard still gets runs
+    // longer than two decode blocks, so some block holds no data at all.
+    let data_free: Vec<MemRef> = pops[..3_000]
+        .iter()
+        .copied()
+        .chain((0..30_000).map(fetch))
+        .chain(pops[3_000..].iter().copied())
+        .collect();
+    let cases = [
+        ("fetches only", (0..9_000).map(fetch).collect::<Vec<_>>()),
+        ("a fetch run longer than a decode block", data_free),
+        ("fetch runs across boundaries", straddling),
+    ];
+    for (what, trace) in &cases {
+        for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
+            let sim = SimConfig {
+                check_invariants: false,
+                kernels,
+                ..SimConfig::default()
+            };
+            assert_fetch_edge(sim, &gauntlet(), caches, trace, what);
+        }
+    }
+}
+
+#[test]
+fn kernel_overflow_after_a_fetch_run_agrees_with_the_oracle() {
+    // The wide finite trace with a run of fetches before every data
+    // reference, so the data reference that overflows DirnNB's kernel
+    // comes straight after a fetch run, whichever one it is.
+    let trace: Vec<MemRef> = Workload::new(wide_finite_config())
+        .take(20_000)
+        .enumerate()
+        .flat_map(|(i, r)| (0..i as u64 % 3 + 1).map(fetch).chain([r]))
+        .collect();
+    let schemes = [Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
+    for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
+        let registries = assert_fetch_edge(
+            wide_finite_sim(kernels),
+            &schemes,
+            64,
+            &trace,
+            "wide finite",
+        );
+        if kernels == KernelPolicy::Auto {
+            for (what, registry) in &registries {
+                assert!(
+                    dir_n_nb_materializations(registry) > 0,
+                    "{what}: DirnNB never left its kernel"
+                );
+            }
+        }
     }
 }
