@@ -154,6 +154,15 @@ impl BroadcastSimulator {
     /// * `kernel_lanes` — counter of lanes that start on a table kernel
     ///   (see [`crate::kernel`]), summed over shards: a sharded run steps
     ///   one lane per scheme per shard;
+    /// * `kernel_joint_lanes` — counter of those lanes that start joined:
+    ///   a bank of several lanes, all on kernels, steps them as one joint
+    ///   kernel, a product machine over their block states; summed over
+    ///   shards;
+    /// * `kernel_joint_splits{reason}` — counter of joint kernels that
+    ///   split back into per-lane kernels mid-stream, because a fresh
+    ///   joint state would pass the joint's budget (`reason="budget"`) or
+    ///   a lane's own table overflowed (`reason="lane_overflow"`); summed
+    ///   over shards;
     /// * `kernel_materializations{scheme}` — counter of kernel lanes that
     ///   overflowed their row budget and continued on the match machine,
     ///   summed over shards;

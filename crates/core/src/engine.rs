@@ -521,11 +521,8 @@ impl Lane {
     /// The finite-geometry residency-miss half of
     /// [`Self::step_kernel_block`]: prepares the (possible) eviction row
     /// before any commit (the data row arrives pre-ensured from the
-    /// caller), so [`KernelOverflow`] still leaves the lane pristine. The
-    /// LRU bookkeeping itself happened once, in the bank's decode, so
-    /// only the accounting happens here — per-step, because the
-    /// bus-transaction count folds the data and eviction rows into one
-    /// flag, which a per-row hit count cannot express. The caller counts
+    /// caller), so [`KernelOverflow`] still leaves the lane pristine,
+    /// then accounts the step and moves both blocks. The caller counts
     /// the reference.
     #[cold]
     fn kernel_step_miss(
@@ -535,22 +532,42 @@ impl Lane {
         data_idx: usize,
     ) -> Result<(), KernelOverflow> {
         // Prepare: fallible, mutates only the kernel's table.
-        let prepared = if d.victim_idx != kernel::NO_VICTIM {
-            let row =
-                kernel.ensure_row(kernel.state_of(d.victim_idx), kernel::evict_event(d.cache))?;
-            Some((d.victim_idx, row))
+        let evict = if d.victim_idx != kernel::NO_VICTIM {
+            Some(kernel.ensure_row(kernel.state_of(d.victim_idx), kernel::evict_event(d.cache))?)
         } else {
             None
         };
+        // Commit: infallible.
+        self.account_kernel_miss(kernel, evict, data_idx);
+        if let Some(idx) = evict {
+            kernel.commit(d.victim_idx, idx);
+        }
+        kernel.commit(d.block_idx, data_idx);
+        Ok(())
+    }
 
-        // Commit: infallible, mirrors `step` field for field.
+    /// Accounts one kernel residency-miss step from its prepared rows —
+    /// the victim's eviction row, if the reference displaced one, and
+    /// the data row — mirroring [`Lane::step`] field for field. Block
+    /// states and the tracked-block ledger are the caller's to move: a
+    /// lane's own kernel commits both rows, the joint kernel moves its
+    /// tuples and tracks the rows in each lane. The LRU bookkeeping
+    /// itself happened once, in the bank's decode, so only the
+    /// accounting happens here — per step, because the bus-transaction
+    /// count folds the data and eviction rows into one flag, which a
+    /// per-row hit count cannot express.
+    pub(crate) fn account_kernel_miss(
+        &mut self,
+        kernel: &LaneKernel,
+        evict: Option<usize>,
+        data_idx: usize,
+    ) {
         let mut eviction_used_bus = false;
-        if let Some((v_idx, idx)) = prepared {
+        if let Some(idx) = evict {
             self.result.capacity_evictions += 1;
             let row = kernel.row(idx);
             row.add_ops(&mut self.result.ops, 1);
             eviction_used_bus = row.used_bus();
-            kernel.commit(v_idx, idx);
         }
         let row = kernel.row(data_idx);
         if let Some(kind) = row.kind() {
@@ -563,8 +580,13 @@ impl Lane {
         if let Some(fanout) = row.fanout() {
             self.result.fanout.record(fanout);
         }
-        kernel.commit(d.block_idx, data_idx);
-        Ok(())
+    }
+
+    /// Counts `n` data references a joint kernel stepped for this lane;
+    /// their accounting arrives through the lane kernel's row hits and
+    /// [`Self::account_kernel_miss`].
+    pub(crate) fn count_joint_steps(&mut self, n: u64) {
+        self.result.refs += n;
     }
 
     /// Finalises the lane into its [`SimResult`].

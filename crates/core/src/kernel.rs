@@ -37,8 +37,12 @@
 //! *materializes* a real protocol instance (replaying every block's
 //! discovery path) and continues on the match-based path, bit-identically.
 
-use dirsim_mem::{BlockAddr, CacheId, FxHashMap};
+use std::hash::{Hash, Hasher};
+
+use dirsim_mem::{BlockAddr, CacheId, FxHashMap, FxHasher};
 use dirsim_protocol::{BusOp, CoherenceProtocol, EventKind, OpCounts, Scheme};
+
+use crate::engine::Lane;
 
 /// Whether lanes may use table-driven kernels (see [`crate::kernel`]).
 ///
@@ -446,9 +450,15 @@ impl LaneKernel {
     /// Infallible.
     #[inline]
     pub(crate) fn commit(&mut self, block_idx: u32, idx: usize) {
-        let next = self.table.nexts[idx];
+        self.states[block_idx as usize] = self.table.nexts[idx];
+        self.track(idx);
+    }
+
+    /// Settles one step's tracked-block delta through the row at `idx`,
+    /// for a step whose block state the caller moves itself.
+    #[inline]
+    pub(crate) fn track(&mut self, idx: usize) {
         let delta = self.table.rows[idx].tracked_delta;
-        self.states[block_idx as usize] = next;
         self.tracked = self.tracked.wrapping_add(delta as i64 as u64);
     }
 
@@ -484,6 +494,380 @@ impl LaneKernel {
             }
         }
         machine
+    }
+}
+
+/// Why a joint kernel handed its lanes back to their own kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JointSplit {
+    /// A fresh joint state would pass [`JOINT_ROW_BUDGET`], or a joint or
+    /// lane state id would outgrow its 16 bits.
+    Budget,
+    /// A lane's own [`KernelTable::ensure_row`] overflowed.
+    LaneOverflow,
+}
+
+impl JointSplit {
+    /// The `reason` label of the engine's `kernel_joint_splits` counter.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            JointSplit::Budget => "budget",
+            JointSplit::LaneOverflow => "lane_overflow",
+        }
+    }
+}
+
+/// A joint state id. Joint tables are the bank's main memory cost, and a
+/// joint state exists per visited tuple, about one per block on the paper
+/// traces, so ids, tuple entries and hit counts are 16 bits wide.
+type JointId = u16;
+
+/// Marker of an unfilled joint row, and of a free index slot.
+const NO_JOINT: JointId = JointId::MAX;
+
+/// One memoized joint transition: the successor joint state, and the
+/// batched count of resident steps through it, modulo 2^16 — a count
+/// that wraps carries into the lanes' own rows at once. Both sit in one
+/// 4-byte record because the hot loop reads the one and bumps the other.
+#[derive(Debug, Clone, Copy)]
+struct JointRow {
+    next: JointId,
+    hits: u16,
+}
+
+impl JointRow {
+    const UNFILLED: JointRow = JointRow {
+        next: NO_JOINT,
+        hits: 0,
+    };
+}
+
+/// Every lane of a bank stepped as one product machine.
+///
+/// Every scheme keeps its state per block, so the tuple of a block's
+/// lane states is itself a finite-state machine, and its transitions can
+/// be memoized once for all lanes. A joint state id names one interned
+/// tuple (joint state 0 is every lane [`ABSENT`]); a joint row maps a
+/// (joint state, data event) pair to the successor joint state and
+/// counts the resident steps taken through it. Rows fill lazily from
+/// each lane's own [`KernelTable::ensure_row`], so the lane tables stay
+/// the only row authority: a joint row stores no lane row index, since
+/// lane `l`'s row for the same step is `tuple[l] × events + event`.
+/// Draining adds each joint hit count to every lane's row hits, so the
+/// lanes' results come out of their own drains bit for bit.
+///
+/// While joined, a lane kernel's `states` stay empty and its `tracked`
+/// ledger counts only residency-miss steps; the joint's own per-block
+/// states stand in for all of them. [`Self::split`] writes them back.
+pub(crate) struct JointKernel {
+    /// The lanes' own kernels, in lane order.
+    kernels: Vec<LaneKernel>,
+    /// Joint events per state: `2 * caches` (a read and a write per
+    /// cache). Evictions never hit a joint row: they take the cold path.
+    events: usize,
+    /// Interned joint states.
+    count: usize,
+    /// Interned tuples, `kernels.len()` lane state ids per joint state.
+    tuples: Paged<u16>,
+    /// Open-addressed index into `tuples`: a joint id, or [`NO_JOINT`].
+    /// Its length is a power of two, and at most half of it is in use.
+    slots: Vec<JointId>,
+    /// `events` rows per joint state, filled lazily.
+    rows: Paged<JointRow>,
+    /// Current joint state per bank block index.
+    states: Vec<JointId>,
+    /// A successor tuple being built, recycled across fills.
+    next_tuple: Vec<u16>,
+}
+
+/// Total joint-row budget per bank (joint states × joint events): a
+/// joint state has two events per cache to a lane state's three, so the
+/// joint's state budget equals one lane's. A joint state space that
+/// outgrows every lane's trips it (`budget`); one that grows only as
+/// fast as its widest lane's lets that lane overflow first
+/// (`lane_overflow`). At the paper's 4 caches it allows 21,845 joint
+/// states, and at 16 lanes each costs about 70 bytes (tuple, rows and
+/// index), so the tables stay within about 1.5 MB. Past the budget the
+/// bank splits back into per-lane kernels.
+const JOINT_ROW_BUDGET: usize = ROW_BUDGET / 3 * 2;
+
+impl JointKernel {
+    /// Joins the fresh lane kernels of one bank at `caches` caches.
+    pub(crate) fn new(kernels: Vec<LaneKernel>, caches: u32) -> JointKernel {
+        let lanes = kernels.len();
+        assert!(lanes > 0, "a joint kernel needs a lane");
+        debug_assert!(kernels.iter().all(|k| k.states.is_empty()));
+        let events = 2 * caches as usize;
+        let mut joint = JointKernel {
+            kernels,
+            events,
+            count: 0,
+            tuples: Paged::new(lanes, 0),
+            slots: vec![NO_JOINT; 16],
+            rows: Paged::new(events, JointRow::UNFILLED),
+            states: Vec::new(),
+            next_tuple: Vec::with_capacity(lanes),
+        };
+        let absent = joint
+            .intern(&vec![ABSENT as u16; lanes])
+            .expect("one joint state fits the budget");
+        debug_assert_eq!(u32::from(absent), ABSENT);
+        joint
+    }
+
+    /// Steps every lane over a decoded block of data references. A
+    /// resident reference whose joint row is filled costs one state load,
+    /// one row load and one hit count for all lanes; anything else takes
+    /// [`Self::step_cold`]. `blocks` is the bank's interned-block count.
+    /// Each lane counts the references stepped.
+    ///
+    /// # Errors
+    ///
+    /// The position of the record that split the joint, and why. That
+    /// record mutated no block state, so the lanes resume at it on their
+    /// own kernels after [`Self::split`].
+    pub(crate) fn step_block(
+        &mut self,
+        lanes: &mut [Lane],
+        decoded: &[DecodedRef],
+        blocks: usize,
+    ) -> Result<(), (usize, JointSplit)> {
+        if self.states.len() < blocks {
+            self.states.resize(blocks, ABSENT as JointId);
+        }
+        for (j, &d) in decoded.iter().enumerate() {
+            let b = d.block_idx as usize;
+            let state = self.states[b];
+            let e = joint_event(d.cache, d.write);
+            let row = &mut self.rows.get_mut(usize::from(state))[e];
+            if row.next != NO_JOINT && d.resident {
+                row.hits = row.hits.wrapping_add(1);
+                self.states[b] = row.next;
+                if row.hits == 0 {
+                    self.carry(state, e);
+                }
+                continue;
+            }
+            if let Err(split) = self.step_cold(lanes, d) {
+                lanes.iter_mut().for_each(|l| l.count_joint_steps(j as u64));
+                return Err((j, split));
+            }
+        }
+        lanes
+            .iter_mut()
+            .for_each(|l| l.count_joint_steps(decoded.len() as u64));
+        Ok(())
+    }
+
+    /// A step off the hot path: fill the joint row, then either count a
+    /// resident hit or, on a residency miss, do each lane's
+    /// [`Lane::account_kernel_miss`] from its tuple states. Everything
+    /// fallible — the data row, the victim's eviction rows and its
+    /// successor tuple — happens before any block state moves.
+    #[cold]
+    fn step_cold(&mut self, lanes: &mut [Lane], d: DecodedRef) -> Result<(), JointSplit> {
+        let b = d.block_idx as usize;
+        let state = self.states[b];
+        let e = joint_event(d.cache, d.write);
+        if self.rows.get(usize::from(state))[e].next == NO_JOINT {
+            let next = self.successor(state, data_event(d.cache, d.write))?;
+            self.rows.get_mut(usize::from(state))[e].next = next;
+        }
+        let row = &mut self.rows.get_mut(usize::from(state))[e];
+        let next = row.next;
+        if d.resident {
+            row.hits = row.hits.wrapping_add(1);
+            self.states[b] = next;
+            if row.hits == 0 {
+                self.carry(state, e);
+            }
+            return Ok(());
+        }
+        let victim = (d.victim_idx != NO_VICTIM).then_some(d.victim_idx as usize);
+        let evicted = match victim {
+            Some(v) => Some(self.successor(self.states[v], evict_event(d.cache))?),
+            None => None,
+        };
+        let lane_state = |s: JointId, l: usize| usize::from(self.tuples.get(usize::from(s))[l]);
+        for (l, (lane, k)) in lanes.iter_mut().zip(&mut self.kernels).enumerate() {
+            let evict = victim
+                .map(|v| lane_state(self.states[v], l) * k.table.events + evict_event(d.cache));
+            let data = lane_state(state, l) * k.table.events + data_event(d.cache, d.write);
+            lane.account_kernel_miss(k, evict, data);
+            evict.into_iter().chain([data]).for_each(|idx| k.track(idx));
+        }
+        if let (Some(v), Some(e)) = (victim, evicted) {
+            self.states[v] = e;
+        }
+        self.states[b] = next;
+        Ok(())
+    }
+
+    /// The joint successor of `state` under lane event `event`: every
+    /// lane's own row for the step, ensured, and the tuple of their
+    /// successors, interned. Mutates only tables.
+    fn successor(&mut self, state: JointId, event: usize) -> Result<JointId, JointSplit> {
+        let mut next = std::mem::take(&mut self.next_tuple);
+        next.clear();
+        let tuple = self.tuples.get(usize::from(state));
+        for (k, &s) in self.kernels.iter_mut().zip(tuple) {
+            let row = k
+                .ensure_row(u32::from(s), event)
+                .map_err(|KernelOverflow| JointSplit::LaneOverflow)?;
+            next.push(u16::try_from(k.table.nexts[row]).map_err(|_| JointSplit::Budget)?);
+        }
+        let id = self.intern(&next);
+        self.next_tuple = next;
+        id
+    }
+
+    /// The joint id of `tuple`, interned on first sight.
+    fn intern(&mut self, tuple: &[u16]) -> Result<JointId, JointSplit> {
+        let at = match self.find(tuple) {
+            Ok(id) => return Ok(id),
+            Err(at) => at,
+        };
+        let id = match JointId::try_from(self.count) {
+            Ok(id) if id != NO_JOINT && (self.count + 1) * self.events <= JOINT_ROW_BUDGET => id,
+            _ => return Err(JointSplit::Budget),
+        };
+        self.slots[at] = id;
+        self.tuples.push(self.count).copy_from_slice(tuple);
+        self.rows.push(self.count);
+        self.count += 1;
+        if 2 * self.count > self.slots.len() {
+            self.grow_index();
+        }
+        Ok(id)
+    }
+
+    /// Looks `tuple` up: its joint id, or the free slot it would take.
+    fn find(&self, tuple: &[u16]) -> Result<JointId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut hasher = FxHasher::default();
+        tuple.hash(&mut hasher);
+        // Multiplicative hashes mix best into their high bits.
+        let mut at = (hasher.finish() >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[at] {
+                NO_JOINT => return Err(at),
+                id if self.tuples.get(usize::from(id)) == tuple => return Ok(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the tuple index and re-inserts every joint state.
+    fn grow_index(&mut self) {
+        self.slots = vec![NO_JOINT; 2 * self.slots.len()];
+        for id in 0..self.count {
+            let Err(at) = self.find(self.tuples.get(id)) else {
+                unreachable!("interned tuples are distinct");
+            };
+            self.slots[at] = id as JointId;
+        }
+    }
+
+    /// Adds `n` steps through the joint row of `state` under joint
+    /// event `e` to every lane's own row for the same step.
+    fn drain_row(&mut self, state: usize, e: usize, n: u64) {
+        let event = data_event(CacheId::new((e / 2) as u32), e % 2 == 1);
+        let tuple = self.tuples.get(state);
+        for (k, &s) in self.kernels.iter_mut().zip(tuple) {
+            k.table.hits[usize::from(s) * k.table.events + event] += n;
+        }
+    }
+
+    /// Carries a joint row's wrapped hit count, 2^16 steps, into the
+    /// lanes' rows.
+    #[cold]
+    fn carry(&mut self, state: JointId, e: usize) {
+        self.drain_row(usize::from(state), e, 1 << 16);
+    }
+
+    /// Drains every joint hit count into the lanes' rows, and zeroes it.
+    fn drain_hits(&mut self) {
+        for state in 0..self.count {
+            for e in 0..self.events {
+                let n = std::mem::take(&mut self.rows.get_mut(state)[e].hits);
+                if n != 0 {
+                    self.drain_row(state, e, u64::from(n));
+                }
+            }
+        }
+    }
+
+    /// Hands every lane its kernel back to step on its own: the joint
+    /// hit counts drained into its rows, and its block states written
+    /// back from the tuples.
+    pub(crate) fn split(mut self) -> Vec<LaneKernel> {
+        self.drain_hits();
+        for (l, k) in self.kernels.iter_mut().enumerate() {
+            k.states = self
+                .states
+                .iter()
+                .map(|&s| u32::from(self.tuples.get(usize::from(s))[l]))
+                .collect();
+        }
+        self.kernels
+    }
+
+    /// Hands every lane its kernel back at the end of the stream, with
+    /// the joint hit counts drained into its rows. The lanes only finish,
+    /// so their block states stay unwritten.
+    pub(crate) fn finish(mut self) -> Vec<LaneKernel> {
+        self.drain_hits();
+        self.kernels
+    }
+}
+
+/// Joint event index layout: `cache * 2 + {0: read, 1: write}`.
+#[inline]
+fn joint_event(cache: CacheId, write: bool) -> usize {
+    cache.index() * 2 + usize::from(write)
+}
+
+/// Joint states per page of a [`Paged`] table.
+const PAGE_STATES: usize = 256;
+
+/// A joint table: `width` records per joint state, in pages of
+/// [`PAGE_STATES`] states. It grows a page at a time and never moves: a
+/// table grown by doubling would leave each outgrown copy behind in the
+/// allocator, which keeps freed memory per thread, so a sweep's pool
+/// threads would each hold several copies of their banks' tables.
+struct Paged<T> {
+    width: usize,
+    fill: T,
+    pages: Vec<Box<[T]>>,
+}
+
+impl<T: Copy> Paged<T> {
+    fn new(width: usize, fill: T) -> Self {
+        Paged {
+            width,
+            fill,
+            pages: Vec::new(),
+        }
+    }
+
+    /// The records of joint state `state`.
+    #[inline]
+    fn get(&self, state: usize) -> &[T] {
+        &self.pages[state / PAGE_STATES][state % PAGE_STATES * self.width..][..self.width]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, state: usize) -> &mut [T] {
+        &mut self.pages[state / PAGE_STATES][state % PAGE_STATES * self.width..][..self.width]
+    }
+
+    /// The records of the next joint state, `state`, holding `fill`.
+    fn push(&mut self, state: usize) -> &mut [T] {
+        if state == self.pages.len() * PAGE_STATES {
+            let page = vec![self.fill; PAGE_STATES * self.width];
+            self.pages.push(page.into_boxed_slice());
+        }
+        self.get_mut(state)
     }
 }
 
@@ -622,6 +1006,63 @@ mod tests {
             u64::from(caches),
             "the grid must reach the op-count bound"
         );
+    }
+
+    #[test]
+    fn joint_drain_equals_each_lane_stepped_alone() {
+        // Data references to 40 blocks by 4 caches, a third of them one
+        // cache re-reading a block no other cache touches, so that
+        // block's self-loop row carries its 16-bit joint count over. A lane fills
+        // its rows in the same order joined as alone (a lane row is new
+        // exactly when the joint row that needs it is), so its state ids
+        // and hit table must match the lone lane's entry for entry.
+        use crate::engine::{Lane, SimConfig};
+        let caches = 4;
+        let blocks = 40;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let decoded: Vec<DecodedRef> = (0..300_000u32)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let hot = i % 3 == 0;
+                DecodedRef {
+                    block_idx: if hot {
+                        0
+                    } else {
+                        1 + (x % (blocks - 1)) as u32
+                    },
+                    victim_idx: NO_VICTIM,
+                    cache: CacheId::new(if hot { 0 } else { (x >> 8) as u32 % caches }),
+                    write: !hot && (x >> 16) % 4 == 0,
+                    resident: true,
+                }
+            })
+            .collect();
+        let schemes: Vec<Scheme> = ["Dir0B", "Dir1NB", "DirnNB", "CoarseVector", "WTI", "Dragon"]
+            .iter()
+            .map(|name| name.parse().expect("known scheme"))
+            .collect();
+        let config = SimConfig::default();
+        let lane = |s: Scheme| Lane::new(&config, s.name());
+        let kernel = |s: Scheme| LaneKernel::new(s, caches).expect("a tabled width");
+
+        let mut joint = JointKernel::new(schemes.iter().map(|&s| kernel(s)).collect(), caches);
+        let mut lanes: Vec<Lane> = schemes.iter().map(|&s| lane(s)).collect();
+        for block in decoded.chunks(4_096) {
+            assert!(joint.step_block(&mut lanes, block, blocks as usize).is_ok());
+        }
+        for (joined, &s) in joint.finish().iter().zip(&schemes) {
+            let (mut alone, mut lane) = (kernel(s), lane(s));
+            for block in decoded.chunks(4_096) {
+                assert!(lane
+                    .step_kernel_block(&mut alone, block, blocks as usize)
+                    .is_none());
+            }
+            assert_eq!(joined.table.meta.len(), alone.table.meta.len(), "{s}");
+            assert_eq!(joined.table.hits, alone.table.hits, "{s}");
+            assert!(alone.table.hits.iter().any(|&n| n > 1 << 16), "{s}");
+        }
     }
 
     #[test]

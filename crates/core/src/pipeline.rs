@@ -85,7 +85,7 @@ use dirsim_trace::{AccessKind, MemRef, TraceIoError};
 
 use crate::engine::{lru_access, Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
 use crate::error::{Error, InvariantError};
-use crate::kernel::{DecodedRef, LaneKernel, NO_VICTIM};
+use crate::kernel::{DecodedRef, JointKernel, LaneKernel, NO_VICTIM};
 
 /// Depth (in chunks) of the producer thread's decode queue. Two is enough for
 /// full overlap — one chunk being stepped, one decoded ahead — without
@@ -102,6 +102,9 @@ const SHARD_CHANNEL_DEPTH: usize = 4;
 /// fetch count per block amortise.
 const DECODE_BLOCK: usize = 4_096;
 
+// A decode block's positions fit the `u16` picks.
+const _: () = assert!(DECODE_BLOCK <= u16::MAX as usize + 1);
+
 /// The step stage's lane state, struct-of-arrays: one entry per scheme in
 /// each parallel vector, so the inner loop walks contiguous accumulation
 /// state instead of chasing one boxed bundle per scheme.
@@ -111,31 +114,42 @@ const DECODE_BLOCK: usize = 4_096;
 /// stays untouched until the kernel either finishes (the instance is
 /// dropped) or overflows (the instance is replaced by a materialized
 /// machine and the lane continues on the match path, bit-identically).
+/// A bank of several lanes that all start on kernels steps them as one
+/// [`JointKernel`] instead, which holds every lane's kernel (`kernels`
+/// are then all `None`) until it splits back into them or the stream
+/// ends.
 ///
 /// The bank resolves each reference once for all its lanes, through its
 /// [`Decoder`], one block of [`DECODE_BLOCK`] references at a time. Only
 /// data references reach the lanes: decode sets instruction fetches
 /// aside and counts them, and each lane adds a block's count once
-/// ([`Lane::count_fetches`]). A kernel lane steps the block's data
-/// references in one tight loop ([`Lane::step_kernel_block`]); a match
-/// lane steps them one by one ([`Lane::step_decoded`]). A one-lane bank
-/// whose lane is on its match machine skips the block instead: it steps
-/// through [`Lane::step`] against the decoder's LRU replica, with no
-/// interning it has no use for.
+/// ([`Lane::count_fetches`]). The joint kernel steps the block's data
+/// references once for every lane ([`JointKernel::step_block`]); a
+/// kernel lane steps them in one tight loop
+/// ([`Lane::step_kernel_block`]); a match lane steps them one by one
+/// ([`Lane::step_decoded`]). A one-lane bank whose lane is on its match
+/// machine skips the block instead: it steps through [`Lane::step`]
+/// against the decoder's LRU replica, with no interning it has no use
+/// for.
 struct LaneBank<'a> {
     config: SimConfig,
     rec: &'a dyn Recorder,
     protocols: Vec<Box<dyn CoherenceProtocol>>,
     kernels: Vec<Option<LaneKernel>>,
+    joint: Option<JointKernel>,
     lanes: Vec<Lane>,
     decoder: Decoder,
     /// One decode block's data references, recycled across blocks.
     decoded: Vec<DecodedRef>,
+    /// The position in its decode block of each record of `decoded`;
+    /// entries past the block's data references are stale.
+    picks: Vec<u16>,
 }
 
 impl<'a> LaneBank<'a> {
     /// Builds the bank and records how many of its lanes start on a table
-    /// kernel (`kernel_lanes`).
+    /// kernel (`kernel_lanes`) and how many of those are joined
+    /// (`kernel_joint_lanes`).
     fn new(config: SimConfig, rec: &'a dyn Recorder, schemes: &[Scheme], caches: u32) -> Self {
         let protocols: Vec<Box<dyn CoherenceProtocol>> =
             schemes.iter().map(|&s| s.build(caches)).collect();
@@ -143,7 +157,7 @@ impl<'a> LaneBank<'a> {
             .iter()
             .map(|p| Lane::new(&config, p.name()))
             .collect();
-        let kernels: Vec<Option<LaneKernel>> = schemes
+        let mut kernels: Vec<Option<LaneKernel>> = schemes
             .iter()
             .map(|&s| {
                 config
@@ -154,14 +168,22 @@ impl<'a> LaneBank<'a> {
             .collect();
         let kernel_lanes = kernels.iter().filter(|k| k.is_some()).count();
         rec.counter("kernel_lanes", &[], kernel_lanes as u64);
+        let joint = (kernel_lanes > 1 && kernel_lanes == kernels.len()).then(|| {
+            let joined = kernels.iter_mut().map(|k| k.take().expect("a kernel lane"));
+            JointKernel::new(joined.collect(), caches)
+        });
+        let joint_lanes = if joint.is_some() { kernel_lanes } else { 0 };
+        rec.counter("kernel_joint_lanes", &[], joint_lanes as u64);
         LaneBank {
             config,
             rec,
             protocols,
             kernels,
+            joint,
             lanes,
             decoder: Decoder::default(),
             decoded: Vec::new(),
+            picks: vec![0; DECODE_BLOCK],
         }
     }
 
@@ -177,21 +199,51 @@ impl<'a> LaneBank<'a> {
         }
         let mut decoded = std::mem::take(&mut self.decoded);
         for block in refs.chunks(DECODE_BLOCK) {
+            // Compact the data references' positions without a branch:
+            // kinds interleave too finely for a branch predictor.
+            let mut n = 0;
+            for (i, r) in block.iter().enumerate() {
+                self.picks[n] = i as u16;
+                n += usize::from(r.kind.is_data());
+            }
             decoded.clear();
-            decoded.extend(
-                block
-                    .iter()
-                    .filter(|r| r.kind.is_data())
-                    .map(|r| self.decoder.decode_ref(&self.config, r)),
-            );
-            let fetches = (block.len() - decoded.len()) as u64;
+            decoded.extend(self.picks[..n].iter().map(|&i| {
+                self.decoder
+                    .decode_ref(&self.config, &block[usize::from(i)])
+            }));
+            let fetches = (block.len() - n) as u64;
+            let from = self.step_joint(&decoded);
             for i in 0..self.lanes.len() {
-                self.step_lane(i, block, &decoded)?;
+                if from < decoded.len() {
+                    self.step_lane(i, from, &decoded)?;
+                }
                 self.lanes[i].count_fetches(fetches);
             }
         }
         self.decoded = decoded;
         Ok(())
+    }
+
+    /// Steps every lane over `decoded` through the joint kernel, if the
+    /// bank has one, and returns how many records it stepped: all of
+    /// them, or — when the joint splits — the position of the record
+    /// that split it. A split hands each lane its kernel back, with its
+    /// block states written back and its joint hits drained, and counts
+    /// the exit in `kernel_joint_splits{reason}`; the record mutated
+    /// nothing, so the lanes resume at it on their own kernels.
+    fn step_joint(&mut self, decoded: &[DecodedRef]) -> usize {
+        let Some(joint) = &mut self.joint else {
+            return 0;
+        };
+        let blocks = self.decoder.addrs.len();
+        let Err((j, split)) = joint.step_block(&mut self.lanes, decoded, blocks) else {
+            return decoded.len();
+        };
+        let joint = self.joint.take().expect("the bank was joined");
+        self.kernels = joint.split().into_iter().map(Some).collect();
+        self.rec
+            .counter("kernel_joint_splits", &[("reason", split.label())], 1);
+        j
     }
 
     /// The fused one-lane match pass: decode and step each reference in
@@ -208,28 +260,24 @@ impl<'a> LaneBank<'a> {
         Ok(())
     }
 
-    /// Steps lane `i` over the data references `decoded` of one decode
-    /// `block`. A kernel lane that overflows at `decoded[j]` settles its
-    /// batched hits, materializes its machine, counts the exit in
+    /// Steps lane `i` over the data references `decoded[from..]` of one
+    /// decode block; the lane has already counted the `from` records
+    /// before them. A kernel lane that overflows at `decoded[j]` settles
+    /// its batched hits, materializes its machine, counts the exit in
     /// `kernel_materializations{scheme}`, and steps `decoded[j..]` on the
     /// match path — the failed record mutated nothing, so the lane
     /// resumes exactly where it stopped. The kernel stays dropped, so the
     /// lane takes the match path from then on. The caller adds the
     /// block's fetches afterwards, so a failing record's reference index
     /// is the lane's count at block start plus the record's position in
-    /// `block`.
-    fn step_lane(
-        &mut self,
-        i: usize,
-        block: &[MemRef],
-        decoded: &[DecodedRef],
-    ) -> Result<(), Error> {
+    /// its block, `picks[j]`.
+    fn step_lane(&mut self, i: usize, from: usize, decoded: &[DecodedRef]) -> Result<(), Error> {
         let (lane, protocol) = (&mut self.lanes[i], &mut self.protocols[i]);
         let addrs = &self.decoder.addrs;
-        let start = lane.next_index();
-        let mut resume = 0;
+        let start = lane.next_index() - from as u64;
+        let mut resume = from;
         if let Some(k) = &mut self.kernels[i] {
-            let Some(j) = lane.step_kernel_block(k, decoded, addrs.len()) else {
+            let Some(j) = lane.step_kernel_block(k, &decoded[from..], addrs.len()) else {
                 return Ok(());
             };
             lane.absorb_kernel_hits(k);
@@ -238,19 +286,22 @@ impl<'a> LaneBank<'a> {
             let scheme = protocol.name();
             self.rec
                 .counter("kernel_materializations", &[("scheme", &scheme)], 1);
-            resume = j;
+            resume = from + j;
         }
         let protocol = protocol.as_mut();
         for (j, &d) in decoded.iter().enumerate().skip(resume) {
             if let Err(failure) = lane.step_decoded(&self.config, protocol, addrs, d) {
-                let index = start + data_position(block, j);
+                let index = start + u64::from(self.picks[j]);
                 return Err(step_error(protocol.name(), index, failure));
             }
         }
         Ok(())
     }
 
-    fn finish(self) -> Vec<SimResult> {
+    fn finish(mut self) -> Vec<SimResult> {
+        if let Some(joint) = self.joint.take() {
+            self.kernels = joint.finish().into_iter().map(Some).collect();
+        }
         self.lanes
             .into_iter()
             .zip(self.kernels)
@@ -310,19 +361,6 @@ impl Decoder {
             resident,
         }
     }
-}
-
-/// Position in `block` of its `j`-th data reference: the error path's
-/// way back from a decoded record to the reference it came from.
-#[cold]
-fn data_position(block: &[MemRef], j: usize) -> u64 {
-    let (position, _) = block
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.kind.is_data())
-        .nth(j)
-        .expect("every decoded record came from a data reference of its block");
-    position as u64
 }
 
 #[cold]

@@ -13,13 +13,17 @@ use crate::source::TraceSource;
 use crate::types::{AccessKind, MemRef};
 
 /// A set of small non-negative ids, built for the per-reference observe
-/// path: ids below [`IdSet::BITMAP_LIMIT`] land in a dense bitmap (one
-/// or-instruction per insert, no hashing), anything larger spills to a
-/// `HashSet`. CPU and process ids are dense small integers in every
-/// workload this crate generates, so the spill set stays empty in
-/// practice.
+/// path: ids below 64 land in one word (one or-instruction per insert),
+/// ids below [`IdSet::BITMAP_LIMIT`] in a dense bitmap (no hashing),
+/// anything larger spills to a `HashSet`. CPU and process ids are dense
+/// small integers in every workload this crate generates, so the one
+/// word holds them all at the paper's scale, and the spill set stays
+/// empty in practice.
 #[derive(Debug, Clone, Default)]
 struct IdSet {
+    /// Ids below 64.
+    low: u64,
+    /// Bitmap word `id / 64` for ids from 64 up; word 0 stays zero.
     bits: Vec<u64>,
     spill: HashSet<u32>,
 }
@@ -30,7 +34,9 @@ impl IdSet {
 
     #[inline]
     fn insert(&mut self, id: u32) {
-        if id < Self::BITMAP_LIMIT {
+        if id < 64 {
+            self.low |= 1u64 << id;
+        } else if id < Self::BITMAP_LIMIT {
             let word = (id >> 6) as usize;
             if self.bits.len() <= word {
                 self.bits.resize(word + 1, 0);
@@ -41,32 +47,31 @@ impl IdSet {
         }
     }
 
+    /// The bitmap words, `low` first: word `k` holds ids `64k..64k + 64`.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.low).chain(self.bits.iter().skip(1).copied())
+    }
+
     fn len(&self) -> usize {
-        self.bits
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>()
-            + self.spill.len()
+        self.words().map(|w| w.count_ones() as usize).sum::<usize>() + self.spill.len()
     }
 
     fn max(&self) -> Option<u32> {
         // Every spill id exceeds every bitmap id, so a plain Option max
         // (None < Some) picks the right winner.
         let bitmap_max = self
-            .bits
-            .iter()
+            .words()
             .enumerate()
-            .rev()
-            .find(|(_, w)| **w != 0)
+            .filter(|&(_, w)| w != 0)
+            .last()
             .map(|(word, w)| word as u32 * 64 + 63 - w.leading_zeros());
         self.spill.iter().copied().max().max(bitmap_max)
     }
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits
-            .iter()
+        self.words()
             .enumerate()
-            .flat_map(|(word, &w)| {
+            .flat_map(|(word, w)| {
                 (0..64u32)
                     .filter(move |b| w & (1u64 << b) != 0)
                     .map(move |b| word as u32 * 64 + b)
@@ -75,6 +80,7 @@ impl IdSet {
     }
 
     fn merge(&mut self, other: &IdSet) {
+        self.low |= other.low;
         if self.bits.len() < other.bits.len() {
             self.bits.resize(other.bits.len(), 0);
         }
@@ -102,6 +108,10 @@ impl Eq for IdSet {}
 
 /// Running counters over a reference stream.
 ///
+/// Every counter derives from one tally of references by kind, OS flag,
+/// and — on a read only — lock flag (see [`TraceStats::observe`]). Two
+/// accumulators are equal when their counters and identity sets are.
+///
 /// # Examples
 ///
 /// ```
@@ -113,18 +123,29 @@ impl Eq for IdSet {}
 /// assert_eq!(stats.data_reads(), 1);
 /// assert_eq!(stats.data_writes(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceStats {
-    total: u64,
-    instr: u64,
-    data_reads: u64,
-    data_writes: u64,
-    user: u64,
-    system: u64,
-    lock_reads: u64,
+    /// References by cell `kind << 2 | os << 1 | lock read`, with `kind`
+    /// 0 for a fetch, 1 for a read and 2 for a write.
+    tally: [u64; 12],
     cpus: IdSet,
     pids: IdSet,
 }
+
+/// Equality of the counters, not of the tally: two streams that split
+/// their OS references differently across kinds have equal counters.
+impl PartialEq for TraceStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters() == other.counters() && self.cpus == other.cpus && self.pids == other.pids
+    }
+}
+
+impl Eq for TraceStats {}
+
+/// The tally's cells for a kind: its four (OS, lock read) combinations.
+const FETCHES: std::ops::Range<usize> = 0..4;
+const READS: std::ops::Range<usize> = 4..8;
+const WRITES: std::ops::Range<usize> = 8..12;
 
 impl TraceStats {
     /// Creates an empty statistics accumulator.
@@ -172,57 +193,72 @@ impl TraceStats {
         Ok(stats)
     }
 
-    /// Records one reference. Every tally is a 0-or-1 addend rather than
-    /// a branch: this runs once per reference on every scanned and every
-    /// simulated stream, whose kinds and flags interleave too finely for
-    /// a branch predictor. A lock flag counts only on a read.
+    /// Records one reference: one count in the tally cell its kind and
+    /// flags pick, with no branch — this runs once per reference on every
+    /// scanned and every simulated stream, whose kinds and flags
+    /// interleave too finely for a branch predictor. A lock flag counts
+    /// only on a read.
+    #[inline]
     pub fn observe(&mut self, r: &MemRef) {
-        let read = u64::from(r.kind == AccessKind::Read);
-        let os = u64::from(r.flags.is_os());
-        self.total += 1;
-        self.instr += u64::from(r.kind == AccessKind::InstrFetch);
-        self.data_reads += read;
-        self.data_writes += u64::from(r.kind == AccessKind::Write);
-        self.lock_reads += read & u64::from(r.flags.is_lock());
-        self.system += os;
-        self.user += 1 - os;
+        let lock_read = (r.kind == AccessKind::Read) & r.flags.is_lock();
+        let cell =
+            (r.kind as usize) << 2 | usize::from(r.flags.is_os()) << 1 | usize::from(lock_read);
+        self.tally[cell] += 1;
         self.cpus.insert(r.cpu.index() as u32);
         self.pids.insert(r.pid.index() as u32);
     }
 
+    /// The sum of the tally cells `cells` picks.
+    fn sum(&self, cells: impl Iterator<Item = usize>) -> u64 {
+        cells.map(|i| self.tally[i]).sum()
+    }
+
+    /// Every counter, in declaration order, for equality.
+    fn counters(&self) -> [u64; 7] {
+        [
+            self.total(),
+            self.instructions(),
+            self.data_reads(),
+            self.data_writes(),
+            self.user(),
+            self.system(),
+            self.lock_reads(),
+        ]
+    }
+
     /// Total number of references observed.
     pub fn total(&self) -> u64 {
-        self.total
+        self.tally.iter().sum()
     }
 
     /// Number of instruction fetches.
     pub fn instructions(&self) -> u64 {
-        self.instr
+        self.sum(FETCHES)
     }
 
     /// Number of data reads.
     pub fn data_reads(&self) -> u64 {
-        self.data_reads
+        self.sum(READS)
     }
 
     /// Number of data writes.
     pub fn data_writes(&self) -> u64 {
-        self.data_writes
+        self.sum(WRITES)
     }
 
     /// Number of references not marked as operating-system activity.
     pub fn user(&self) -> u64 {
-        self.user
+        self.total() - self.system()
     }
 
     /// Number of references marked as operating-system activity.
     pub fn system(&self) -> u64 {
-        self.system
+        self.sum((0..12).filter(|i| i & 2 != 0))
     }
 
     /// Number of data reads marked as spin-lock tests.
     pub fn lock_reads(&self) -> u64 {
-        self.lock_reads
+        self.sum(READS.filter(|i| i & 1 != 0))
     }
 
     /// Number of distinct CPUs seen.
@@ -257,19 +293,17 @@ impl TraceStats {
     ///
     /// The paper reports roughly one third for POPS and THOR.
     pub fn lock_read_fraction(&self) -> f64 {
-        if self.data_reads == 0 {
-            0.0
-        } else {
-            self.lock_reads as f64 / self.data_reads as f64
+        match self.data_reads() {
+            0 => 0.0,
+            reads => self.lock_reads() as f64 / reads as f64,
         }
     }
 
     /// Ratio of data reads to data writes.
     pub fn read_write_ratio(&self) -> f64 {
-        if self.data_writes == 0 {
-            f64::INFINITY
-        } else {
-            self.data_reads as f64 / self.data_writes as f64
+        match self.data_writes() {
+            0 => f64::INFINITY,
+            writes => self.data_reads() as f64 / writes as f64,
         }
     }
 
@@ -278,13 +312,9 @@ impl TraceStats {
     /// CPU/process identity sets are unioned, so merging two single-CPU
     /// traces reports two distinct CPUs.
     pub fn merge(&mut self, other: &TraceStats) {
-        self.total += other.total;
-        self.instr += other.instr;
-        self.data_reads += other.data_reads;
-        self.data_writes += other.data_writes;
-        self.user += other.user;
-        self.system += other.system;
-        self.lock_reads += other.lock_reads;
+        for (a, b) in self.tally.iter_mut().zip(other.tally) {
+            *a += b;
+        }
         self.cpus.merge(&other.cpus);
         self.pids.merge(&other.pids);
     }
@@ -295,13 +325,13 @@ impl fmt::Display for TraceStats {
         write!(
             f,
             "refs={} instr={} dread={} dwrt={} user={} sys={} locks={} cpus={} procs={}",
-            self.total,
-            self.instr,
-            self.data_reads,
-            self.data_writes,
-            self.user,
-            self.system,
-            self.lock_reads,
+            self.total(),
+            self.instructions(),
+            self.data_reads(),
+            self.data_writes(),
+            self.user(),
+            self.system(),
+            self.lock_reads(),
             self.cpu_count(),
             self.process_count()
         )

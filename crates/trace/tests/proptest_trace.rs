@@ -322,6 +322,36 @@ proptest! {
         prop_assert_eq!(merged, concat);
     }
 
+    /// Cutting one stream in two and merging the halves' stats gives the
+    /// whole stream's, with CPU and process ids on every side of the
+    /// identity sets' one-word and spill boundaries (64 and 65,536).
+    #[test]
+    fn merged_halves_equal_the_whole(
+        refs in arbitrary_refs(200),
+        ids in prop::collection::vec((0u32..140, 0u32..140), 200),
+        cut in 0usize..200,
+    ) {
+        let wide = |x: u32| if x < 70 { x } else { 65_466 + x };
+        let refs: Vec<MemRef> = refs
+            .iter()
+            .zip(&ids)
+            .map(|(r, &(cpu, pid))| MemRef {
+                cpu: CpuId::new(wide(cpu).min(u32::from(u16::MAX)) as u16),
+                pid: ProcessId::new(wide(pid)),
+                ..*r
+            })
+            .collect();
+        let cut = cut.min(refs.len());
+        let whole = TraceStats::from_refs(refs.iter().copied());
+        let mut merged = TraceStats::from_refs(refs[..cut].iter().copied());
+        merged.merge(&TraceStats::from_refs(refs[cut..].iter().copied()));
+        prop_assert_eq!(merged.cpu_id_bound(), whole.cpu_id_bound());
+        prop_assert_eq!(merged.process_id_bound(), whole.process_id_bound());
+        prop_assert_eq!(merged.process_count(), whole.process_count());
+        prop_assert_eq!(merged.to_string(), whole.to_string());
+        prop_assert_eq!(merged, whole);
+    }
+
     /// Filters are idempotent and only remove what they claim.
     /// `observe`'s arithmetic tallies agree with a tally written with
     /// `match`, over streams that mix every kind with every flag pair: a

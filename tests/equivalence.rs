@@ -23,6 +23,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{alone, assert_identical, gauntlet, Matrix};
+use dirsim::broadcast::DEFAULT_CHUNK;
 use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
 use dirsim::{ExperimentResults, NamedWorkload};
@@ -77,6 +78,7 @@ fn unaudited(mut matrix: Matrix) -> Matrix {
 /// worker count, and the `kernel_lanes` count: under `Auto` every
 /// unaudited lane of at most 64 caches starts on a kernel, one per
 /// scheme, per workload pass, per shard; under `Disabled` none does.
+/// A bank of several kernel lanes joins them all (`kernel_joint_lanes`).
 /// Returns the metrics of the `Auto` runs, in `workers` order.
 fn assert_kernels_match_oracle(
     matrix: &Matrix,
@@ -104,12 +106,22 @@ fn assert_kernels_match_oracle(
                 .unwrap();
             assert_identical(&oracle, &results, &what);
             let lanes = registry.counter_value("kernel_lanes", &[]).unwrap_or(0);
+            let joint = registry
+                .counter_value("kernel_joint_lanes", &[])
+                .unwrap_or(0);
             if kernels == KernelPolicy::Auto {
-                let every_lane = matrix.schemes.len() * matrix.workloads.len() * w;
-                assert_eq!(lanes, every_lane as u64, "{what}: kernel_lanes");
+                let every_lane = (matrix.schemes.len() * matrix.workloads.len() * w) as u64;
+                assert_eq!(lanes, every_lane, "{what}: kernel_lanes");
+                let joined = if matrix.schemes.len() > 1 {
+                    every_lane
+                } else {
+                    0
+                };
+                assert_eq!(joint, joined, "{what}: kernel_joint_lanes");
                 auto.push(registry);
             } else {
                 assert_eq!(lanes, 0, "{what}: kernel_lanes");
+                assert_eq!(joint, 0, "{what}: kernel_joint_lanes");
             }
         }
     }
@@ -639,8 +651,8 @@ fn fetch(k: u64) -> MemRef {
 
 /// Checks `trace` under `sim` against the oracle at 1 and 3 workers and
 /// two odd chunk sizes, as one bank of every scheme and as one one-lane
-/// bank per scheme, and checks `kernel_lanes`. Returns each placement's
-/// label and metrics.
+/// bank per scheme, and checks `kernel_lanes` and `kernel_joint_lanes`.
+/// Returns each placement's label and metrics.
 fn assert_fetch_edge(
     sim: SimConfig,
     schemes: &[Scheme],
@@ -670,14 +682,23 @@ fn assert_fetch_edge(
                 .flat_map(|&s| engine.run(&[s], caches, SliceSource::new(trace)).unwrap())
                 .collect();
             assert_eq!(one_lane, want, "{what}: one-lane banks");
-            let kernel_lanes = match sim.kernels {
-                KernelPolicy::Auto => 2 * schemes.len() * workers,
-                KernelPolicy::Disabled => 0,
+            // The bank of every scheme joins its lanes; one-lane banks
+            // never do.
+            let (kernel_lanes, joint_lanes) = match sim.kernels {
+                KernelPolicy::Auto => (2 * schemes.len() * workers, schemes.len() * workers),
+                KernelPolicy::Disabled => (0, 0),
             };
             assert_eq!(
                 registry.counter_value("kernel_lanes", &[]).unwrap_or(0),
                 kernel_lanes as u64,
                 "{what}: kernel_lanes"
+            );
+            assert_eq!(
+                registry
+                    .counter_value("kernel_joint_lanes", &[])
+                    .unwrap_or(0),
+                joint_lanes as u64,
+                "{what}: kernel_joint_lanes"
             );
             registries.push((what, registry));
         }
@@ -750,6 +771,182 @@ fn kernel_overflow_after_a_fetch_run_agrees_with_the_oracle() {
                     dir_n_nb_materializations(registry) > 0,
                     "{what}: DirnNB never left its kernel"
                 );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The joint kernel: a bank whose lanes all start on table kernels steps
+// them as one product machine, and splits back into per-lane kernels
+// past its budget or when a lane's own table overflows. These rounds aim
+// at its cold path — residency misses and victims, a mid-stream split,
+// data-free decode blocks — at 1 and 3 workers, under both kernel
+// policies, with both audits off explicitly (so debug builds run the
+// kernels too), against each scheme run alone through `Simulator::run`,
+// and each asserts the joint's counters.
+// ---------------------------------------------------------------------
+
+/// `kernel_joint_splits{reason}` in `registry`.
+fn joint_splits(registry: &MetricsRegistry, reason: &str) -> u64 {
+    registry
+        .counter_value("kernel_joint_splits", &[("reason", reason)])
+        .unwrap_or(0)
+}
+
+/// `sim` with both audits off.
+fn audits_off(sim: SimConfig) -> SimConfig {
+    SimConfig {
+        check_oracle: false,
+        check_invariants: false,
+        ..sim
+    }
+}
+
+/// Runs every scheme over `trace` as one bank in chunks of `chunk`, at 1
+/// and 3 workers under both kernel policies, checks each run against
+/// `Simulator::run`, and returns the `Auto` runs' worker counts and
+/// metrics.
+fn joint_runs(
+    sim: SimConfig,
+    schemes: &[Scheme],
+    caches: u32,
+    trace: &[MemRef],
+    chunk: usize,
+) -> Vec<(usize, Arc<MetricsRegistry>)> {
+    let mut auto = Vec::new();
+    for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
+        let sim = SimConfig { kernels, ..sim };
+        let want = alone(sim, schemes, caches, trace);
+        for workers in [1, 3] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let got = BroadcastSimulator::new(sim)
+                .workers(workers)
+                .chunk_size(chunk)
+                .recorder(registry.clone())
+                .run(schemes, caches, SliceSource::new(trace))
+                .unwrap();
+            assert_eq!(
+                got, want,
+                "{kernels:?}, {workers} workers, chunks of {chunk}"
+            );
+            let joined = registry
+                .counter_value("kernel_joint_lanes", &[])
+                .unwrap_or(0);
+            match kernels {
+                KernelPolicy::Auto => {
+                    assert_eq!(
+                        joined,
+                        (schemes.len() * workers) as u64,
+                        "{workers} workers"
+                    );
+                    auto.push((workers, registry));
+                }
+                KernelPolicy::Disabled => assert_eq!(joined, 0, "{workers} workers"),
+            }
+        }
+    }
+    auto
+}
+
+#[test]
+fn finite_misses_and_victims_take_the_joint_cold_path() {
+    // An 8x2 geometry turns about a fifth of the data references into
+    // residency misses, most with a victim: each takes the joint's cold
+    // path, which moves two blocks' tuples and accounts every lane's
+    // step. No split may cut it short.
+    let trace: Vec<MemRef> = Scenario::named("pops")
+        .unwrap()
+        .workload()
+        .take(FINITE_REFS)
+        .collect();
+    let caches = TraceStats::from_refs(trace.iter().copied()).process_id_bound();
+    let sim = audits_off(SimConfig {
+        geometry: Some(CacheGeometry { sets: 8, ways: 2 }),
+        ..SimConfig::default()
+    });
+    let schemes = gauntlet();
+    let want = alone(sim, &schemes, caches, &trace);
+    assert!(
+        want.iter().all(|r| r.capacity_evictions > 100),
+        "the geometry must evict"
+    );
+    for (workers, registry) in joint_runs(sim, &schemes, caches, &trace, DEFAULT_CHUNK) {
+        for reason in ["budget", "lane_overflow"] {
+            assert_eq!(
+                joint_splits(&registry, reason),
+                0,
+                "{workers} workers: {reason}"
+            );
+        }
+    }
+}
+
+#[test]
+fn joint_splits_mid_stream_on_the_wide_trace() {
+    // At 64 caches the wide trace keeps minting states. Every lane of
+    // the gauntlet forgets a different part of a block's history, so the
+    // joint state space outgrows the widest lane's and trips the joint
+    // budget first; DirnNB, CoarseVector and WTI grow in step, so
+    // DirnNB's own table overflows first. Either way the bank splits
+    // mid-stream, each lane resumes on its own kernel at the failed
+    // record, and DirnNB later overflows onto its match machine. Every
+    // lane takes its block states from the joint's tuples at the split.
+    // The trace runs twice over, so every block live at the split is
+    // referenced again after it; in one-reference chunks the block the
+    // bank interned last before the split is one of them, not a block
+    // still waiting for its first reference further on in the chunk.
+    let once: Vec<MemRef> = Workload::new(wide_finite_config()).take(20_000).collect();
+    let trace: Vec<MemRef> = once.iter().chain(&once).copied().collect();
+    let sim = audits_off(wide_finite_sim(KernelPolicy::Auto));
+    for (schemes, reason) in [
+        (gauntlet(), "budget"),
+        (
+            vec![Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti],
+            "lane_overflow",
+        ),
+    ] {
+        let runs = [DEFAULT_CHUNK, 1]
+            .into_iter()
+            .flat_map(|chunk| joint_runs(sim, &schemes, 64, &trace, chunk));
+        for (workers, registry) in runs {
+            let what = format!("{} schemes, {workers} workers", schemes.len());
+            let splits = joint_splits(&registry, reason);
+            assert!(splits > 0, "{what}: no {reason} split");
+            let all = joint_splits(&registry, "budget") + joint_splits(&registry, "lane_overflow");
+            assert_eq!(all, splits, "{what}: only {reason} splits");
+            assert!(
+                dir_n_nb_materializations(&registry) > 0,
+                "{what}: DirnNB never left its kernel"
+            );
+        }
+    }
+}
+
+#[test]
+fn fetch_only_blocks_keep_the_bank_joined() {
+    // Two decode blocks' worth of fetches in mid-stream: whatever the
+    // shard or chunk boundaries, some decode block of a joined bank holds
+    // no data reference, steps nothing through the joint kernel, and
+    // leaves it joined for the data after it.
+    let pops: Vec<MemRef> = Scenario::named("pops")
+        .unwrap()
+        .workload()
+        .take(6_000)
+        .collect();
+    let caches = TraceStats::from_refs(pops.iter().copied()).process_id_bound();
+    let trace: Vec<MemRef> = pops[..3_000]
+        .iter()
+        .copied()
+        .chain((0..3 * 4_096 * 3).map(fetch))
+        .chain(pops[3_000..].iter().copied())
+        .collect();
+    let sim = audits_off(SimConfig::default());
+    for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
+        let sim = SimConfig { kernels, ..sim };
+        for (what, registry) in assert_fetch_edge(sim, &gauntlet(), caches, &trace, "fetch run") {
+            for reason in ["budget", "lane_overflow"] {
+                assert_eq!(joint_splits(&registry, reason), 0, "{what}: {reason}");
             }
         }
     }
