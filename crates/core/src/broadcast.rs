@@ -43,6 +43,10 @@
 //! recycled buffers (see `crate::pipeline`). Only decode *work* moves
 //! threads, never chunk *order*, so results are bit-identical either way.
 //!
+//! [`BroadcastSimulator::run_observed`] shows a caller each decoded chunk
+//! whole, on the calling thread, in stream order. No engine path runs
+//! caller code per reference.
+//!
 //! ```
 //! use dirsim::broadcast::BroadcastSimulator;
 //! use dirsim::SimConfig;
@@ -227,10 +231,13 @@ impl BroadcastSimulator {
         self.run_observed(schemes, caches, source, |_| {})
     }
 
-    /// Like [`run`](Self::run), but additionally calls `observe` for every
-    /// reference, in stream order, on the calling thread — the hook the
-    /// experiment harness uses to accumulate
-    /// [`TraceStats`](dirsim_trace::TraceStats) without a second pass.
+    /// Like [`run`](Self::run), but additionally calls `observe` once per
+    /// decoded chunk, with the whole chunk, in stream order, on the
+    /// calling thread. The chunks concatenate to the stream; none is empty
+    /// or longer than [`chunk_size`](Self::chunk_size). The experiment
+    /// harness uses it to tick progress and to tally
+    /// [`TraceStats`](dirsim_trace::TraceStats) for the streams its sizing
+    /// scan did not cover.
     ///
     /// # Errors
     ///
@@ -244,7 +251,7 @@ impl BroadcastSimulator {
     ) -> Result<Vec<SimResult>, Error>
     where
         S: TraceSource + Send,
-        F: FnMut(&MemRef),
+        F: FnMut(&[MemRef]),
     {
         self.validate_run(schemes)?;
         pipeline::run(
@@ -423,17 +430,26 @@ mod tests {
 
     #[test]
     fn observer_sees_every_reference_in_order() {
+        const CHUNK: usize = 1000;
         let refs = trace();
         let mut seen = Vec::new();
+        let mut chunks = 0;
         BroadcastSimulator::paper()
             .workers(2)
+            .chunk_size(CHUNK)
             .run_observed(
                 &[Scheme::Wti],
                 4,
                 IterSource::new(refs.iter().copied()),
-                |r| seen.push(*r),
+                |chunk| {
+                    assert!(!chunk.is_empty());
+                    assert!(chunk.len() <= CHUNK);
+                    chunks += 1;
+                    seen.extend_from_slice(chunk);
+                },
             )
             .unwrap();
+        assert!(chunks > 1, "trace should span several chunks");
         assert_eq!(seen, refs);
     }
 

@@ -25,6 +25,9 @@
 //! any engine runs (see [`ExperimentResults::caches`]): a synthetic
 //! workload's declared population, else one cache per id its stream
 //! names. [`Experiment::caches`] may widen that count, never narrow it.
+//! The scan that sizes a stream also supplies its Table 3 [`TraceStats`]
+//! unless lock tests are filtered out; every other stream is tallied as
+//! it runs, one engine chunk at a time.
 
 use std::ops::Index;
 use std::path::{Path, PathBuf};
@@ -33,7 +36,6 @@ use std::sync::{Arc, Mutex};
 use dirsim_mem::SharingModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
-use dirsim_trace::filter::without_lock_tests;
 use dirsim_trace::source::{collect_all, IterSource, SliceSource, TakeSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
 use dirsim_trace::{open_trace, MemRef, Scenario, TraceSource, TraceStats};
@@ -236,7 +238,8 @@ impl Experiment {
     }
 
     /// Attaches a throttled [`ProgressMeter`] reporting cumulative
-    /// references observed across the whole matrix.
+    /// references simulated across the whole matrix. The run ticks it
+    /// once per engine chunk, through [`ProgressMeter::tick_now`].
     pub fn progress(mut self, progress: Arc<Mutex<ProgressMeter>>) -> Self {
         self.progress = Some(progress);
         self
@@ -253,34 +256,26 @@ impl Experiment {
     }
 
     /// One generation pass over a synthetic workload, counted in the
-    /// `trace_generations` metric so tests can pin that no code path
-    /// regenerates a trace behind the experiment's back.
+    /// `input_passes{trace}` metric so tests can pin how many times the
+    /// experiment reads each input.
     fn generate(&self, name: &str, config: &WorkloadConfig) -> impl TraceSource + Send {
-        self.recorder
-            .counter("trace_generations", &[("trace", name)], 1);
+        self.recorder.counter("input_passes", &[("trace", name)], 1);
         IterSource::new(Workload::new(config.clone()).take(self.refs_per_trace))
     }
 
     /// Opens a trace file's reference stream, capped at the reference
-    /// budget.
-    fn open(&self, path: &Path) -> Result<impl TraceSource + Send, Error> {
+    /// budget; one pass, counted like [`Self::generate`]'s.
+    fn open(&self, name: &str, path: &Path) -> Result<impl TraceSource + Send, Error> {
+        self.recorder.counter("input_passes", &[("trace", name)], 1);
         Ok(TakeSource::new(
             open_trace(path)?,
             self.refs_per_trace as u64,
         ))
     }
 
-    /// Lock-test filtering of a materialised stream, when enabled.
-    fn filtered(&self, raw: Vec<MemRef>) -> Vec<MemRef> {
-        if self.exclude_lock_tests {
-            without_lock_tests(raw).collect()
-        } else {
-            raw
-        }
-    }
-
     /// The one cache-sizing rule: how many caches `w` runs with.
     ///
+    /// A zero reference budget empties every input, so it fails first.
     /// A synthetic workload needs its declared population — `processes`
     /// under per-process attribution, `cpus` under per-processor — except
     /// an open system attributed per process, which mints ids past its
@@ -292,37 +287,49 @@ impl Experiment {
     /// filtering never widens the id space, so it covers the filtered
     /// stream too. The override, if any, is checked against that need.
     ///
-    /// An open system's stream is materialised to scan it and handed
-    /// back, so the run consumes that same pass instead of generating
-    /// the trace twice.
-    fn size(&self, w: &NamedWorkload) -> Result<(u32, Option<Vec<MemRef>>), Error> {
-        let (needed, raw) = match (&w.input, self.sim.sharing) {
+    /// Returns the cache count, the scan's statistics when sizing scanned
+    /// the stream (so the run need not tally it again), and an open
+    /// system's stream, materialised to scan it and handed back so the
+    /// run consumes that same pass instead of generating the trace twice.
+    #[allow(clippy::type_complexity)]
+    fn size(
+        &self,
+        w: &NamedWorkload,
+    ) -> Result<(u32, Option<TraceStats>, Option<Vec<MemRef>>), Error> {
+        let empty = || Err(SimConfigError::EmptyTrace(w.name.clone()).into());
+        if self.refs_per_trace == 0 {
+            return empty();
+        }
+        let (needed, scanned, raw) = match (&w.input, self.sim.sharing) {
             (Input::Synthetic(config), SharingModel::PerProcessor) => {
-                (u32::from(config.cpus), None)
+                (u32::from(config.cpus), None, None)
             }
-            (Input::Synthetic(config), _) if !config.open.is_enabled() => (config.processes, None),
+            (Input::Synthetic(config), _) if !config.open.is_enabled() => {
+                (config.processes, None, None)
+            }
             (input, sharing) => {
                 let (stats, raw) = match input {
-                    Input::Trace(path) => (TraceStats::scan(self.open(path)?)?, None),
+                    Input::Trace(path) => (TraceStats::scan(self.open(&w.name, path)?)?, None),
                     Input::Synthetic(config) => {
                         let raw = collect_all(self.generate(&w.name, config))?;
                         (TraceStats::scan(SliceSource::new(&raw))?, Some(raw))
                     }
                 };
                 if stats.total() == 0 {
-                    return Err(SimConfigError::EmptyTrace(w.name.clone()).into());
+                    return empty();
                 }
-                match sharing {
-                    SharingModel::PerProcess => (stats.process_id_bound(), raw),
-                    SharingModel::PerProcessor => (stats.cpu_id_bound(), raw),
-                }
+                let needed = match sharing {
+                    SharingModel::PerProcess => stats.process_id_bound(),
+                    SharingModel::PerProcessor => stats.cpu_id_bound(),
+                };
+                (needed, Some(stats), raw)
             }
         };
         match self.caches {
             Some(caches) if caches < needed => {
                 Err(SimConfigError::TooFewCaches { caches, needed }.into())
             }
-            caches => Ok((caches.unwrap_or(needed), raw)),
+            caches => Ok((caches.unwrap_or(needed), scanned, raw)),
         }
     }
 
@@ -336,8 +343,9 @@ impl Experiment {
     /// decode, an oracle or invariant violation when checking is
     /// enabled, or an invalid configuration: [`SimConfigError::NoWorkloads`]
     /// and [`SimConfigError::NoSchemes`] for an empty matrix, and
-    /// [`SimConfigError::EmptyTrace`] or [`SimConfigError::TooFewCaches`]
-    /// from sizing, which runs for every workload before any engine does.
+    /// [`SimConfigError::EmptyTrace`] (an empty trace or a zero reference
+    /// budget) or [`SimConfigError::TooFewCaches`] from sizing, which runs
+    /// for every workload before any engine does.
     pub fn run(&self) -> Result<ExperimentResults, Error> {
         if self.workloads.is_empty() {
             return Err(Error::Config(SimConfigError::NoWorkloads));
@@ -358,42 +366,41 @@ impl Experiment {
         let mut caches = Vec::with_capacity(self.workloads.len());
         let mut per_workload: Vec<Vec<SimResult>> = Vec::with_capacity(self.workloads.len());
         let mut observed = 0u64;
-        for (w, (n, raw)) in self.workloads.iter().zip(sized) {
-            let mut stats = TraceStats::new();
-            let mut observe = |r: &MemRef| {
-                stats.observe(r);
-                observed += 1;
+        for (w, (n, scanned, raw)) in self.workloads.iter().zip(sized) {
+            // A stream that sizing scanned and the run simulates unchanged
+            // reports the scan's statistics. Every other stream — never
+            // scanned, or lock-test filtered on its way to the engine — is
+            // tallied as it runs, one chunk at a time.
+            let scanned = scanned.filter(|_| !self.exclude_lock_tests);
+            let mut tally = scanned.is_none().then(TraceStats::new);
+            let mut observe = |chunk: &[MemRef]| {
+                if let Some(stats) = &mut tally {
+                    stats.extend(chunk.iter().copied());
+                }
+                observed += chunk.len() as u64;
                 if let Some(p) = &self.progress {
                     p.lock()
                         .expect("progress meter poisoned")
-                        .tick(observed, None);
+                        .tick_now(observed, None);
                 }
             };
             // Synthetic streams come straight out of the generator
             // (decoded on the producer thread) and trace files out of
             // their reader (inline when it lends its chunks, as a mapped
             // DTR1 file does). An open system's stream was materialised
-            // by sizing and is lent inline. Lock-test filtering happens
-            // before the engine either way, so `observe` (and therefore
-            // `TraceStats`) sees exactly the filtered stream.
-            let results = match (raw, &w.input) {
-                (Some(raw), _) => {
-                    let refs = self.filtered(raw);
-                    broadcaster.run_observed(
-                        &self.schemes,
-                        n,
-                        SliceSource::new(&refs),
-                        &mut observe,
-                    )
-                }
+            // by sizing and is lent inline. Lock-test filtering wraps any
+            // of them and runs on the producer thread.
+            let results = match (&raw, &w.input) {
+                (Some(raw), _) => self.stream(&broadcaster, n, SliceSource::new(raw), &mut observe),
                 (None, Input::Synthetic(config)) => {
                     let stream = self.generate(&w.name, config);
                     self.stream(&broadcaster, n, stream, &mut observe)
                 }
                 (None, Input::Trace(path)) => {
-                    self.stream(&broadcaster, n, self.open(path)?, &mut observe)
+                    self.stream(&broadcaster, n, self.open(&w.name, path)?, &mut observe)
                 }
             }?;
+            let stats = scanned.or(tally).expect("a stream is scanned or tallied");
             trace_stats.push((w.name.clone(), stats));
             caches.push(n);
             per_workload.push(results);
@@ -429,7 +436,8 @@ impl Experiment {
         })
     }
 
-    /// Broadcasts one streamed workload, lock-test filtered when enabled.
+    /// Broadcasts one workload's stream, lock-test filtered when enabled,
+    /// showing `observe` each chunk the engine steps.
     fn stream<S, F>(
         &self,
         engine: &BroadcastSimulator,
@@ -439,7 +447,7 @@ impl Experiment {
     ) -> Result<Vec<SimResult>, Error>
     where
         S: TraceSource + Send,
-        F: FnMut(&MemRef),
+        F: FnMut(&[MemRef]),
     {
         if self.exclude_lock_tests {
             engine.run_observed(
@@ -657,50 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn run_generates_each_trace_exactly_once() {
-        use dirsim_obs::{MetricValue, MetricsRegistry};
-        // Regression for the dry-pass double generation: sizing an
-        // open-system per-process run used to regenerate the *entire*
-        // workload just to compute max-pid+1, so every such run paid for
-        // two generation passes per trace. The bound now comes from the
-        // run's own materialised pass; `trace_generations` counts every
-        // `Workload` stream the experiment constructs.
-        let open = Scenario::named("open-system").unwrap();
-        assert!(open.config().open.is_enabled(), "scenario must be open");
-        for workers in [1, 2] {
-            let reg = Arc::new(MetricsRegistry::new());
-            let results = Experiment::new()
-                .workload(NamedWorkload::from(open))
-                .workload(NamedWorkload::new("closed", small_config(3)))
-                .schemes([Scheme::dir0_b(), Scheme::Dragon])
-                .refs_per_trace(4_000)
-                .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
-                .workers(workers)
-                .run()
-                .unwrap();
-            assert_eq!(results.per_scheme.len(), 2);
-            for name in ["open-system", "closed"] {
-                let passes: u64 = reg
-                    .snapshot()
-                    .iter()
-                    .filter(|r| {
-                        r.name == "trace_generations"
-                            && r.labels == [("trace".to_string(), name.to_string())]
-                    })
-                    .map(|r| match r.value {
-                        MetricValue::Counter(c) => c,
-                        _ => 0,
-                    })
-                    .sum();
-                assert_eq!(
-                    passes, 1,
-                    "{workers} workers: trace {name} generated {passes} times"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn open_system_modes_agree_on_cache_bound() {
         // The materialised bound must match what the old dry pass
         // computed: every worker count sizes the system identically and
@@ -855,6 +819,94 @@ mod tests {
                     matches!(&err, Error::Config(SimConfigError::EmptyTrace(name)) if name == "nothing"),
                     "{caches:?}, {workers} workers: {err}"
                 );
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_zero_reference_budget_is_a_typed_error() {
+        use dirsim_obs::MetricsRegistry;
+        // Sizing never scans a closed synthetic workload, so a zero budget
+        // must fail there as it does for an open system or a trace file:
+        // a typed error before any lane bank is built.
+        let refs: Vec<MemRef> = Workload::new(small_config(7)).take(100).collect();
+        let path = dtr1_file("zero-budget", &refs);
+        let inputs = [
+            NamedWorkload::new("closed", small_config(7)),
+            NamedWorkload::from(Scenario::named("open-system").unwrap()),
+            NamedWorkload::trace("file", &path),
+        ];
+        for w in inputs {
+            for workers in WORKERS {
+                let reg = Arc::new(MetricsRegistry::new());
+                let err = Experiment::new()
+                    .workload(w.clone())
+                    .scheme(Scheme::Wti)
+                    .refs_per_trace(0)
+                    .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
+                    .workers(workers)
+                    .run()
+                    .unwrap_err();
+                let what = format!("{}, {workers} workers", w.name);
+                assert!(
+                    matches!(&err, Error::Config(SimConfigError::EmptyTrace(name)) if *name == w.name),
+                    "{what}: {err}"
+                );
+                assert_eq!(reg.counter_value("kernel_lanes", &[]), None, "{what}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn input_passes_count_every_read_of_every_input() {
+        use dirsim_obs::MetricsRegistry;
+        // A trace file is read twice, by sizing's scan and by the run; a
+        // closed synthetic workload once, by the run; an open system once,
+        // by sizing, whose materialised stream the run consumes. Whichever
+        // pass supplied them, each workload's statistics are those of the
+        // stream it simulated.
+        const REFS: usize = 4_000;
+        let open = Scenario::named("open-system").unwrap();
+        assert!(open.config().open.is_enabled(), "scenario must be open");
+        let closed = small_config(3);
+        let file: Vec<MemRef> = Workload::new(small_config(6)).take(REFS).collect();
+        let path = dtr1_file("passes", &file);
+        let generated = |config: &WorkloadConfig| -> Vec<MemRef> {
+            Workload::new(config.clone()).take(REFS).collect()
+        };
+        let inputs = [
+            ("open-system", 1, generated(open.config())),
+            ("closed", 1, generated(&closed)),
+            ("file", 2, file),
+        ];
+        for exclude in [false, true] {
+            for workers in WORKERS {
+                let reg = Arc::new(MetricsRegistry::new());
+                let results = Experiment::new()
+                    .workload(NamedWorkload::from(open))
+                    .workload(NamedWorkload::new("closed", closed.clone()))
+                    .workload(NamedWorkload::trace("file", &path))
+                    .scheme(Scheme::dir0_b())
+                    .refs_per_trace(REFS)
+                    .exclude_lock_tests(exclude)
+                    .recorder(Arc::clone(&reg) as Arc<dyn Recorder>)
+                    .workers(workers)
+                    .run()
+                    .unwrap();
+                for ((name, passes, refs), (got, stats)) in inputs.iter().zip(&results.trace_stats)
+                {
+                    let what = format!("{name}, {workers} workers, lock tests excluded: {exclude}");
+                    assert_eq!(got, name, "{what}");
+                    assert_eq!(
+                        reg.counter_value("input_passes", &[("trace", name)]),
+                        Some(*passes),
+                        "{what}"
+                    );
+                    let simulated = refs.iter().filter(|r| !(exclude && r.flags.is_lock()));
+                    assert_eq!(*stats, TraceStats::from_refs(simulated.copied()), "{what}");
+                }
             }
         }
         std::fs::remove_file(&path).unwrap();

@@ -52,9 +52,10 @@
 //! The producer moves *work*, never *order*: chunk boundaries carry no
 //! simulation state (every lane's protocol state persists across chunks),
 //! the consumer receives chunks in exactly the order they were decoded
-//! (one bounded FIFO), and the observer hook still runs on the consumer
-//! thread in stream order. The step and merge stages are byte-for-byte
-//! the same for both decode placements, so results are bit-identical —
+//! (one bounded FIFO), and the observer hook still sees each whole chunk
+//! on the consumer thread, in stream order — once per chunk, never once
+//! per reference. The step and merge stages are byte-for-byte the same
+//! for both decode placements, so results are bit-identical —
 //! `tests/equivalence.rs` pins this for every scheme.
 //!
 //! ## Pipeline metrics
@@ -541,20 +542,19 @@ fn producer_loop(
 }
 
 /// The consumer half of the decode stage: pulls lent chunks from the
-/// feed, runs the observer hook in stream order on the calling thread,
-/// and hands each chunk to `sink` (the route/step side). Chunk storage
-/// stays with the feed — the lease ends when the next chunk is pulled.
+/// feed, shows each whole chunk to the observer hook in stream order on
+/// the calling thread, and hands it to `sink` (the route/step side).
+/// Chunk storage stays with the feed — the lease ends when the next
+/// chunk is pulled.
 fn drive(
     rec: &dyn Recorder,
     feed: &mut dyn ChunkFeed,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
     sink: &mut dyn FnMut(&[MemRef]) -> Result<(), Error>,
 ) -> Result<(), Error> {
     while let Some(buf) = feed.next()? {
         rec.counter("engine_refs", &[], buf.len() as u64);
-        for r in buf {
-            observe(r);
-        }
+        observe(buf);
         sink(buf)?;
     }
     Ok(())
@@ -568,7 +568,7 @@ fn drive_in_thread(
     schemes: &[Scheme],
     caches: u32,
     feed: &mut dyn ChunkFeed,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
 ) -> Result<Vec<SimResult>, Error> {
     let mut bank = LaneBank::new(config, rec, schemes, caches);
     let mut sink = |refs: &[MemRef]| -> Result<(), Error> {
@@ -592,7 +592,7 @@ fn drive_sharded(
     schemes: &[Scheme],
     caches: u32,
     feed: &mut dyn ChunkFeed,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
 ) -> Result<Vec<SimResult>, Error> {
     let shard_key = ShardKey::for_config(&config);
     let enabled = rec.enabled();
@@ -741,7 +741,7 @@ pub(crate) fn run<S>(
     schemes: &[Scheme],
     caches: u32,
     mut source: S,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
 ) -> Result<Vec<SimResult>, Error>
 where
     S: TraceSource + Send,
@@ -775,7 +775,7 @@ fn drive_placed(
     schemes: &[Scheme],
     caches: u32,
     feed: &mut dyn ChunkFeed,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
 ) -> Result<Vec<SimResult>, Error> {
     if workers <= 1 {
         drive_in_thread(config, rec, schemes, caches, feed, observe)
@@ -795,7 +795,7 @@ fn drive_overlapped<S>(
     schemes: &[Scheme],
     caches: u32,
     mut source: S,
-    observe: &mut dyn FnMut(&MemRef),
+    observe: &mut dyn FnMut(&[MemRef]),
 ) -> Result<Vec<SimResult>, Error>
 where
     S: TraceSource + Send,
@@ -1093,19 +1093,32 @@ mod tests {
 
     #[test]
     fn overlapped_observer_sees_every_reference_in_order() {
+        // The observer sees each chunk whole, once, in stream order,
+        // whether it was decoded inline or on the producer thread, at one
+        // worker and sharded.
+        const CHUNK: usize = 256;
         let refs = trace();
-        let mut seen = Vec::new();
-        BroadcastSimulator::paper()
-            .workers(2)
-            .chunk_size(256)
-            .run_observed(
-                &[Scheme::Wti],
-                4,
-                IterSource::new(refs.iter().copied()),
-                |r| seen.push(*r),
-            )
-            .unwrap();
-        assert_eq!(seen, refs);
+        for workers in [1, 3] {
+            let engine = BroadcastSimulator::paper()
+                .workers(workers)
+                .chunk_size(CHUNK);
+            let sources: [(&str, Box<dyn TraceSource + Send + '_>); 2] = [
+                ("inline", Box::new(SliceSource::new(&refs))),
+                ("producer", Box::new(IterSource::new(refs.iter().copied()))),
+            ];
+            for (placement, source) in sources {
+                let mut chunks: Vec<Vec<MemRef>> = Vec::new();
+                engine
+                    .run_observed(&[Scheme::Wti], 4, source, |c| chunks.push(c.to_vec()))
+                    .unwrap();
+                let what = format!("{placement}, {workers} workers");
+                assert!(
+                    chunks.iter().all(|c| (1..=CHUNK).contains(&c.len())),
+                    "{what}: a chunk is empty or longer than {CHUNK}"
+                );
+                assert_eq!(chunks.concat(), refs, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -269,18 +269,25 @@ fn open_system_scenario_agrees_across_all_modes() {
     // The engine paths only ever see the emitted reference stream, so
     // every worker count must still be bit-identical to serial across the
     // gauntlet. (`Experiment` materialises open per-process traces to
-    // size the system and lends them inline, so this also pins that
-    // placement.)
+    // size the system and streams them from memory, lock-test filtered
+    // when asked, so this also pins that path both ways.)
     let scenario = Scenario::named("open-zipf-phased").unwrap();
-    let matrix = Matrix::new(vec![NamedWorkload::from(scenario)], gauntlet(), REFS);
-    let oracle = assert_matches_oracle(&matrix, &[1, 4], "open-system");
-    // The run really is open: more processes appear than the six that
-    // start, so the equivalence covers mid-trace arrivals.
-    let procs = oracle.trace_stats[0].1.process_count();
-    assert!(
-        procs > 6,
-        "expected arrivals beyond the initial population, saw {procs} processes"
-    );
+    for exclude in [false, true] {
+        let mut matrix = Matrix::new(vec![NamedWorkload::from(scenario)], gauntlet(), REFS);
+        matrix.exclude_lock_tests = exclude;
+        let what = format!("open-system, lock tests excluded: {exclude}");
+        let oracle = assert_matches_oracle(&matrix, &[1, 4], &what);
+        // The run really is open: more processes appear than the six that
+        // start, so the equivalence covers mid-trace arrivals.
+        let stats = &oracle.trace_stats[0].1;
+        let procs = stats.process_count();
+        assert!(
+            procs > 6,
+            "{what}: expected arrivals beyond the initial population, saw {procs} processes"
+        );
+        // The filter has lock reads to drop, and drops them all.
+        assert_eq!(stats.lock_reads() == 0, exclude, "{what}");
+    }
 }
 
 #[test]
