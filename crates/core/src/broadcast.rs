@@ -464,9 +464,11 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Error::TraceIo(_)));
-        // The chain bottoms out at the decode error.
+        // The message is the decode error's, which has no cause of its
+        // own, so the chain ends here.
         use std::error::Error as _;
-        assert!(err.source().unwrap().to_string().contains("magic"));
+        assert!(err.to_string().contains("magic"));
+        assert!(err.source().is_none());
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub struct SimConfig {
     pub geometry: Option<CacheGeometry>,
     /// Audit every reference against the [`crate::invariant`] catalogue
     /// (SWMR, event classification, fan-out, directory agreement) and
-    /// panic on the first violation. Defaults to on in debug builds and,
-    /// in release builds, under the crate's `invariants` feature.
+    /// panic on the first violation. Off by default in every build, so a
+    /// default run steps the configuration that produces every reported
+    /// number; the crate's `invariants` feature turns the default on.
     pub check_invariants: bool,
     /// Whether lanes may step through memoized transition-table kernels
     /// instead of the match-based protocol machines (see
@@ -63,7 +64,7 @@ impl Default for SimConfig {
             sharing: SharingModel::PerProcess,
             check_oracle: false,
             geometry: None,
-            check_invariants: cfg!(any(debug_assertions, feature = "invariants")),
+            check_invariants: cfg!(feature = "invariants"),
             kernels: KernelPolicy::default(),
         }
     }
@@ -175,7 +176,8 @@ impl fmt::Display for SimConfigError {
 impl std::error::Error for SimConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimConfigError::Geometry(e) => Some(e),
+            // Displayed above, so only its own source is chained.
+            SimConfigError::Geometry(e) => e.source(),
             SimConfigError::ZeroChunk
             | SimConfigError::ZeroWorkers
             | SimConfigError::NoSchemes
@@ -262,8 +264,9 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {
+    // The violation is displayed above, so only its own source is chained.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.violation)
+        self.violation.source()
     }
 }
 
@@ -362,8 +365,9 @@ pub enum StepFailure {
 /// sharded, one per scheme per worker). A lane holds no finite-cache
 /// state: which blocks a cache holds depends only on the reference stream
 /// and the geometry, never on the scheme, so the caller owns the one LRU
-/// replica and either passes it to [`Lane::step`] or resolves residency
-/// itself and hands the lane a [`kernel::DecodedRef`].
+/// replica: [`Simulator::run`] passes it to [`Lane::step`], and a lane
+/// bank resolves residency itself and hands the lane a
+/// [`kernel::DecodedRef`].
 pub(crate) struct Lane {
     oracle: Option<ShadowMemory>,
     result: SimResult,
@@ -372,8 +376,8 @@ pub(crate) struct Lane {
 /// One data reference's access to an LRU replica (one [`FiniteCache`]
 /// per cache, grown on demand): `touch`, then `insert` on a miss.
 /// Returns whether the block was resident and the victim the insert
-/// displaced, if any. Both decodes — [`Lane::step`]'s private one and the
-/// lane bank's shared one — access their replicas through here.
+/// displaced, if any. Both decodes — [`Simulator::run`]'s private one and
+/// the lane bank's shared one — access their replicas through here.
 #[inline]
 pub(crate) fn lru_access(
     finite: &mut Vec<FiniteCache<()>>,
@@ -408,9 +412,10 @@ impl Lane {
     /// finite-cache residency against the caller's LRU replica `finite`,
     /// event/op accounting, and (when configured) the invariant and oracle
     /// audits. This decodes the reference itself — block mapping, cache
-    /// attribution and LRU access — with no block interning, which keeps
-    /// a lone lane's loop short.
-    pub(crate) fn step(
+    /// attribution and LRU access — with no block interning: it is
+    /// [`Simulator::run`]'s step, which shares no decode with the lane
+    /// banks it checks.
+    fn step(
         &mut self,
         config: &SimConfig,
         protocol: &mut dyn CoherenceProtocol,
@@ -842,6 +847,7 @@ mod tests {
     fn oracle_passes_for_correct_protocols() {
         let config = SimConfig {
             check_oracle: true,
+            check_invariants: true,
             ..SimConfig::default()
         };
         for scheme in Scheme::paper_lineup() {

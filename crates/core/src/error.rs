@@ -2,9 +2,11 @@
 //!
 //! Every failure a simulation can produce — a coherence-oracle violation,
 //! a protocol-invariant violation, a trace decode error, an invalid
-//! configuration — unifies under one [`Error`] enum with full
+//! configuration — unifies under one [`Error`] enum with
 //! [`std::error::Error::source`] chaining, so binaries can print a cause
-//! chain instead of stringifying each layer ad hoc.
+//! chain instead of stringifying each layer ad hoc. A wrapper that
+//! displays the error it wraps returns that error's own source, so every
+//! cause in a printed chain appears once.
 
 use std::fmt;
 
@@ -40,8 +42,9 @@ impl fmt::Display for InvariantError {
 }
 
 impl std::error::Error for InvariantError {
+    // The violation is displayed above, so only its own source is chained.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.violation)
+        self.violation.source()
     }
 }
 
@@ -75,11 +78,11 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Sim(e) => Some(e),
-            Error::Invariant(e) => Some(e),
-            Error::TraceIo(e) => Some(e),
-            Error::Config(e) => Some(e),
-            Error::Workload(e) => Some(e),
+            Error::Sim(e) => e.source(),
+            Error::Invariant(e) => e.source(),
+            Error::TraceIo(e) => e.source(),
+            Error::Config(e) => e.source(),
+            Error::Workload(e) => e.source(),
         }
     }
 }
@@ -120,21 +123,72 @@ mod tests {
     use dirsim_mem::{BlockAddr, CacheId, OracleViolation};
     use std::error::Error as _;
 
-    #[test]
-    fn source_chain_reaches_the_violation() {
-        let e = Error::Sim(SimError {
+    /// Asserts that no layer of `e`'s cause chain displays its source's
+    /// message, so a printed chain names every cause once.
+    fn assert_causes_print_once(e: &dyn std::error::Error) {
+        let mut layer = e;
+        while let Some(source) = layer.source() {
+            let (outer, inner) = (layer.to_string(), source.to_string());
+            assert!(!outer.contains(&inner), "`{outer}` repeats `{inner}`");
+            layer = source;
+        }
+    }
+
+    fn oracle_error() -> Error {
+        Error::Sim(SimError {
             scheme: "Dir0B".into(),
             ref_index: 7,
             violation: OracleViolation::WriterHasNoCopy {
                 cache: CacheId::new(1),
                 block: BlockAddr::new(2),
             },
-        });
-        // Error -> SimError -> OracleViolation.
-        let sim = e.source().expect("SimError");
-        assert!(sim.to_string().contains("reference 7"));
-        let violation = sim.source().expect("OracleViolation");
-        assert!(violation.to_string().contains("without holding a copy"));
+        })
+    }
+
+    #[test]
+    fn source_chain_reaches_the_violation() {
+        // The printed chain names the scheme, the reference and the
+        // violation, each once: the message carries them all, and the
+        // violation has no cause of its own.
+        let e = oracle_error();
+        let msg = e.to_string();
+        assert!(
+            msg.contains("Dir0B") && msg.contains("reference 7"),
+            "{msg}"
+        );
+        assert_eq!(msg.matches("without holding a copy").count(), 1, "{msg}");
+        assert!(e.source().is_none());
+    }
+
+    #[test]
+    fn no_error_displays_its_source() {
+        // One error per variant, each wrapping a further layer.
+        let io = std::io::Error::new(std::io::ErrorKind::InvalidData, "bad byte");
+        let errors: Vec<Error> = vec![
+            oracle_error(),
+            InvariantError {
+                scheme: "Dragon".into(),
+                ref_index: 3,
+                violation: InvariantViolation::StateDropped {
+                    block: BlockAddr::new(1),
+                },
+            }
+            .into(),
+            TraceIoError::Io(io).into(),
+            SimConfigError::Geometry(dirsim_mem::InvalidGeometry(dirsim_mem::CacheGeometry {
+                sets: 3,
+                ways: 0,
+            }))
+            .into(),
+            dirsim_trace::synth::WorkloadConfig::builder()
+                .cpus(0)
+                .build()
+                .unwrap_err()
+                .into(),
+        ];
+        for e in &errors {
+            assert_causes_print_once(e);
+        }
     }
 
     #[test]
@@ -149,7 +203,9 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("Dragon"));
         assert!(msg.contains("reference 3"));
-        assert!(e.source().is_some());
+        // The violation is part of the message, not a separate cause.
+        assert!(msg.contains(&e.violation.to_string()));
+        assert!(e.source().is_none());
     }
 
     #[test]

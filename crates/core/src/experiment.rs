@@ -576,7 +576,14 @@ mod tests {
 
     #[test]
     fn oracle_checked_run_succeeds() {
-        tiny_experiment().check_oracle(true).run().unwrap();
+        tiny_experiment()
+            .sim_config(SimConfig {
+                check_oracle: true,
+                check_invariants: true,
+                ..SimConfig::default()
+            })
+            .run()
+            .unwrap();
     }
 
     #[test]

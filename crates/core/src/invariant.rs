@@ -21,7 +21,7 @@
 //! snapshot), so the exhaustive model checker (`dirsim-verify`) reuses
 //! them verbatim on every reachable state. The simulation engine runs them
 //! per reference when [`SimConfig::check_invariants`](crate::SimConfig)
-//! is set — the default in debug builds, and in release builds under the
+//! is set — off by default in every build, and the default under the
 //! `invariants` feature.
 
 use std::fmt;

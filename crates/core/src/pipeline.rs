@@ -128,10 +128,7 @@ const _: () = assert!(DECODE_BLOCK <= u16::MAX as usize + 1);
 /// references once for every lane ([`JointKernel::step_block`]); a
 /// kernel lane steps them in one tight loop
 /// ([`Lane::step_kernel_block`]); a match lane steps them one by one
-/// ([`Lane::step_decoded`]). A one-lane bank whose lane is on its match
-/// machine skips the block instead: it steps through [`Lane::step`]
-/// against the decoder's LRU replica, with no interning it has no use
-/// for.
+/// ([`Lane::step_decoded`]).
 struct LaneBank<'a> {
     config: SimConfig,
     rec: &'a dyn Recorder,
@@ -191,13 +188,8 @@ impl<'a> LaneBank<'a> {
     /// Steps every lane over one chunk, in blocks of [`DECODE_BLOCK`]
     /// references: each block is decoded once, then every lane steps its
     /// data references and adds its fetch count, so the decode buffer
-    /// stays small and warm however large the chunk. A one-lane bank on
-    /// its match machine takes the fused [`Self::step_one_lane`] pass
-    /// instead.
+    /// stays small and warm however large the chunk.
     fn step_chunk(&mut self, refs: &[MemRef]) -> Result<(), Error> {
-        if self.lanes.len() == 1 && self.kernels[0].is_none() {
-            return self.step_one_lane(refs);
-        }
         let mut decoded = std::mem::take(&mut self.decoded);
         for block in refs.chunks(DECODE_BLOCK) {
             // Compact the data references' positions without a branch:
@@ -245,20 +237,6 @@ impl<'a> LaneBank<'a> {
         self.rec
             .counter("kernel_joint_splits", &[("reason", split.label())], 1);
         j
-    }
-
-    /// The fused one-lane match pass: decode and step each reference in
-    /// turn through [`Lane::step`], against the decoder's LRU replica.
-    fn step_one_lane(&mut self, refs: &[MemRef]) -> Result<(), Error> {
-        let (lane, protocol) = (&mut self.lanes[0], self.protocols[0].as_mut());
-        let (config, finite) = (&self.config, &mut self.decoder.finite);
-        for &r in refs {
-            let index = lane.next_index();
-            if let Err(failure) = lane.step(config, protocol, finite, r) {
-                return Err(step_error(protocol.name(), index, failure));
-            }
-        }
-        Ok(())
     }
 
     /// Steps lane `i` over the data references `decoded[from..]` of one
@@ -965,6 +943,9 @@ mod tests {
             MemRef::read(c0, p0, shared),
             MemRef::instr(c0, p0, Addr::new(0x900c)),
         ]);
+        // Invariant auditing off, so the oracle is the check that fires
+        // (under the `invariants` feature too): this test is about the
+        // reference index the oracle reports.
         let config = SimConfig {
             check_oracle: true,
             check_invariants: false,

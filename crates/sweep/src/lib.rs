@@ -76,13 +76,15 @@ impl fmt::Display for SweepError {
 }
 
 impl StdError for SweepError {
+    // Each wrapped error is displayed above, so only its own source is
+    // chained: a printed cause chain names every cause once.
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
-            SweepError::Spec(e) => Some(e),
-            SweepError::Store(e) => Some(e),
-            SweepError::Sim(e) => Some(e),
-            SweepError::Report(e) => Some(e),
-            SweepError::Io(e) => Some(e),
+            SweepError::Spec(e) => e.source(),
+            SweepError::Store(e) => e.source(),
+            SweepError::Sim(e) => e.source(),
+            SweepError::Report(e) => e.source(),
+            SweepError::Io(e) => e.source(),
         }
     }
 }
@@ -114,5 +116,34 @@ impl From<report::ReportError> for SweepError {
 impl From<io::Error> for SweepError {
     fn from(e: io::Error) -> Self {
         SweepError::Io(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_error_displays_its_source() {
+        let spec = || SweepSpec::parse("schemes = Dir0B\nbogus = 1\n").unwrap_err();
+        let disk = || io::Error::other("disk gone");
+        let errors = [
+            SweepError::Spec(spec()),
+            SweepError::Store(StoreError::Io {
+                path: "store.jsonl".into(),
+                source: disk(),
+            }),
+            SweepError::Sim(dirsim::SimConfigError::NoSchemes.into()),
+            SweepError::Report(report::ReportError::Spec(spec())),
+            SweepError::Io(disk()),
+        ];
+        for e in &errors {
+            let mut layer: &dyn StdError = e;
+            while let Some(source) = layer.source() {
+                let (outer, inner) = (layer.to_string(), source.to_string());
+                assert!(!outer.contains(&inner), "`{outer}` repeats `{inner}`");
+                layer = source;
+            }
+        }
     }
 }

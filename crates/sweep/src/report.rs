@@ -66,7 +66,8 @@ impl fmt::Display for ReportError {
 impl std::error::Error for ReportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ReportError::Spec(e) => Some(e),
+            // Displayed above, so only its own source is chained.
+            ReportError::Spec(e) => e.source(),
             ReportError::MissingCell(_) => None,
         }
     }

@@ -71,7 +71,8 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io { source, .. } => Some(source),
+            // Displayed above, so only its own source is chained.
+            StoreError::Io { source, .. } => source.source(),
             StoreError::Corrupt { .. } => None,
         }
     }

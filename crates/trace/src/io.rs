@@ -89,7 +89,8 @@ impl fmt::Display for TraceIoError {
 impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TraceIoError::Io(e) => Some(e),
+            // Displayed above, so only its own source is chained.
+            TraceIoError::Io(e) => e.source(),
             _ => None,
         }
     }
@@ -358,6 +359,20 @@ impl<R: BufRead> Iterator for TextReader<R> {
 mod tests {
     use super::*;
     use crate::types::{Addr, CpuId, ProcessId};
+
+    #[test]
+    fn no_error_displays_its_source() {
+        // The I/O error is displayed inside the trace error, so only its
+        // own cause is chained.
+        let cause = io::Error::new(io::ErrorKind::InvalidData, TraceIoError::BadAccessKind(9));
+        let e = TraceIoError::Io(cause);
+        let mut layer: &dyn std::error::Error = &e;
+        while let Some(source) = layer.source() {
+            let (outer, inner) = (layer.to_string(), source.to_string());
+            assert!(!outer.contains(&inner), "`{outer}` repeats `{inner}`");
+            layer = source;
+        }
+    }
 
     fn sample() -> Vec<MemRef> {
         vec![

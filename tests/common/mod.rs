@@ -42,6 +42,14 @@ pub fn gauntlet() -> Vec<Scheme> {
     ]
 }
 
+/// Whether the lanes of a run under `sim` start on table kernels: the
+/// policy allows them and neither audit is on, since audits read machine
+/// internals a kernel never touches. The `invariants` feature turns the
+/// invariant audit on by default, so there no default run takes a kernel.
+pub fn kernels_engage(sim: &SimConfig) -> bool {
+    sim.kernels == KernelPolicy::Auto && !sim.check_oracle && !sim.check_invariants
+}
+
 /// Asserts two runs agree bit for bit: trace statistics, cache counts,
 /// and every scheme's per-trace and combined results.
 pub fn assert_identical(a: &ExperimentResults, b: &ExperimentResults, what: &str) {

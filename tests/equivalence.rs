@@ -22,7 +22,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{alone, assert_identical, gauntlet, Matrix};
+use common::{alone, assert_identical, gauntlet, kernels_engage, Matrix};
 use dirsim::broadcast::DEFAULT_CHUNK;
 use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
@@ -54,7 +54,8 @@ fn finite_matrix(geometry: CacheGeometry) -> Matrix {
     matrix
 }
 
-/// An audited workload: the shadow-memory oracle replays every movement.
+/// An audited workload: every reference is checked against the invariant
+/// catalogue, and the shadow-memory oracle replays every movement.
 fn audited(geometry: Option<CacheGeometry>) -> Matrix {
     let workload = NamedWorkload::new(
         "audited",
@@ -62,22 +63,15 @@ fn audited(geometry: Option<CacheGeometry>) -> Matrix {
     );
     let mut matrix = Matrix::new(vec![workload], gauntlet(), 6_000);
     matrix.sim.check_oracle = true;
+    matrix.sim.check_invariants = true;
     matrix.sim.geometry = geometry;
     matrix
 }
 
-/// `matrix` with both audits off. Audits force the match path (they read
-/// machine internals a table kernel never touches) and debug builds audit
-/// by default, so kernel rounds turn them off.
-fn unaudited(mut matrix: Matrix) -> Matrix {
-    matrix.sim.check_invariants = false;
-    matrix
-}
-
 /// Checks `matrix` under both kernel policies against its oracle at each
-/// worker count, and the `kernel_lanes` count: under `Auto` every
-/// unaudited lane of at most 64 caches starts on a kernel, one per
-/// scheme, per workload pass, per shard; under `Disabled` none does.
+/// worker count, and the `kernel_lanes` count: where kernels engage
+/// ([`kernels_engage`]) every lane of at most 64 caches starts on one,
+/// one per scheme, per workload pass, per shard; elsewhere none does.
 /// A bank of several kernel lanes joins them all (`kernel_joint_lanes`).
 /// Returns the metrics of the `Auto` runs, in `workers` order.
 fn assert_kernels_match_oracle(
@@ -109,19 +103,20 @@ fn assert_kernels_match_oracle(
             let joint = registry
                 .counter_value("kernel_joint_lanes", &[])
                 .unwrap_or(0);
-            if kernels == KernelPolicy::Auto {
-                let every_lane = (matrix.schemes.len() * matrix.workloads.len() * w) as u64;
-                assert_eq!(lanes, every_lane, "{what}: kernel_lanes");
-                let joined = if matrix.schemes.len() > 1 {
-                    every_lane
-                } else {
-                    0
-                };
-                assert_eq!(joint, joined, "{what}: kernel_joint_lanes");
-                auto.push(registry);
+            let kernel_lanes = if kernels_engage(&matrix.sim) {
+                (matrix.schemes.len() * matrix.workloads.len() * w) as u64
             } else {
-                assert_eq!(lanes, 0, "{what}: kernel_lanes");
-                assert_eq!(joint, 0, "{what}: kernel_joint_lanes");
+                0
+            };
+            assert_eq!(lanes, kernel_lanes, "{what}: kernel_lanes");
+            let joined = if matrix.schemes.len() > 1 {
+                kernel_lanes
+            } else {
+                0
+            };
+            assert_eq!(joint, joined, "{what}: kernel_joint_lanes");
+            if kernels == KernelPolicy::Auto {
+                auto.push(registry);
             }
         }
     }
@@ -304,9 +299,10 @@ fn default_and_parallel_runs_agree_with_serial() {
 // ---------------------------------------------------------------------
 // Table kernels: the memoized transition-table step path must be
 // bit-identical to the match-based machines it replaces, which the
-// oracle steps. Each round runs both kernel policies with audits off and
-// checks `kernel_lanes`, so a lane that silently falls back to its match
-// machine under `Auto` fails the round.
+// oracle steps. Each round runs both kernel policies and checks
+// `kernel_lanes`, so a lane that silently falls back to its match
+// machine under `Auto` fails the round. (Under the `invariants` feature
+// every lane audits and none takes a kernel, which the rounds check too.)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -315,7 +311,7 @@ fn table_kernels_match_the_direct_machines() {
     // take the kernel's two-phase prepare/commit step (the small geometry
     // guarantees real replacement traffic; see the finite gauntlet above).
     for geometry in [None, Some(CacheGeometry { sets: 8, ways: 2 })] {
-        let mut matrix = unaudited(Matrix::paper(gauntlet(), FINITE_REFS));
+        let mut matrix = Matrix::paper(gauntlet(), FINITE_REFS);
         matrix.sim.geometry = geometry;
         assert_kernels_match_oracle(&matrix, &[1, 3], &format!("{geometry:?}"));
     }
@@ -323,13 +319,11 @@ fn table_kernels_match_the_direct_machines() {
 
 #[test]
 fn each_scheme_alone_matches_serial() {
-    // One scheme per run makes every bank a one-lane bank: a kernel lane
-    // steps decode blocks like any bank's, and a match lane fuses decode
-    // and step through `Lane::step` against the bank's replica. Both
-    // kernel policies run with audits off, so both branches run in debug
-    // builds too.
+    // One scheme per run makes every bank a one-lane bank, which decodes
+    // in blocks like any other bank and steps them on its kernel or, under
+    // `Disabled`, its match machine.
     for geometry in [None, Some(CacheGeometry { sets: 8, ways: 2 })] {
-        let mut all = unaudited(Matrix::paper(gauntlet(), FINITE_REFS));
+        let mut all = Matrix::paper(gauntlet(), FINITE_REFS);
         all.sim.geometry = geometry;
         for scheme in gauntlet() {
             let matrix = Matrix {
@@ -356,7 +350,7 @@ fn wide_systems_agree_with_kernels_on_auto() {
             .build()
             .expect("wide workload config is valid"),
     );
-    let mut matrix = unaudited(Matrix::new(vec![wide], gauntlet(), 10_000));
+    let mut matrix = Matrix::new(vec![wide], gauntlet(), 10_000);
     matrix.sim.sharing = SharingModel::PerProcessor;
     assert_kernels_match_oracle(&matrix, &[1, 4], "wide");
 }
@@ -518,12 +512,11 @@ fn wide_finite_config() -> WorkloadConfig {
 }
 
 /// The wide finite runs' engine configuration: per-processor caches of
-/// 8x2, audits off so kernels can engage.
+/// 8x2.
 fn wide_finite_sim(kernels: KernelPolicy) -> SimConfig {
     SimConfig {
         sharing: SharingModel::PerProcessor,
         geometry: Some(CacheGeometry { sets: 8, ways: 2 }),
-        check_invariants: false,
         kernels,
         ..SimConfig::default()
     }
@@ -559,9 +552,10 @@ fn wide_finite_systems_agree_with_kernels_on_auto() {
     let workers = [1, 3];
     let auto = assert_kernels_match_oracle(&matrix, &workers, "wide finite");
     for (w, registry) in workers.iter().zip(&auto) {
-        assert!(
+        assert_eq!(
             dir_n_nb_materializations(registry) > 0,
-            "{w} workers: DirnNB never left its kernel"
+            kernels_engage(&matrix.sim),
+            "{w} workers: DirnNB left its kernel"
         );
     }
 }
@@ -616,14 +610,20 @@ fn overflow_past_the_first_decode_block_agrees_with_kernels_on_auto() {
         let auto = run(KernelPolicy::Auto, workers, registry.clone());
         // Every placement counts its kernel lanes: one per scheme per
         // shard (one pass per scheme runs one one-lane bank each).
+        let engaged = kernels_engage(&wide_finite_sim(KernelPolicy::Auto));
         assert_eq!(
             registry.counter_value("kernel_lanes", &[]),
-            Some(3 * workers.unwrap_or(1) as u64),
+            Some(if engaged {
+                3 * workers.unwrap_or(1) as u64
+            } else {
+                0
+            }),
             "{what}"
         );
-        assert!(
+        assert_eq!(
             dir_n_nb_materializations(&registry) > 0,
-            "{what}: DirnNB never left its kernel"
+            engaged,
+            "{what}: DirnNB left its kernel"
         );
         assert_eq!(
             auto,
@@ -691,9 +691,10 @@ fn assert_fetch_edge(
             assert_eq!(one_lane, want, "{what}: one-lane banks");
             // The bank of every scheme joins its lanes; one-lane banks
             // never do.
-            let (kernel_lanes, joint_lanes) = match sim.kernels {
-                KernelPolicy::Auto => (2 * schemes.len() * workers, schemes.len() * workers),
-                KernelPolicy::Disabled => (0, 0),
+            let (kernel_lanes, joint_lanes) = if kernels_engage(&sim) {
+                (2 * schemes.len() * workers, schemes.len() * workers)
+            } else {
+                (0, 0)
             };
             assert_eq!(
                 registry.counter_value("kernel_lanes", &[]).unwrap_or(0),
@@ -744,7 +745,6 @@ fn fetch_edges_agree_with_the_oracle() {
     for (what, trace) in &cases {
         for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
             let sim = SimConfig {
-                check_invariants: false,
                 kernels,
                 ..SimConfig::default()
             };
@@ -765,20 +765,13 @@ fn kernel_overflow_after_a_fetch_run_agrees_with_the_oracle() {
         .collect();
     let schemes = [Scheme::dir_n_nb(), Scheme::CoarseVector, Scheme::Wti];
     for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
-        let registries = assert_fetch_edge(
-            wide_finite_sim(kernels),
-            &schemes,
-            64,
-            &trace,
-            "wide finite",
-        );
-        if kernels == KernelPolicy::Auto {
-            for (what, registry) in &registries {
-                assert!(
-                    dir_n_nb_materializations(registry) > 0,
-                    "{what}: DirnNB never left its kernel"
-                );
-            }
+        let sim = wide_finite_sim(kernels);
+        for (what, registry) in assert_fetch_edge(sim, &schemes, 64, &trace, "wide finite") {
+            assert_eq!(
+                dir_n_nb_materializations(&registry) > 0,
+                kernels_engage(&sim),
+                "{what}: DirnNB left its kernel"
+            );
         }
     }
 }
@@ -789,9 +782,8 @@ fn kernel_overflow_after_a_fetch_run_agrees_with_the_oracle() {
 // past its budget or when a lane's own table overflows. These rounds aim
 // at its cold path — residency misses and victims, a mid-stream split,
 // data-free decode blocks — at 1 and 3 workers, under both kernel
-// policies, with both audits off explicitly (so debug builds run the
-// kernels too), against each scheme run alone through `Simulator::run`,
-// and each asserts the joint's counters.
+// policies, against each scheme run alone through `Simulator::run`, and
+// each asserts the joint's counters: none where kernels do not engage.
 // ---------------------------------------------------------------------
 
 /// `kernel_joint_splits{reason}` in `registry`.
@@ -799,15 +791,6 @@ fn joint_splits(registry: &MetricsRegistry, reason: &str) -> u64 {
     registry
         .counter_value("kernel_joint_splits", &[("reason", reason)])
         .unwrap_or(0)
-}
-
-/// `sim` with both audits off.
-fn audits_off(sim: SimConfig) -> SimConfig {
-    SimConfig {
-        check_oracle: false,
-        check_invariants: false,
-        ..sim
-    }
 }
 
 /// Runs every scheme over `trace` as one bank in chunks of `chunk`, at 1
@@ -840,16 +823,14 @@ fn joint_runs(
             let joined = registry
                 .counter_value("kernel_joint_lanes", &[])
                 .unwrap_or(0);
-            match kernels {
-                KernelPolicy::Auto => {
-                    assert_eq!(
-                        joined,
-                        (schemes.len() * workers) as u64,
-                        "{workers} workers"
-                    );
-                    auto.push((workers, registry));
-                }
-                KernelPolicy::Disabled => assert_eq!(joined, 0, "{workers} workers"),
+            let want_joined = if kernels_engage(&sim) {
+                schemes.len() * workers
+            } else {
+                0
+            };
+            assert_eq!(joined, want_joined as u64, "{workers} workers");
+            if kernels == KernelPolicy::Auto {
+                auto.push((workers, registry));
             }
         }
     }
@@ -868,10 +849,10 @@ fn finite_misses_and_victims_take_the_joint_cold_path() {
         .take(FINITE_REFS)
         .collect();
     let caches = TraceStats::from_refs(trace.iter().copied()).process_id_bound();
-    let sim = audits_off(SimConfig {
+    let sim = SimConfig {
         geometry: Some(CacheGeometry { sets: 8, ways: 2 }),
         ..SimConfig::default()
-    });
+    };
     let schemes = gauntlet();
     let want = alone(sim, &schemes, caches, &trace);
     assert!(
@@ -905,7 +886,7 @@ fn joint_splits_mid_stream_on_the_wide_trace() {
     // still waiting for its first reference further on in the chunk.
     let once: Vec<MemRef> = Workload::new(wide_finite_config()).take(20_000).collect();
     let trace: Vec<MemRef> = once.iter().chain(&once).copied().collect();
-    let sim = audits_off(wide_finite_sim(KernelPolicy::Auto));
+    let sim = wide_finite_sim(KernelPolicy::Auto);
     for (schemes, reason) in [
         (gauntlet(), "budget"),
         (
@@ -919,12 +900,13 @@ fn joint_splits_mid_stream_on_the_wide_trace() {
         for (workers, registry) in runs {
             let what = format!("{} schemes, {workers} workers", schemes.len());
             let splits = joint_splits(&registry, reason);
-            assert!(splits > 0, "{what}: no {reason} split");
+            assert_eq!(splits > 0, kernels_engage(&sim), "{what}: {reason} splits");
             let all = joint_splits(&registry, "budget") + joint_splits(&registry, "lane_overflow");
             assert_eq!(all, splits, "{what}: only {reason} splits");
-            assert!(
+            assert_eq!(
                 dir_n_nb_materializations(&registry) > 0,
-                "{what}: DirnNB never left its kernel"
+                kernels_engage(&sim),
+                "{what}: DirnNB left its kernel"
             );
         }
     }
@@ -948,9 +930,11 @@ fn fetch_only_blocks_keep_the_bank_joined() {
         .chain((0..3 * 4_096 * 3).map(fetch))
         .chain(pops[3_000..].iter().copied())
         .collect();
-    let sim = audits_off(SimConfig::default());
     for kernels in [KernelPolicy::Auto, KernelPolicy::Disabled] {
-        let sim = SimConfig { kernels, ..sim };
+        let sim = SimConfig {
+            kernels,
+            ..SimConfig::default()
+        };
         for (what, registry) in assert_fetch_edge(sim, &gauntlet(), caches, &trace, "fetch run") {
             for reason in ["budget", "lane_overflow"] {
                 assert_eq!(joint_splits(&registry, reason), 0, "{what}: {reason}");

@@ -53,11 +53,16 @@ fn berkeley_equals_dir0b_minus_directory_accesses() {
 
 #[test]
 fn all_schemes_pass_the_coherence_oracle_on_paper_workloads() {
-    // Full audit: every data movement of every scheme replayed against the
+    // Full audit: every reference checked against the invariant catalogue,
+    // and every data movement of every scheme replayed against the
     // protocol-independent shadow memory; every access must observe the
     // globally latest value.
     dirsim::paper::extended_experiment(30_000)
-        .check_oracle(true)
+        .sim_config(SimConfig {
+            check_oracle: true,
+            check_invariants: true,
+            ..SimConfig::default()
+        })
         .run()
         .unwrap_or_else(|e| panic!("coherence violation: {e}"));
 }

@@ -23,7 +23,7 @@ use dirsim::obs::{
     parse_metrics, write_jsonl, MetricsRegistry, ProgressMeter, Recorder, RunManifest,
 };
 use dirsim::prelude::*;
-use dirsim::{Experiment, ExperimentResults};
+use dirsim::{Experiment, ExperimentResults, NamedWorkload};
 
 const REFS: usize = 6_000;
 
@@ -273,6 +273,37 @@ fn exported_jsonl_round_trips_exactly() {
     let run = parse_metrics(&text).expect("writer output must satisfy its own schema");
     assert_eq!(run.manifest, manifest, "manifest round-trip");
     assert_eq!(run.records, registry.snapshot(), "metric series round-trip");
+}
+
+#[test]
+fn the_default_configuration_steps_the_shipped_kernels() {
+    // The default configuration is the one every reported number comes
+    // from, and no build profile changes it: only the `invariants` feature
+    // turns the audit default on, and audited lanes step their match
+    // machines. Otherwise every lane of the paper line-up starts on a
+    // table kernel, and the bank joins them.
+    let audited = cfg!(feature = "invariants");
+    assert_eq!(SimConfig::default().check_invariants, audited);
+    let registry = Arc::new(MetricsRegistry::new());
+    Experiment::new()
+        .workload(NamedWorkload::from(Scenario::named("pops").unwrap()))
+        .schemes(Scheme::paper_lineup())
+        .refs_per_trace(REFS)
+        .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
+        .run()
+        .unwrap();
+    let lanes = if audited {
+        0
+    } else {
+        Scheme::paper_lineup().len() as u64
+    };
+    for counter in ["kernel_lanes", "kernel_joint_lanes"] {
+        assert_eq!(
+            registry.counter_value(counter, &[]),
+            Some(lanes),
+            "{counter}"
+        );
+    }
 }
 
 #[test]

@@ -43,12 +43,16 @@ fn to_memrefs(raw: &[(u32, u64, bool)]) -> Vec<MemRef> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The big one: every scheme stays coherent (oracle-audited) on any
-    /// reference stream.
+    /// The big one: every scheme stays coherent (oracle- and
+    /// invariant-audited) on any reference stream.
     #[test]
     fn every_scheme_is_coherent_on_random_traces(raw in raw_refs(4, 12, 400)) {
         let refs = to_memrefs(&raw);
-        let sim = Simulator::new(SimConfig { check_oracle: true, ..SimConfig::default() });
+        let sim = Simulator::new(SimConfig {
+            check_oracle: true,
+            check_invariants: true,
+            ..SimConfig::default()
+        });
         for scheme in all_schemes() {
             let mut protocol = scheme.build(4);
             sim.run(protocol.as_mut(), refs.iter().copied())
