@@ -448,19 +448,22 @@ impl Lane {
     }
 
     /// Advances the lane by one data reference the bank already decoded:
-    /// the match-path twin of [`Self::step_kernel_block`], with the block
-    /// and victim addresses read back from the bank's dense-index table
-    /// `addrs`.
+    /// the match-path twin of [`Self::step_kernel_block`]. The machine
+    /// and the oracle know each block by the bank's dense index, as
+    /// `BlockAddr::new(block_idx)`, never by its address: the bank numbers
+    /// blocks in first-touch order, so every machine's
+    /// [`BlockTable`](dirsim_mem::BlockTable) stays dense. A failure
+    /// therefore names the index; the bank translates it back.
     pub(crate) fn step_decoded(
         &mut self,
         config: &SimConfig,
         protocol: &mut dyn CoherenceProtocol,
-        addrs: &[BlockAddr],
         d: kernel::DecodedRef,
     ) -> Result<(), StepFailure> {
         self.result.refs += 1;
-        let block = addrs[d.block_idx as usize];
-        let victim = (d.victim_idx != kernel::NO_VICTIM).then(|| addrs[d.victim_idx as usize]);
+        let block = BlockAddr::new(u64::from(d.block_idx));
+        let victim =
+            (d.victim_idx != kernel::NO_VICTIM).then(|| BlockAddr::new(u64::from(d.victim_idx)));
         let (oracle, result) = (self.oracle.as_mut(), &mut self.result);
         step_data_ref(
             config, protocol, oracle, result, d.cache, block, d.write, victim,

@@ -123,6 +123,27 @@ pub enum InvariantViolation {
     },
 }
 
+impl InvariantViolation {
+    /// The one block every violation names, for rewriting: a lane bank
+    /// steps blocks by a dense index and translates it back to the
+    /// address.
+    pub(crate) fn block_mut(&mut self) -> &mut BlockAddr {
+        match self {
+            InvariantViolation::StateDropped { block }
+            | InvariantViolation::ReferencerNotResident { block, .. }
+            | InvariantViolation::EvicteeStillResident { block, .. }
+            | InvariantViolation::EvictionClassified { block, .. }
+            | InvariantViolation::DuplicateHolder { block, .. }
+            | InvariantViolation::CacheOutOfRange { block, .. }
+            | InvariantViolation::DirtyNotExclusive { block, .. }
+            | InvariantViolation::PointerWithoutCopy { block, .. }
+            | InvariantViolation::OwnerWithoutCopy { block, .. }
+            | InvariantViolation::EventMismatch { block, .. }
+            | InvariantViolation::FanoutMismatch { block, .. } => block,
+        }
+    }
+}
+
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -97,9 +97,10 @@ pub(crate) const NO_VICTIM: u32 = u32::MAX;
 /// fetches get no record: decode sets them aside and counts them, and
 /// each lane adds a block's count once. Kernel lanes then step by pure
 /// array indexing, with no hashing and no cache probing; match lanes
-/// read the block and victim addresses back from the bank's dense-index
-/// table. The record carries indices, not addresses, to stay within 16
-/// bytes.
+/// hand their machines the indices themselves as block numbers, so each
+/// machine's [`BlockTable`](dirsim_mem::BlockTable) indexes densely too
+/// (see [`Lane::step_decoded`](crate::engine::Lane::step_decoded)). The
+/// record carries indices, not addresses, to stay within 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedRef {
     /// Dense bank-wide block index.
@@ -482,15 +483,17 @@ impl LaneKernel {
     /// Replays every block's discovery recipe onto a fresh protocol
     /// instance — the bit-identical machine a match-based lane would hold
     /// after the same reference stream. Used when the kernel overflows.
-    /// `addrs` is the bank's dense-index → block-address table.
-    pub(crate) fn materialize(&self, addrs: &[BlockAddr]) -> Box<dyn CoherenceProtocol> {
+    /// Like every match lane of a bank, the machine knows each block by
+    /// its dense bank index, and it meets them in index order, so its
+    /// block table stays dense.
+    pub(crate) fn materialize(&self) -> Box<dyn CoherenceProtocol> {
         let mut machine = self.table.scheme.build(self.table.caches);
-        for (i, &state) in self.states.iter().enumerate() {
+        for (i, &state) in (0u64..).zip(&self.states) {
             if state == ABSENT {
                 continue;
             }
             for &e in &self.table.path_to(state) {
-                apply_event(machine.as_mut(), addrs[i], e);
+                apply_event(machine.as_mut(), BlockAddr::new(i), e);
             }
         }
         machine
@@ -911,27 +914,31 @@ mod tests {
     fn materialize_reproduces_block_state() {
         let scheme = Scheme::Directory(DirSpec::dir_i_nb(2).expect("valid spec"));
         let mut k = LaneKernel::new(scheme, 3).unwrap();
-        k.states.resize(1, ABSENT);
-        let block = BlockAddr::new(42);
-        let block_idx = 0u32;
+        k.states.resize(2, ABSENT);
+        // The machine knows a block by its bank index, as a match lane
+        // does: block 1 here, with block 0 present too.
+        let block = BlockAddr::new(1);
+        let idx = k.ensure_row(k.state_of(0), data_event(CacheId::new(1), true));
+        k.commit(0, idx.unwrap());
         // read by 0, read by 1, write by 2 — exercises pointer eviction.
         for ev in [
             data_event(CacheId::new(0), false),
             data_event(CacheId::new(1), false),
             data_event(CacheId::new(2), true),
         ] {
-            let idx = k.ensure_row(k.state_of(block_idx), ev).unwrap();
-            k.commit(block_idx, idx);
+            let idx = k.ensure_row(k.state_of(1), ev).unwrap();
+            k.commit(1, idx);
         }
-        let materialized = k.materialize(&[block]);
+        let materialized = k.materialize();
 
         let mut direct = scheme.build(3);
+        direct.on_data_ref(CacheId::new(1), BlockAddr::new(0), true);
         direct.on_data_ref(CacheId::new(0), block, false);
         direct.on_data_ref(CacheId::new(1), block, false);
         direct.on_data_ref(CacheId::new(2), block, true);
 
         assert_eq!(materialized.snapshot(), direct.snapshot());
-        assert_eq!(k.tracked(), 1);
+        assert_eq!(k.tracked(), 2);
     }
 
     #[test]
@@ -1076,12 +1083,11 @@ mod tests {
         let scheme = Scheme::dir_n_nb();
         let caches = MAX_KERNEL_CACHES;
         let mut k = LaneKernel::new(scheme, caches).unwrap();
-        let addrs: Vec<BlockAddr> = (0..256u64).map(BlockAddr::new).collect();
-        k.states.resize(addrs.len(), ABSENT);
+        k.states.resize(256, ABSENT);
         let mut log: Vec<(BlockAddr, CacheId)> = Vec::new();
         let mut overflowed = false;
         'blocks: for b in 0..256u32 {
-            let block = addrs[b as usize];
+            let block = BlockAddr::new(u64::from(b));
             // Stride 2b+1 is odd, hence coprime to the power-of-two cache
             // count: each block reads all 64 caches in a distinct order.
             let stride = (2 * b + 1) % caches;
@@ -1102,7 +1108,7 @@ mod tests {
         }
         assert!(overflowed, "64-cache DirnNB must trip the row budget");
 
-        let materialized = k.materialize(&addrs);
+        let materialized = k.materialize();
         let mut direct = scheme.build(caches);
         for &(block, cache) in &log {
             direct.on_data_ref(cache, block, false);

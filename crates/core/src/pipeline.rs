@@ -86,7 +86,7 @@ use dirsim_trace::{AccessKind, MemRef, TraceIoError};
 
 use crate::engine::{lru_access, Lane, ShardKey, SimConfig, SimError, SimResult, StepFailure};
 use crate::error::{Error, InvariantError};
-use crate::kernel::{DecodedRef, JointKernel, LaneKernel, NO_VICTIM};
+use crate::kernel::{DecodedRef, JointKernel, KernelPolicy, LaneKernel, NO_VICTIM};
 
 /// Depth (in chunks) of the producer thread's decode queue. Two is enough for
 /// full overlap — one chunk being stepped, one decoded ahead — without
@@ -146,8 +146,9 @@ struct LaneBank<'a> {
 
 impl<'a> LaneBank<'a> {
     /// Builds the bank and records how many of its lanes start on a table
-    /// kernel (`kernel_lanes`) and how many of those are joined
-    /// (`kernel_joint_lanes`).
+    /// kernel (`kernel_lanes`), how many of those are joined
+    /// (`kernel_joint_lanes`), and why the others start on the match
+    /// machines (`match_lanes{reason}`, see [`match_reason`]).
     fn new(config: SimConfig, rec: &'a dyn Recorder, schemes: &[Scheme], caches: u32) -> Self {
         let protocols: Vec<Box<dyn CoherenceProtocol>> =
             schemes.iter().map(|&s| s.build(caches)).collect();
@@ -166,6 +167,11 @@ impl<'a> LaneBank<'a> {
             .collect();
         let kernel_lanes = kernels.iter().filter(|k| k.is_some()).count();
         rec.counter("kernel_lanes", &[], kernel_lanes as u64);
+        let match_lanes = kernels.len() - kernel_lanes;
+        if match_lanes > 0 {
+            let reason = [("reason", match_reason(&config))];
+            rec.counter("match_lanes", &reason, match_lanes as u64);
+        }
         let joint = (kernel_lanes > 1 && kernel_lanes == kernels.len()).then(|| {
             let joined = kernels.iter_mut().map(|k| k.take().expect("a kernel lane"));
             JointKernel::new(joined.collect(), caches)
@@ -252,15 +258,15 @@ impl<'a> LaneBank<'a> {
     /// its block, `picks[j]`.
     fn step_lane(&mut self, i: usize, from: usize, decoded: &[DecodedRef]) -> Result<(), Error> {
         let (lane, protocol) = (&mut self.lanes[i], &mut self.protocols[i]);
-        let addrs = &self.decoder.addrs;
         let start = lane.next_index() - from as u64;
         let mut resume = from;
         if let Some(k) = &mut self.kernels[i] {
-            let Some(j) = lane.step_kernel_block(k, &decoded[from..], addrs.len()) else {
+            let blocks = self.decoder.addrs.len();
+            let Some(j) = lane.step_kernel_block(k, &decoded[from..], blocks) else {
                 return Ok(());
             };
             lane.absorb_kernel_hits(k);
-            *protocol = k.materialize(addrs);
+            *protocol = k.materialize();
             self.kernels[i] = None;
             let scheme = protocol.name();
             self.rec
@@ -269,9 +275,14 @@ impl<'a> LaneBank<'a> {
         }
         let protocol = protocol.as_mut();
         for (j, &d) in decoded.iter().enumerate().skip(resume) {
-            if let Err(failure) = lane.step_decoded(&self.config, protocol, addrs, d) {
+            if let Err(failure) = lane.step_decoded(&self.config, protocol, d) {
                 let index = start + u64::from(self.picks[j]);
-                return Err(step_error(protocol.name(), index, failure));
+                return Err(step_error(
+                    protocol.name(),
+                    index,
+                    failure,
+                    &self.decoder.addrs,
+                ));
             }
         }
         Ok(())
@@ -293,14 +304,31 @@ impl<'a> LaneBank<'a> {
     }
 }
 
+/// Why a bank's lanes without a table kernel step the match machines,
+/// the first that applies: an audit reads machine internals a kernel
+/// never keeps (`audited`), the policy turned kernels off (`disabled`),
+/// or the system has more caches than a kernel tables (`wide`, past
+/// [`MAX_KERNEL_CACHES`](crate::kernel::MAX_KERNEL_CACHES)).
+fn match_reason(config: &SimConfig) -> &'static str {
+    if config.check_oracle || config.check_invariants {
+        "audited"
+    } else if config.kernels == KernelPolicy::Disabled {
+        "disabled"
+    } else {
+        "wide"
+    }
+}
+
 /// A lane bank's one decode. A cache's contents depend only on the
 /// reference stream and the geometry, never the scheme, so one LRU
 /// replica serves every lane, kernel or match, and no lane keeps its own.
 #[derive(Default)]
 struct Decoder {
-    /// Block address → dense index shared by every lane.
+    /// Block address → dense index shared by every lane, handed out in
+    /// first-touch order.
     intern: FxHashMap<BlockAddr, u32>,
-    /// Reverse table: dense index → block address.
+    /// Reverse table: dense index → block address. Lanes never read it;
+    /// it sizes the kernels' state tables and names blocks in errors.
     addrs: Vec<BlockAddr>,
     /// The one LRU replica, one cache per entry (empty under infinite
     /// caches).
@@ -342,19 +370,29 @@ impl Decoder {
     }
 }
 
+/// A match lane's step failure as the run's error. The lane named the
+/// block by its dense index (see [`Lane::step_decoded`]); the report names
+/// its address, read back from the decoder's reverse table `addrs`.
 #[cold]
-fn step_error(scheme: String, ref_index: u64, failure: StepFailure) -> Error {
+fn step_error(scheme: String, ref_index: u64, failure: StepFailure, addrs: &[BlockAddr]) -> Error {
+    let address = |block: &mut BlockAddr| *block = addrs[block.raw() as usize];
     match failure {
-        StepFailure::Invariant { violation, .. } => Error::Invariant(InvariantError {
-            scheme,
-            ref_index,
-            violation,
-        }),
-        StepFailure::Oracle(violation) => Error::Sim(SimError {
-            scheme,
-            ref_index,
-            violation,
-        }),
+        StepFailure::Invariant { mut violation, .. } => {
+            address(violation.block_mut());
+            Error::Invariant(InvariantError {
+                scheme,
+                ref_index,
+                violation,
+            })
+        }
+        StepFailure::Oracle(mut violation) => {
+            address(violation.block_mut());
+            Error::Sim(SimError {
+                scheme,
+                ref_index,
+                violation,
+            })
+        }
     }
 }
 
@@ -833,7 +871,8 @@ mod tests {
     use super::*;
     use crate::broadcast::BroadcastSimulator;
     use crate::engine::Simulator;
-    use dirsim_mem::CacheId;
+    use crate::invariant::InvariantViolation;
+    use dirsim_mem::{CacheId, OracleViolation};
     use dirsim_protocol::api::{BlockProbe, StateSnapshot};
     use dirsim_protocol::{DataMovement, EventKind, RefOutcome};
     use dirsim_trace::source::{IterSource, SliceSource};
@@ -915,13 +954,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn error_indices_count_the_fetches_set_aside_at_decode() {
-        // Fetches interleaved with clean reads carry the stream past the
-        // first decode block; then cache 1 writes a block cache 0 holds,
-        // and cache 0 reads its stale copy. The reported index must be
-        // that read's position in the whole stream, fetches included, as
-        // `Simulator::run` reports it.
+    /// Fetches interleaved with clean reads carry the stream past the
+    /// first decode block; then cache 1 writes a block cache 0 holds, and
+    /// cache 0 reads its stale copy of block 4 (address `0x40`), two
+    /// references before the end.
+    fn stale_read_trace() -> Vec<MemRef> {
         let (c0, c1) = (CpuId::new(0), CpuId::new(1));
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
         let shared = Addr::new(0x40);
@@ -943,46 +980,93 @@ mod tests {
             MemRef::read(c0, p0, shared),
             MemRef::instr(c0, p0, Addr::new(0x900c)),
         ]);
-        // Invariant auditing off, so the oracle is the check that fires
-        // (under the `invariants` feature too): this test is about the
-        // reference index the oracle reports.
+        refs
+    }
+
+    fn drops_invalidations() -> DropsInvalidations {
+        DropsInvalidations {
+            inner: Scheme::dir0_b().build(2),
+            stale: Vec::new(),
+        }
+    }
+
+    /// Steps `refs` through lane banks under `config` with the
+    /// invalidation-dropping Dir0B as their last lane — two lanes, so a
+    /// correct lane steps each block first, and one alone — in one chunk
+    /// and in chunks of 777, and returns each bank's error.
+    fn bank_errors(config: SimConfig, refs: &[MemRef]) -> Vec<(String, Error)> {
+        let rec = dirsim_obs::NoopRecorder;
+        let mut errors = Vec::new();
+        for schemes in [&[Scheme::Wti, Scheme::dir0_b()][..], &[Scheme::dir0_b()]] {
+            for chunk in [refs.len(), 777] {
+                let mut bank = LaneBank::new(config, &rec, schemes, 2);
+                *bank.protocols.last_mut().unwrap() = Box::new(drops_invalidations());
+                let err = refs
+                    .chunks(chunk)
+                    .try_for_each(|c| bank.step_chunk(c))
+                    .expect_err("the bank's audit rejects the stale read");
+                errors.push((format!("{} lanes, chunks of {chunk}", schemes.len()), err));
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn error_indices_count_the_fetches_set_aside_at_decode() {
+        // The bank's error must be `Simulator::run`'s: the stale read's
+        // position in the whole stream, fetches included, and the
+        // violation naming the block's address, not the bank's index
+        // for it. Invariant auditing off, so the oracle is the check that
+        // fires (under the `invariants` feature too).
+        let refs = stale_read_trace();
         let config = SimConfig {
             check_oracle: true,
             check_invariants: false,
             ..SimConfig::default()
         };
-        let broken = || DropsInvalidations {
-            inner: Scheme::dir0_b().build(2),
-            stale: Vec::new(),
-        };
         let want = Simulator::new(config)
-            .run(&mut broken(), refs.iter().copied())
-            .expect_err("the oracle rejects the stale read")
-            .ref_index;
-        assert_eq!(want, refs.len() as u64 - 2, "the stale read");
-        assert!(want > DECODE_BLOCK as u64, "in the second decode block");
+            .run(&mut drops_invalidations(), refs.iter().copied())
+            .expect_err("the oracle rejects the stale read");
+        assert_eq!(want.ref_index, refs.len() as u64 - 2, "the stale read");
+        assert!(
+            want.ref_index > DECODE_BLOCK as u64,
+            "in the second decode block"
+        );
+        assert!(
+            matches!(want.violation, OracleViolation::StaleRead { block, .. } if block == BlockAddr::new(4))
+        );
+        for (what, err) in bank_errors(config, &refs) {
+            let Error::Sim(err) = err else {
+                panic!("{what}: expected a coherence violation, got {err}");
+            };
+            assert_eq!(err, want, "{what}");
+        }
+    }
 
-        let rec = dirsim_obs::NoopRecorder;
-        // Two lanes, the broken one second, so a correct lane steps each
-        // block first; and one lane alone.
-        for schemes in [&[Scheme::Wti, Scheme::dir0_b()][..], &[Scheme::dir0_b()]] {
-            for chunk in [refs.len(), 777] {
-                let mut bank = LaneBank::new(config, &rec, schemes, 2);
-                *bank.protocols.last_mut().unwrap() = Box::new(broken());
-                let err = refs
-                    .chunks(chunk)
-                    .try_for_each(|c| bank.step_chunk(c))
-                    .expect_err("the bank's oracle rejects the stale read");
-                let Error::Sim(err) = err else {
-                    panic!("expected a coherence violation, got {err}");
-                };
-                assert_eq!(
-                    err.ref_index,
-                    want,
-                    "{} lanes, chunks of {chunk}",
-                    schemes.len()
-                );
-            }
+    #[test]
+    fn invariant_errors_name_the_block_address() {
+        // The audit's twin of the test above: the stale read hits a copy
+        // the machine no longer holds. `Simulator::run` panics with the
+        // message an `InvariantError` displays.
+        let refs = stale_read_trace();
+        let config = SimConfig {
+            check_invariants: true,
+            ..SimConfig::default()
+        };
+        let panic = std::panic::catch_unwind(|| {
+            Simulator::new(config).run(&mut drops_invalidations(), refs.iter().copied())
+        })
+        .expect_err("the audit rejects the stale read");
+        let want = panic.downcast_ref::<String>().expect("a formatted panic");
+        for (what, err) in bank_errors(config, &refs) {
+            let Error::Invariant(err) = err else {
+                panic!("{what}: expected an invariant violation, got {err}");
+            };
+            assert!(
+                matches!(err.violation, InvariantViolation::ReferencerNotResident { block, .. } if block == BlockAddr::new(4)),
+                "{what}: {err}"
+            );
+            assert_eq!(&err.to_string(), want, "{what}");
         }
     }
 

@@ -1,7 +1,8 @@
 //! # dirsim-mem
 //!
 //! Memory-system substrate for the directory-scheme evaluation: block
-//! addressing ([`block::BlockMap`]), infinite and finite cache storage
+//! addressing ([`block::BlockMap`]) and per-block state tables
+//! ([`block::BlockTable`]), infinite and finite cache storage
 //! ([`cache`]), process- vs processor-based sharing attribution and cold-miss
 //! tracking ([`sharing`]), and a protocol-independent coherence-correctness
 //! oracle ([`oracle::ShadowMemory`]).
@@ -31,7 +32,7 @@ pub mod fxmap;
 pub mod oracle;
 pub mod sharing;
 
-pub use block::{BlockAddr, BlockMap};
+pub use block::{BlockAddr, BlockMap, BlockTable};
 pub use cache::{
     CacheGeometry, CacheId, CacheStorage, FiniteCache, InfiniteCache, InvalidGeometry,
 };

@@ -66,6 +66,20 @@ pub enum OracleViolation {
     },
 }
 
+impl OracleViolation {
+    /// The one block every violation names, for rewriting: an engine that
+    /// steps blocks by a dense index translates it back to the address.
+    pub fn block_mut(&mut self) -> &mut BlockAddr {
+        match self {
+            OracleViolation::StaleRead { block, .. }
+            | OracleViolation::StaleMemorySupply { block, .. }
+            | OracleViolation::SupplierHasNoCopy { block, .. }
+            | OracleViolation::WriterHasNoCopy { block, .. }
+            | OracleViolation::DirtyCopyLost { block, .. } => block,
+        }
+    }
+}
+
 impl fmt::Display for OracleViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,13 +1,14 @@
 //! Property tests for the memory substrate: model-based LRU checking for
-//! the finite cache, and adversarial probing of the coherence oracle.
+//! the finite cache, model-based checking of the per-block state table,
+//! and adversarial probing of the coherence oracle.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use dirsim_mem::{
-    BlockAddr, CacheGeometry, CacheId, CacheStorage, FiniteCache, InfiniteCache, OracleViolation,
-    ShadowMemory,
+    BlockAddr, BlockTable, CacheGeometry, CacheId, CacheStorage, FiniteCache, FxHashMap,
+    InfiniteCache, OracleViolation, ShadowMemory,
 };
 
 /// A reference model of an LRU set-associative cache.
@@ -84,6 +85,32 @@ fn cache_ops(blocks: u64, len: usize) -> impl Strategy<Value = Vec<CacheOp>> {
         }),
         1..len,
     )
+}
+
+/// The block keys a [`BlockTable`] property case touches, one per
+/// `raw` draw from a 48-key pool, under one of five key patterns:
+/// first-touch numbers from 0 (a lane bank's), the same from `start`,
+/// the pool ids in draw order, sparse 64-bit keys, and first-touch
+/// numbers whose first key is `j`, which the table hashes before the
+/// dense half grows to it.
+fn table_keys(pattern: u8, raw: &[u64], start: u64, sparse: &[u64]) -> Vec<u64> {
+    let mut first_touch: HashMap<u64, u64> = HashMap::new();
+    let j = start % 8 + 1;
+    raw.iter()
+        .map(|&r| {
+            let next = first_touch.len() as u64;
+            let n = *first_touch.entry(r).or_insert(next);
+            match pattern {
+                0 => n,
+                1 => n + start,
+                2 => r,
+                3 => sparse[r as usize],
+                _ if n == 0 => j,
+                _ if n <= j => n - 1,
+                _ => n,
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -198,6 +225,42 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A block table agrees with an `FxHashMap` model under every key
+    /// pattern: the same inserts and updates leave the same entries, as
+    /// seen through `get`, `get_mut`, `len` and, once sorted, `iter`.
+    #[test]
+    fn block_table_matches_a_hash_map(
+        pattern in 0u8..5,
+        raw in prop::collection::vec(0u64..48, 1..400),
+        start in 1u64..100,
+        sparse in prop::collection::vec(any::<u64>(), 48..49),
+    ) {
+        let keys = table_keys(pattern, &raw, start, &sparse);
+        let mut table: BlockTable<u64> = BlockTable::new();
+        let mut model: FxHashMap<BlockAddr, u64> = FxHashMap::default();
+        for (step, &k) in (0u64..).zip(&keys) {
+            let block = BlockAddr::new(k);
+            let held = model.contains_key(&block);
+            prop_assert_eq!(table.get_mut(block).is_some(), held, "get_mut({})", k);
+            if held {
+                *table.get_mut(block).unwrap() += step;
+                *model.get_mut(&block).unwrap() += step;
+            } else {
+                table.insert(block, step);
+                model.insert(block, step);
+            }
+            prop_assert_eq!(table.get(block), model.get(&block), "get({})", k);
+            let absent = BlockAddr::new(k.wrapping_add(1));
+            prop_assert_eq!(table.get(absent), model.get(&absent), "get({})", absent);
+            prop_assert_eq!(table.len(), model.len());
+        }
+        let mut got: Vec<(BlockAddr, u64)> = table.iter().map(|(b, &e)| (b, e)).collect();
+        let mut want: Vec<(BlockAddr, u64)> = model.into_iter().collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     /// The oracle always catches a planted stale read.

@@ -8,10 +8,9 @@
 //! `n` caches. Invalidations become a *limited broadcast*: directed messages
 //! to every cache in the superset.
 
-use dirsim_mem::FxHashMap;
 use std::fmt;
 
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{BlockProbe, BlockState, CacheSymmetry, CoherenceProtocol, StateSnapshot};
 use crate::event::EventKind;
@@ -189,7 +188,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct CoarseVectorProtocol {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl CoarseVectorProtocol {
@@ -202,7 +201,7 @@ impl CoarseVectorProtocol {
         assert!(caches > 0, "a coherence system needs at least one cache");
         CoarseVectorProtocol {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 
@@ -259,7 +258,7 @@ impl CoherenceProtocol for CoarseVectorProtocol {
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
         let caches = self.caches;
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             let entry = self.new_entry(cache, write);
             self.blocks.insert(block, entry);
             let kind = if write {
@@ -364,7 +363,7 @@ impl CoherenceProtocol for CoarseVectorProtocol {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -384,7 +383,7 @@ impl CoherenceProtocol for CoarseVectorProtocol {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.dirty,
         })
@@ -398,13 +397,13 @@ impl CoherenceProtocol for CoarseVectorProtocol {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| Self::entry_state(block, e))
+                .map(|(block, e)| Self::entry_state(block, e))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
-        self.blocks.get(&block).map(|e| Self::entry_state(block, e))
+        self.blocks.get(block).map(|e| Self::entry_state(block, e))
     }
 
     fn cache_symmetry(&self) -> CacheSymmetry {

@@ -23,9 +23,7 @@
 //! depend on the directory organisation, which is exactly the paper's
 //! event/cost split (§4.1).
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{BlockProbe, BlockState, CoherenceProtocol, StateSnapshot};
 #[cfg(test)]
@@ -70,7 +68,7 @@ struct Entry {
 pub struct DirectoryProtocol {
     spec: DirSpec,
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
     /// Strip unoverlapped directory lookups from the emitted ops — used by
     /// the Berkeley-ownership cost derivation (§5, "setting the directory
     /// access cost to 0").
@@ -88,7 +86,7 @@ impl DirectoryProtocol {
         DirectoryProtocol {
             spec,
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
             free_directory: false,
         }
     }
@@ -168,7 +166,7 @@ impl DirectoryProtocol {
     fn on_read(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let capacity = self.pointer_capacity();
         let broadcast = self.spec.allows_broadcast();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             // Cold miss: install and exclude from cost (§4).
             let mut entry = Entry::default();
             entry.holders.insert(cache);
@@ -267,7 +265,7 @@ impl DirectoryProtocol {
         let capacity = self.pointer_capacity();
         let spec = self.spec;
         let free_directory = self.free_directory;
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             // Cold write miss: install dirty, excluded from cost.
             let mut entry = Entry::default();
             entry.holders.insert(cache);
@@ -400,7 +398,7 @@ impl CoherenceProtocol for DirectoryProtocol {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -420,7 +418,7 @@ impl CoherenceProtocol for DirectoryProtocol {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.dirty,
         })
@@ -434,13 +432,13 @@ impl CoherenceProtocol for DirectoryProtocol {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| self.entry_state(block, e))
+                .map(|(block, e)| self.entry_state(block, e))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
-        self.blocks.get(&block).map(|e| self.entry_state(block, e))
+        self.blocks.get(block).map(|e| self.entry_state(block, e))
     }
 
     fn boxed_clone(&self) -> Box<dyn CoherenceProtocol> {

@@ -11,9 +11,7 @@
 //! shedding the snoopy flooding requirement — the update-protocol
 //! counterpart of the paper's directory argument.
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{
     permute_basic, BlockProbe, BlockState, CoherenceProtocol, ProtocolStyle, StateSnapshot,
@@ -52,7 +50,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct DirUpdate {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl DirUpdate {
@@ -65,7 +63,7 @@ impl DirUpdate {
         assert!(caches > 0, "a coherence system needs at least one cache");
         DirUpdate {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 
@@ -94,7 +92,7 @@ impl CoherenceProtocol for DirUpdate {
     }
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             let mut entry = Entry::default();
             entry.holders.insert(cache);
             entry.owner = write.then_some(cache);
@@ -182,7 +180,7 @@ impl CoherenceProtocol for DirUpdate {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -199,7 +197,7 @@ impl CoherenceProtocol for DirUpdate {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.owner.is_some(),
         })
@@ -217,13 +215,13 @@ impl CoherenceProtocol for DirUpdate {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| Self::entry_state(block, e))
+                .map(|(block, e)| Self::entry_state(block, e))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
-        self.blocks.get(&block).map(|e| Self::entry_state(block, e))
+        self.blocks.get(block).map(|e| Self::entry_state(block, e))
     }
 
     fn permute_block_state(&self, state: &BlockState, perm: &[u32]) -> BlockState {

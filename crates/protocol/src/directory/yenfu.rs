@@ -12,9 +12,7 @@
 //! `DirLookup` is replaced by a `DirUpdate`, and the single-bit clears add
 //! messages on top.
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{BlockProbe, BlockState, CoherenceProtocol, StateSnapshot};
 use crate::event::EventKind;
@@ -48,7 +46,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct YenFu {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl YenFu {
@@ -61,7 +59,7 @@ impl YenFu {
         assert!(caches > 0, "a coherence system needs at least one cache");
         YenFu {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 
@@ -84,7 +82,7 @@ impl CoherenceProtocol for YenFu {
     }
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             let mut entry = Entry::default();
             entry.holders.insert(cache);
             entry.dirty = write;
@@ -201,7 +199,7 @@ impl CoherenceProtocol for YenFu {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -221,7 +219,7 @@ impl CoherenceProtocol for YenFu {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.dirty,
         })
@@ -235,14 +233,14 @@ impl CoherenceProtocol for YenFu {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| BlockState::basic(block, e.holders.iter().collect(), e.dirty))
+                .map(|(block, e)| BlockState::basic(block, e.holders.iter().collect(), e.dirty))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
         self.blocks
-            .get(&block)
+            .get(block)
             .map(|e| BlockState::basic(block, e.holders.iter().collect(), e.dirty))
     }
 

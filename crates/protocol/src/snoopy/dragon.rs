@@ -11,9 +11,7 @@
 //! Memory becomes stale on updates; the last writer is the *owner* and
 //! supplies the block on later misses (`rm-blk-drty`).
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{
     permute_basic, BlockProbe, BlockState, CoherenceProtocol, ProtocolStyle, StateSnapshot,
@@ -50,7 +48,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Dragon {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl Dragon {
@@ -63,7 +61,7 @@ impl Dragon {
         assert!(caches > 0, "a coherence system needs at least one cache");
         Dragon {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 
@@ -92,7 +90,7 @@ impl CoherenceProtocol for Dragon {
     }
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             let mut entry = Entry::default();
             entry.holders.insert(cache);
             entry.owner = write.then_some(cache);
@@ -175,7 +173,7 @@ impl CoherenceProtocol for Dragon {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -193,7 +191,7 @@ impl CoherenceProtocol for Dragon {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.owner.is_some(),
         })
@@ -211,13 +209,13 @@ impl CoherenceProtocol for Dragon {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| Self::entry_state(block, e))
+                .map(|(block, e)| Self::entry_state(block, e))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
-        self.blocks.get(&block).map(|e| Self::entry_state(block, e))
+        self.blocks.get(block).map(|e| Self::entry_state(block, e))
     }
 
     fn permute_block_state(&self, state: &BlockState, perm: &[u32]) -> BlockState {

@@ -11,9 +11,7 @@
 //! as `Dir0B` and WTI, so — per the paper's §5 observation — its event
 //! frequencies are identical to theirs; only the bus operations differ.
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{BlockProbe, BlockState, CoherenceProtocol, StateSnapshot};
 use crate::event::EventKind;
@@ -46,7 +44,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Illinois {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl Illinois {
@@ -59,7 +57,7 @@ impl Illinois {
         assert!(caches > 0, "a coherence system needs at least one cache");
         Illinois {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 
@@ -88,7 +86,7 @@ impl CoherenceProtocol for Illinois {
     }
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             // Cold fill: the snoop result says nobody has it → E (or M).
             let mut entry = Entry::default();
             entry.holders.insert(cache);
@@ -212,7 +210,7 @@ impl CoherenceProtocol for Illinois {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -230,7 +228,7 @@ impl CoherenceProtocol for Illinois {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.dirty,
         })
@@ -244,13 +242,13 @@ impl CoherenceProtocol for Illinois {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| Self::entry_state(block, e))
+                .map(|(block, e)| Self::entry_state(block, e))
                 .collect(),
         )
     }
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
-        self.blocks.get(&block).map(|e| Self::entry_state(block, e))
+        self.blocks.get(block).map(|e| Self::entry_state(block, e))
     }
 
     fn boxed_clone(&self) -> Box<dyn CoherenceProtocol> {

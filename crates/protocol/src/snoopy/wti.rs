@@ -12,9 +12,7 @@
 //! exclusively held", which drives the same `blk-cln`/`blk-drty` event
 //! split even though memory always holds current data.
 
-use dirsim_mem::FxHashMap;
-
-use dirsim_mem::{BlockAddr, CacheId};
+use dirsim_mem::{BlockAddr, BlockTable, CacheId};
 
 use crate::api::{BlockProbe, BlockState, CoherenceProtocol, ProtocolStyle, StateSnapshot};
 use crate::event::EventKind;
@@ -48,7 +46,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Wti {
     caches: u32,
-    blocks: FxHashMap<BlockAddr, Entry>,
+    blocks: BlockTable<Entry>,
 }
 
 impl Wti {
@@ -61,7 +59,7 @@ impl Wti {
         assert!(caches > 0, "a coherence system needs at least one cache");
         Wti {
             caches,
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::new(),
         }
     }
 }
@@ -76,7 +74,7 @@ impl CoherenceProtocol for Wti {
     }
 
     fn on_data_ref(&mut self, cache: CacheId, block: BlockAddr, write: bool) -> RefOutcome {
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             let mut entry = Entry::default();
             entry.holders.insert(cache);
             entry.written_exclusive = write;
@@ -168,7 +166,7 @@ impl CoherenceProtocol for Wti {
 
     fn evict(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
         let mut out = RefOutcome::default();
-        let Some(entry) = self.blocks.get_mut(&block) else {
+        let Some(entry) = self.blocks.get_mut(block) else {
             return out;
         };
         if !entry.holders.contains(cache) {
@@ -184,7 +182,7 @@ impl CoherenceProtocol for Wti {
     }
 
     fn probe(&self, block: BlockAddr) -> Option<BlockProbe> {
-        self.blocks.get(&block).map(|e| BlockProbe {
+        self.blocks.get(block).map(|e| BlockProbe {
             holders: e.holders.iter().collect(),
             dirty: e.written_exclusive,
         })
@@ -202,7 +200,7 @@ impl CoherenceProtocol for Wti {
         StateSnapshot::from_blocks(
             self.blocks
                 .iter()
-                .map(|(&block, e)| {
+                .map(|(block, e)| {
                     BlockState::basic(block, e.holders.iter().collect(), e.written_exclusive)
                 })
                 .collect(),
@@ -211,7 +209,7 @@ impl CoherenceProtocol for Wti {
 
     fn block_state(&self, block: BlockAddr) -> Option<BlockState> {
         self.blocks
-            .get(&block)
+            .get(block)
             .map(|e| BlockState::basic(block, e.holders.iter().collect(), e.written_exclusive))
     }
 

@@ -28,6 +28,7 @@ use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
 use dirsim::{ExperimentResults, NamedWorkload};
 use dirsim_mem::CacheGeometry;
+use dirsim_trace::synth::{LockConfig, SharingMix};
 
 const REFS: usize = 12_000;
 
@@ -493,6 +494,85 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     }
     std::fs::remove_file(&dtr).unwrap();
     std::fs::remove_file(&dtrz).unwrap();
+}
+
+/// 96 CPUs, one process each, in the shape of the benchmark's `wide96`
+/// scenario: migratory, falsely shared and lock-contended data. The
+/// shared fraction is higher than there, so a short trace still puts
+/// many caches on each hot block.
+fn wide96_config() -> WorkloadConfig {
+    WorkloadConfig::builder()
+        .cpus(96)
+        .processes(96)
+        .shared_frac(0.5)
+        .migration_prob(0.001)
+        .quantum(5_000)
+        .sharing_mix(SharingMix {
+            read_mostly: 0.30,
+            migratory: 0.40,
+            producer_consumer: 0.0,
+            false_sharing: 0.30,
+        })
+        .lock(LockConfig {
+            locks: 4,
+            acquire_prob: 0.004,
+            critical_section_len: 150,
+            critical_write_frac: 0.50,
+        })
+        .seed(0x9696)
+        .build()
+        .expect("wide96 workload config is valid")
+}
+
+#[test]
+fn systems_past_the_kernel_width_agree_on_the_match_machines() {
+    // 96 caches is past what a kernel tables, so every lane of every
+    // bank steps its match machine: sharer ids past 64 spill into extra
+    // words, Dir_iNB pointer sets overflow, and under the finite geometry
+    // the bank's one replica evicts. Each scheme run alone through
+    // `Simulator::run` is the oracle.
+    let wide = NamedWorkload::new("wide96", wide96_config());
+    for geometry in [None, Some(CacheGeometry { sets: 16, ways: 2 })] {
+        let matrix = Matrix {
+            sim: SimConfig {
+                geometry,
+                ..SimConfig::default()
+            },
+            ..Matrix::new(vec![wide.clone()], gauntlet(), 20_000)
+        };
+        let oracle = matrix.oracle();
+        assert_eq!(oracle.caches, [96]);
+        let combined = |name: &str| {
+            let s = oracle.per_scheme.iter().find(|s| s.scheme.name() == name);
+            s.expect("a gauntlet scheme").combined.clone()
+        };
+        // Pointer overflow: Dir4NB evicts sharers the full map keeps.
+        assert!(
+            combined("Dir4NB").events.read_misses() > combined("DirnNB").events.read_misses(),
+            "{geometry:?}: Dir4NB never overflowed its pointers"
+        );
+        assert_eq!(
+            combined("DirnNB").capacity_evictions > 0,
+            geometry.is_some(),
+            "{geometry:?}: capacity evictions"
+        );
+        for w in [1, 3] {
+            let what = format!("wide96, {geometry:?}, {w} workers vs serial");
+            let registry = Arc::new(MetricsRegistry::new());
+            let results = matrix
+                .experiment()
+                .workers(w)
+                .recorder(registry.clone())
+                .run()
+                .unwrap();
+            assert_identical(&oracle, &results, &what);
+            assert_eq!(
+                registry.counter_value("kernel_lanes", &[]),
+                Some(0),
+                "{what}: kernel_lanes"
+            );
+        }
+    }
 }
 
 /// 64 CPUs of read-only traffic over a wide shared pool: every block

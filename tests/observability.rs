@@ -304,6 +304,84 @@ fn the_default_configuration_steps_the_shipped_kernels() {
             "{counter}"
         );
     }
+    // No lane starts on its match machine unless the audit is on.
+    let audited_lanes = audited.then_some(Scheme::paper_lineup().len() as u64);
+    for (reason, want) in [
+        ("audited", audited_lanes),
+        ("disabled", None),
+        ("wide", None),
+    ] {
+        assert_eq!(
+            registry.counter_value("match_lanes", &[("reason", reason)]),
+            want,
+            "match_lanes{{reason={reason}}}"
+        );
+    }
+}
+
+#[test]
+fn match_lanes_say_why_a_lane_has_no_kernel() {
+    // Each lane without a table kernel counts one reason, the first that
+    // applies: audited, then disabled, then wide (past 64 caches),
+    // summed over shards.
+    let schemes = vec![Scheme::dir_n_nb(), Scheme::Dragon, Scheme::Wti];
+    let lanes = schemes.len() as u64;
+    let narrow = NamedWorkload::from(Scenario::named("pops").unwrap());
+    let wide = NamedWorkload::new(
+        "wide",
+        WorkloadConfig::builder()
+            .cpus(96)
+            .processes(96)
+            .seed(5)
+            .build()
+            .unwrap(),
+    );
+    let unaudited = SimConfig {
+        check_invariants: false,
+        ..SimConfig::default()
+    };
+    let disabled = SimConfig {
+        kernels: KernelPolicy::Disabled,
+        ..unaudited
+    };
+    let audited = SimConfig {
+        check_oracle: true,
+        ..disabled
+    };
+    for (workload, sim, reason) in [
+        (&wide, unaudited, "wide"),
+        (&wide, disabled, "disabled"),
+        (&narrow, disabled, "disabled"),
+        (&wide, audited, "audited"),
+        (&narrow, audited, "audited"),
+    ] {
+        for workers in [1, 3] {
+            let what = format!("{} lanes, {workers} workers", workload.name);
+            let registry = Arc::new(MetricsRegistry::new());
+            Experiment::new()
+                .workload(workload.clone())
+                .schemes(schemes.clone())
+                .refs_per_trace(REFS)
+                .sim_config(sim)
+                .workers(workers)
+                .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
+                .run()
+                .unwrap();
+            for r in ["audited", "disabled", "wide"] {
+                let want = (r == reason).then_some(lanes * workers as u64);
+                assert_eq!(
+                    registry.counter_value("match_lanes", &[("reason", r)]),
+                    want,
+                    "{what}: match_lanes{{reason={r}}}"
+                );
+            }
+            assert_eq!(
+                registry.counter_value("kernel_lanes", &[]),
+                Some(0),
+                "{what}"
+            );
+        }
+    }
 }
 
 #[test]
