@@ -368,7 +368,7 @@ where
             row.push(Transition {
                 to,
                 event: out.event,
-                ops: out.ops.clone(),
+                ops: out.ops.to_vec(),
                 movements: out.movements.iter().map(|m| m.code()).collect(),
                 fanout: out.clean_write_fanout,
             });

@@ -1,7 +1,7 @@
 //! Microbenchmarks for the packed sharer-set representation: insert,
 //! remove, membership, iteration, and popcount at system widths from 4
-//! to 64 caches (the u64-bitmap fast path) and past 64 (the multi-word
-//! spill path), so a representation change shows up as a per-op delta
+//! to 128 caches (the inline bitmap words) and past 128 (the spill
+//! words), so a representation change shows up as a per-op delta
 //! rather than only as end-to-end engine drift.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use dirsim_mem::CacheId;
 use dirsim_protocol::SharerSet;
 
-/// System widths on the bitmap fast path (ids < 64) plus one width that
-/// forces the multi-word spill (ids >= 64).
+/// System widths on the inline bitmap words (ids < 128) plus one width
+/// that forces the spill words (ids >= 128).
 const WIDTHS: [u32; 5] = [4, 16, 64, 128, 256];
 
 const OPS: usize = 4_096;

@@ -63,8 +63,7 @@ pub enum KernelPolicy {
 }
 
 /// Widest system a kernel will table. Beyond this the event alphabet and
-/// state space stop paying for themselves; the sharer-set spill path and
-/// match machines handle it.
+/// state space stop paying for themselves; the match machines handle it.
 pub const MAX_KERNEL_CACHES: u32 = 64;
 
 /// Total transition-row budget per kernel (states × events). Bounds lazy

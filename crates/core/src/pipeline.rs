@@ -920,13 +920,12 @@ mod tests {
                 return RefOutcome::event(EventKind::RdHit);
             }
             let mut outcome = self.inner.on_data_ref(cache, block, write);
-            outcome.movements.retain(|&m| match m {
-                DataMovement::Invalidate { cache } => {
-                    self.stale.push((cache, block));
-                    false
+            for &m in &std::mem::take(&mut outcome.movements) {
+                match m {
+                    DataMovement::Invalidate { cache } => self.stale.push((cache, block)),
+                    _ => outcome.movements.push(m),
                 }
-                _ => true,
-            });
+            }
             outcome
         }
 

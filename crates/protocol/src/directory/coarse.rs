@@ -109,12 +109,7 @@ impl CoarseCode {
         if self.empty {
             return false;
         }
-        let digit_mask = if self.digits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.digits) - 1
-        };
-        ((index ^ self.fixed_bits) & !self.both_mask & digit_mask) == 0
+        ((index ^ self.fixed_bits) & !self.both_mask & self.digit_mask()) == 0
     }
 
     /// Size of the denoted superset (over the full digit space).
@@ -123,6 +118,38 @@ impl CoarseCode {
             0
         } else {
             1u64 << self.both_mask.count_ones()
+        }
+    }
+
+    /// Number of denoted cache indices below `caches`: the length of
+    /// [`Self::members`], counted without building it.
+    pub fn member_count(&self, caches: u32) -> u64 {
+        if self.empty {
+            return 0;
+        }
+        // Members are `fixed_bits + s` for each subset `s` of the `both`
+        // digits, and `s = (s - both) & both` walks those subsets in
+        // increasing order, so the count stops at the first member past
+        // the system.
+        let both = self.both_mask & self.digit_mask();
+        let mut subset = 0u64;
+        let mut count = 0;
+        while self.fixed_bits | subset < u64::from(caches) {
+            count += 1;
+            if subset == both {
+                break;
+            }
+            subset = subset.wrapping_sub(both) & both;
+        }
+        count
+    }
+
+    /// Mask of the code's digit positions.
+    fn digit_mask(&self) -> u64 {
+        if self.digits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.digits) - 1
         }
     }
 
@@ -222,15 +249,24 @@ impl CoarseVectorProtocol {
         }
     }
 
-    /// Directed invalidates to every *other* cache in the coded superset.
-    fn limited_broadcast_ops(caches: u32, entry: &Entry, writer: CacheId, ops: &mut Vec<BusOp>) {
-        let targets = entry
-            .code
-            .members(caches)
-            .into_iter()
-            .filter(|&i| i != writer.index() as u64)
-            .count();
-        ops.extend(std::iter::repeat(BusOp::Invalidate).take(targets));
+    /// Directed invalidates to every *other* cache in the coded superset,
+    /// and the invalidation of every other holder; returns the number of
+    /// other holders.
+    fn invalidate_coded_superset(
+        caches: u32,
+        entry: &Entry,
+        writer: CacheId,
+        out: &mut RefOutcome,
+    ) -> usize {
+        let targets =
+            entry.code.member_count(caches) - u64::from(entry.code.denotes(writer.index() as u64));
+        out.ops
+            .extend(std::iter::repeat(BusOp::Invalidate).take(targets as usize));
+        for victim in entry.holders.others(writer) {
+            out.movements
+                .push(DataMovement::Invalidate { cache: victim });
+        }
+        entry.holders.count_others(writer)
     }
 
     /// Canonical [`BlockState`] of one entry; the coarse code words ride
@@ -306,15 +342,10 @@ impl CoherenceProtocol for CoarseVectorProtocol {
                 out
             }
             (true, true, false) => {
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(EventKind::WhBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
                 out.ops.push(BusOp::DirLookup);
-                Self::limited_broadcast_ops(caches, entry, cache, &mut out.ops);
-                for victim in &remote {
-                    out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
-                }
+                let remote = Self::invalidate_coded_superset(caches, entry, cache, &mut out);
+                out.clean_write_fanout = Some(remote as u32);
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.retain_only(cache);
                 entry.dirty = true;
@@ -341,16 +372,11 @@ impl CoherenceProtocol for CoarseVectorProtocol {
                 out
             }
             (true, false, false) => {
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(EventKind::WmBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
                 out.ops.push(BusOp::MemRead);
-                Self::limited_broadcast_ops(caches, entry, cache, &mut out.ops);
                 out.movements.push(DataMovement::FillFromMemory { cache });
-                for victim in &remote {
-                    out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
-                }
+                let remote = Self::invalidate_coded_superset(caches, entry, cache, &mut out);
+                out.clean_write_fanout = Some(remote as u32);
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.clear();
                 entry.holders.insert(cache);

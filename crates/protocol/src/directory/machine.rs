@@ -136,31 +136,39 @@ impl DirectoryProtocol {
         entry.broadcast_bit = false;
     }
 
-    /// Emits invalidation ops for the remote clean holders in `remote`.
+    /// Emits the ops and movements that invalidate every clean holder of
+    /// `entry` other than `writer`, and returns how many there were.
     ///
     /// NB schemes send one directed message per holder (sequential
     /// invalidation, §6). Broadcast schemes send directed messages while the
     /// pointer knowledge is exact and a single broadcast otherwise.
-    fn clean_invalidation_ops(
+    fn invalidate_clean_holders(
         spec: DirSpec,
         entry: &Entry,
-        ops: &mut Vec<BusOp>,
-        remote: &[CacheId],
-    ) {
-        if remote.is_empty() {
-            return;
+        writer: CacheId,
+        out: &mut RefOutcome,
+    ) -> usize {
+        let remote = entry.holders.count_others(writer);
+        if remote == 0 {
+            return 0;
         }
-        if !spec.allows_broadcast() {
-            ops.extend(std::iter::repeat(BusOp::Invalidate).take(remote.len()));
-            return;
-        }
-        let exact_knowledge =
-            !entry.broadcast_bit && remote.iter().all(|c| entry.pointers.contains(*c));
+        let exact_knowledge = !spec.allows_broadcast()
+            || (!entry.broadcast_bit
+                && entry
+                    .holders
+                    .others(writer)
+                    .all(|c| entry.pointers.contains(c)));
         if exact_knowledge {
-            ops.extend(std::iter::repeat(BusOp::Invalidate).take(remote.len()));
+            out.ops
+                .extend(std::iter::repeat(BusOp::Invalidate).take(remote));
         } else {
-            ops.push(BusOp::BroadcastInvalidate);
+            out.ops.push(BusOp::BroadcastInvalidate);
         }
+        for victim in entry.holders.others(writer) {
+            out.movements
+                .push(DataMovement::Invalidate { cache: victim });
+        }
+        remote
     }
 
     fn on_read(&mut self, cache: CacheId, block: BlockAddr) -> RefOutcome {
@@ -213,15 +221,7 @@ impl DirectoryProtocol {
             Self::note_clean_holder(entry, cache, capacity, broadcast);
         }
 
-        Self::enforce_capacity(
-            spec,
-            capacity,
-            entry,
-            cache,
-            just_flushed,
-            &mut out.ops,
-            &mut out.movements,
-        );
+        Self::enforce_capacity(spec, capacity, entry, cache, just_flushed, &mut out);
         out
     }
 
@@ -237,8 +237,7 @@ impl DirectoryProtocol {
         entry: &mut Entry,
         keep: CacheId,
         just_flushed: Option<CacheId>,
-        ops: &mut Vec<BusOp>,
-        movements: &mut Vec<DataMovement>,
+        out: &mut RefOutcome,
     ) {
         if !spec.limits_copies() {
             return;
@@ -247,16 +246,14 @@ impl DirectoryProtocol {
         while entry.holders.len() > capacity {
             let victim = match spec.eviction() {
                 EvictionPolicy::OldestSharer => entry.holders.oldest_other(keep),
-                EvictionPolicy::NewestSharer => {
-                    let mut others: Vec<CacheId> = entry.holders.others(keep).collect();
-                    others.pop()
-                }
+                EvictionPolicy::NewestSharer => entry.holders.others(keep).last(),
             }
             .expect("over-capacity set has a non-keep member");
             entry.holders.remove(victim);
-            movements.push(DataMovement::Invalidate { cache: victim });
+            out.movements
+                .push(DataMovement::Invalidate { cache: victim });
             if just_flushed != Some(victim) {
-                ops.push(BusOp::Invalidate);
+                out.ops.push(BusOp::Invalidate);
             }
         }
     }
@@ -287,20 +284,15 @@ impl DirectoryProtocol {
                 return out;
             }
             // Write hit to a clean block.
-            let remote: Vec<CacheId> = entry.holders.others(cache).collect();
             let mut out = RefOutcome::event(EventKind::WhBlkCln);
-            out.clean_write_fanout = Some(remote.len() as u32);
             // Dir1NB guarantees exclusivity, so the write is free; every
             // other scheme must query the directory before invalidating,
             // and that lookup cannot overlap a memory access (§4.3).
             if !spec.is_single_copy() && !free_directory {
                 out.ops.push(BusOp::DirLookup);
             }
-            Self::clean_invalidation_ops(spec, entry, &mut out.ops, &remote);
-            for victim in &remote {
-                out.movements
-                    .push(DataMovement::Invalidate { cache: *victim });
-            }
+            let remote = Self::invalidate_clean_holders(spec, entry, cache, &mut out);
+            out.clean_write_fanout = Some(remote as u32);
             out.movements.push(DataMovement::CacheWrite { cache });
             entry.holders.retain_only(cache);
             entry.dirty = true;
@@ -330,16 +322,11 @@ impl DirectoryProtocol {
             Self::reset_to_sole_holder(entry, cache, capacity);
             out
         } else {
-            let remote: Vec<CacheId> = entry.holders.others(cache).collect();
             let mut out = RefOutcome::event(EventKind::WmBlkCln);
-            out.clean_write_fanout = Some(remote.len() as u32);
             out.ops.push(BusOp::MemRead); // directory overlapped with memory
-            Self::clean_invalidation_ops(spec, entry, &mut out.ops, &remote);
             out.movements.push(DataMovement::FillFromMemory { cache });
-            for victim in &remote {
-                out.movements
-                    .push(DataMovement::Invalidate { cache: *victim });
-            }
+            let remote = Self::invalidate_clean_holders(spec, entry, cache, &mut out);
+            out.clean_write_fanout = Some(remote as u32);
             out.movements.push(DataMovement::CacheWrite { cache });
             entry.holders.clear();
             entry.holders.insert(cache);

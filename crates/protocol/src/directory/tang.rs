@@ -69,15 +69,16 @@ impl CoherenceProtocol for Tang {
         let mut out = self.inner.on_data_ref(cache, block, write);
         // Expand each unoverlapped directory access into a search of every
         // duplicate cache directory.
-        let mut expanded = Vec::with_capacity(out.ops.len());
-        for op in out.ops.drain(..) {
-            if op == BusOp::DirLookup {
-                expanded.extend(std::iter::repeat(BusOp::DirLookup).take(self.caches as usize));
-            } else {
-                expanded.push(op);
+        if out.ops.contains(&BusOp::DirLookup) {
+            for op in std::mem::take(&mut out.ops).iter().copied() {
+                let n = if op == BusOp::DirLookup {
+                    self.caches as usize
+                } else {
+                    1
+                };
+                out.ops.extend(std::iter::repeat(op).take(n));
             }
         }
-        out.ops = expanded;
         out
     }
 

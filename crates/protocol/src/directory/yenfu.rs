@@ -136,10 +136,10 @@ impl CoherenceProtocol for YenFu {
                 out
             }
             (true, true, false) => {
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
+                let remote = entry.holders.count_others(cache);
                 let mut out = RefOutcome::event(EventKind::WhBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
-                if remote.is_empty() {
+                out.clean_write_fanout = Some(remote as u32);
+                if remote == 0 {
                     // Single bit set: the write proceeds immediately; the
                     // directory is updated off the critical path, but the
                     // message still occupies the bus (§2).
@@ -147,11 +147,11 @@ impl CoherenceProtocol for YenFu {
                 } else {
                     out.ops.push(BusOp::DirLookup);
                     out.ops
-                        .extend(std::iter::repeat(BusOp::Invalidate).take(remote.len()));
+                        .extend(std::iter::repeat(BusOp::Invalidate).take(remote));
                 }
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.retain_only(cache);
@@ -177,16 +177,16 @@ impl CoherenceProtocol for YenFu {
                 out
             }
             (true, false, false) => {
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
+                let remote = entry.holders.count_others(cache);
                 let mut out = RefOutcome::event(EventKind::WmBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
+                out.clean_write_fanout = Some(remote as u32);
                 out.ops.push(BusOp::MemRead);
                 out.ops
-                    .extend(std::iter::repeat(BusOp::Invalidate).take(remote.len()));
+                    .extend(std::iter::repeat(BusOp::Invalidate).take(remote));
                 out.movements.push(DataMovement::FillFromMemory { cache });
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.clear();

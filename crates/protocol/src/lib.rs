@@ -31,6 +31,7 @@
 pub mod api;
 pub mod directory;
 pub mod event;
+pub mod inline_list;
 pub mod ops;
 pub mod sharer_set;
 pub mod snoopy;

@@ -5,6 +5,12 @@
 //! the semantic [`DataMovement`]s (checked by the `dirsim-mem` oracle), and
 //! — on writes to previously-clean blocks — the invalidation fan-out that
 //! drives the paper's Figure 1.
+//!
+//! A match machine returns one outcome per data reference, so both lists
+//! are [`InlineList`]s. A hit carries none, and every outcome of a
+//! four-cache system fits inline, so neither allocates. Wider fan-outs,
+//! such as a write to a block that dozens of caches share, move to the
+//! heap.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -12,6 +18,17 @@ use std::ops::{Index, IndexMut};
 use dirsim_mem::CacheId;
 
 use crate::event::EventKind;
+use crate::inline_list::InlineList;
+
+/// Bus ops a [`RefOutcome`] holds before it allocates. The widest outcome
+/// of a four-cache system is Tang's write hit to a block every cache
+/// shares: four duplicate-tag searches and three invalidations.
+pub const INLINE_OPS: usize = 8;
+
+/// Data movements a [`RefOutcome`] holds before it allocates. The widest
+/// outcome of a four-cache system is a write miss to a block the three
+/// other caches share: a fill, three invalidations and the write.
+pub const INLINE_MOVEMENTS: usize = 6;
 
 /// One operation occupying the bus (or interconnect), in the vocabulary of
 /// the paper's §4.3 cost models.
@@ -221,11 +238,11 @@ impl DataMovement {
 pub struct RefOutcome {
     /// Table 4 classification.
     pub event: Option<EventKind>,
-    /// Bus operations to price. Cold (first-reference) fills follow the
-    /// paper's methodology and contribute **no** ops.
-    pub ops: Vec<BusOp>,
+    /// Bus operations to price, in order. Cold (first-reference) fills
+    /// follow the paper's methodology and contribute **no** ops.
+    pub ops: InlineList<BusOp, INLINE_OPS>,
     /// Semantic data movements for the correctness oracle, in order.
-    pub movements: Vec<DataMovement>,
+    pub movements: InlineList<DataMovement, INLINE_MOVEMENTS>,
     /// On a write to a previously-clean block (`wh-blk-cln` / `wm-blk-cln`),
     /// the number of *other* caches that held the block — the Figure 1
     /// histogram datum.

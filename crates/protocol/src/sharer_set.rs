@@ -5,103 +5,42 @@
 //! oldest sharer), and so that broadcast-free invalidation can enumerate
 //! holders in a stable order.
 //!
-//! Internally membership lives in a packed `u64` bitmap (one bit per cache
-//! id below [`WORD_BITS`]), so `contains`/`insert`/`count_others` are a
-//! mask test or popcount instead of a linear scan. Cache ids at or above
-//! [`WORD_BITS`] spill into extra heap-allocated bitmap words; sets wider
-//! than [`INLINE_MEMBERS`] sharers spill their order buffer to the heap.
-//! Both spills are reached only past the fast path, so simulations at the
-//! paper's 4-64 cache scale never allocate per sharer-set operation.
+//! Membership lives in two inline bitmap words, one bit per cache id below
+//! [`INLINE_IDS`], so `contains`/`insert`/`count_others` are a mask test
+//! instead of a linear scan. Cache ids at or above [`INLINE_IDS`] spill
+//! into extra heap-allocated bitmap words. The insertion order is an
+//! [`InlineList`] of [`INLINE_MEMBERS`] ids that moves to the heap past
+//! that many sharers; its length is the set's size, so no popcount is
+//! needed. In a system of up to 128 caches a set allocates only once more
+//! than [`INLINE_MEMBERS`] caches share its block.
 
 use dirsim_mem::CacheId;
 
-/// Number of cache ids covered by the inline bitmap word.
+use crate::inline_list::InlineList;
+
+/// Number of cache ids covered by one bitmap word.
 pub const WORD_BITS: u32 = 64;
+
+/// Number of inline bitmap words.
+const INLINE_WORDS: usize = 2;
+
+/// Number of cache ids covered by the inline bitmap words; wider ids
+/// spill to the heap.
+pub const INLINE_IDS: u32 = WORD_BITS * INLINE_WORDS as u32;
 
 /// Number of members tracked in the inline insertion-order buffer before
 /// spilling to the heap.
 pub const INLINE_MEMBERS: usize = 8;
 
-/// Insertion-order storage: inline for small sets, heap Vec beyond that.
-#[derive(Debug, Clone)]
-enum Order {
-    Inline {
-        len: u8,
-        buf: [CacheId; INLINE_MEMBERS],
-    },
-    Heap(Vec<CacheId>),
-}
-
-impl Order {
-    #[inline]
-    fn as_slice(&self) -> &[CacheId] {
-        match self {
-            Order::Inline { len, buf } => &buf[..*len as usize],
-            Order::Heap(v) => v,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, cache: CacheId) {
-        match self {
-            Order::Inline { len, buf } => {
-                let n = *len as usize;
-                if n < INLINE_MEMBERS {
-                    buf[n] = cache;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(INLINE_MEMBERS * 2);
-                    v.extend_from_slice(&buf[..n]);
-                    v.push(cache);
-                    *self = Order::Heap(v);
-                }
-            }
-            Order::Heap(v) => v.push(cache),
-        }
-    }
-
-    /// Removes the member at `pos`, shifting later members down (order of
-    /// the survivors is preserved — this is what `oldest`-based eviction
-    /// policies key on).
-    fn remove_at(&mut self, pos: usize) {
-        match self {
-            Order::Inline { len, buf } => {
-                let n = *len as usize;
-                buf.copy_within(pos + 1..n, pos);
-                *len -= 1;
-            }
-            Order::Heap(v) => {
-                v.remove(pos);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Order::Inline { len, .. } => *len = 0,
-            Order::Heap(v) => v.clear(),
-        }
-    }
-}
-
-impl Default for Order {
-    fn default() -> Self {
-        Order::Inline {
-            len: 0,
-            buf: [CacheId::new(0); INLINE_MEMBERS],
-        }
-    }
-}
-
-/// Insertion-ordered set of cache identities with a packed-word bitmap
+/// Insertion-ordered set of cache identities with packed bitmap words
 /// carrying membership.
 ///
-/// Membership tests and cardinality are O(1) bit operations on the inline
-/// word for cache ids below [`WORD_BITS`]; wider systems spill to extra
-/// bitmap words. Insertion order is kept alongside so that the directory
-/// semantics pinned by the tests below (duplicate inserts do not
-/// rejuvenate, remove-then-reinsert moves to newest) are bit-identical to
-/// the original linear-scan representation.
+/// Membership tests are O(1) bit operations on the inline words for cache
+/// ids below [`INLINE_IDS`]; wider systems spill to extra bitmap words.
+/// Insertion order is kept alongside, and its length is the cardinality,
+/// so that the directory semantics pinned by the tests below (duplicate
+/// inserts do not rejuvenate, remove-then-reinsert moves to newest) are
+/// bit-identical to the original linear-scan representation.
 ///
 /// # Examples
 ///
@@ -118,16 +57,16 @@ impl Default for Order {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharerSet {
-    /// Membership bits for cache ids `0..WORD_BITS`.
-    word: u64,
-    /// Membership bits for cache ids `WORD_BITS..`, one word per
+    /// Membership bits for cache ids `0..INLINE_IDS`, `WORD_BITS` per word.
+    words: [u64; INLINE_WORDS],
+    /// Membership bits for cache ids `INLINE_IDS..`, one word per
     /// `WORD_BITS` ids; allocated only when such an id is inserted.
     /// Boxed on purpose: the spill is cold, and the double indirection
     /// keeps this field pointer-sized so `SharerSet` itself stays lean
     /// for the (universal) unspilled case.
     #[allow(clippy::box_collection)]
     high: Option<Box<Vec<u64>>>,
-    order: Order,
+    order: InlineList<CacheId, INLINE_MEMBERS>,
 }
 
 impl SharerSet {
@@ -147,12 +86,12 @@ impl SharerSet {
     #[inline]
     pub fn insert(&mut self, cache: CacheId) -> bool {
         let id = cache.index() as u32;
-        if id < WORD_BITS {
-            let bit = 1u64 << id;
-            if self.word & bit != 0 {
+        if id < INLINE_IDS {
+            let (word, bit) = Self::word_bit(id);
+            if self.words[word] & bit != 0 {
                 return false;
             }
-            self.word |= bit;
+            self.words[word] |= bit;
         } else if !self.set_high(id) {
             return false;
         }
@@ -164,22 +103,21 @@ impl SharerSet {
     #[inline]
     pub fn remove(&mut self, cache: CacheId) -> bool {
         let id = cache.index() as u32;
-        if id < WORD_BITS {
-            let bit = 1u64 << id;
-            if self.word & bit == 0 {
+        if id < INLINE_IDS {
+            let (word, bit) = Self::word_bit(id);
+            if self.words[word] & bit == 0 {
                 return false;
             }
-            self.word &= !bit;
+            self.words[word] &= !bit;
         } else if !self.clear_high(id) {
             return false;
         }
         let pos = self
             .order
-            .as_slice()
             .iter()
             .position(|&c| c == cache)
             .expect("bitmap and order buffer agree on membership");
-        self.order.remove_at(pos);
+        self.order.remove(pos);
         true
     }
 
@@ -187,60 +125,50 @@ impl SharerSet {
     #[inline]
     pub fn contains(&self, cache: CacheId) -> bool {
         let id = cache.index() as u32;
-        if id < WORD_BITS {
-            self.word & (1u64 << id) != 0
+        if id < INLINE_IDS {
+            let (word, bit) = Self::word_bit(id);
+            self.words[word] & bit != 0
         } else {
             self.high_bit(id)
         }
     }
 
-    /// Number of members (popcount over the bitmap words).
+    /// Number of members: the length of the order buffer, which holds
+    /// exactly the members the bitmap words mark.
     #[inline]
     pub fn len(&self) -> usize {
-        let mut n = self.word.count_ones() as usize;
-        if let Some(high) = &self.high {
-            n += high.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        }
-        n
+        self.order.len()
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        let high_live = self
-            .high
-            .as_ref()
-            .is_some_and(|h| h.iter().any(|&w| w != 0));
-        self.word == 0 && !high_live
+        self.order.is_empty()
     }
 
     /// The earliest-inserted member still present, if any.
     #[inline]
     pub fn oldest(&self) -> Option<CacheId> {
-        self.order.as_slice().first().copied()
+        self.order.first().copied()
     }
 
     /// The earliest-inserted member other than `except`, if any.
     #[inline]
     pub fn oldest_other(&self, except: CacheId) -> Option<CacheId> {
-        self.order.as_slice().iter().copied().find(|&c| c != except)
+        self.order.iter().copied().find(|&c| c != except)
     }
 
     /// Iterates members in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = CacheId> + '_ {
-        self.order.as_slice().iter().copied()
+        self.order.iter().copied()
     }
 
     /// Members other than `except`, in insertion order.
     pub fn others(&self, except: CacheId) -> impl Iterator<Item = CacheId> + '_ {
-        self.order
-            .as_slice()
-            .iter()
-            .copied()
-            .filter(move |&c| c != except)
+        self.order.iter().copied().filter(move |&c| c != except)
     }
 
-    /// Number of members other than `except` — a popcount minus a
+    /// Number of members other than `except` — the length minus a
     /// membership bit, never a scan.
     #[inline]
     pub fn count_others(&self, except: CacheId) -> usize {
@@ -249,7 +177,7 @@ impl SharerSet {
 
     /// Removes all members.
     pub fn clear(&mut self) {
-        self.word = 0;
+        self.words = [0; INLINE_WORDS];
         if let Some(high) = &mut self.high {
             high.iter_mut().for_each(|w| *w = 0);
         }
@@ -265,11 +193,18 @@ impl SharerSet {
         }
     }
 
+    /// The word and bit of `id` in a bitmap whose first word holds id 0:
+    /// the inline words take a cache id, the spill words the id less
+    /// `INLINE_IDS`.
+    #[inline]
+    fn word_bit(id: u32) -> (usize, u64) {
+        ((id / WORD_BITS) as usize, 1u64 << (id % WORD_BITS))
+    }
+
     /// Tests the spill-word bit for a high cache id.
     #[cold]
     fn high_bit(&self, id: u32) -> bool {
-        let word = (id / WORD_BITS - 1) as usize;
-        let bit = 1u64 << (id % WORD_BITS);
+        let (word, bit) = Self::word_bit(id - INLINE_IDS);
         self.high
             .as_ref()
             .and_then(|h| h.get(word))
@@ -279,8 +214,7 @@ impl SharerSet {
     /// Sets the spill-word bit for a high cache id; `false` if already set.
     #[cold]
     fn set_high(&mut self, id: u32) -> bool {
-        let word = (id / WORD_BITS - 1) as usize;
-        let bit = 1u64 << (id % WORD_BITS);
+        let (word, bit) = Self::word_bit(id - INLINE_IDS);
         let high = self.high.get_or_insert_with(Default::default);
         if high.len() <= word {
             high.resize(word + 1, 0);
@@ -295,8 +229,7 @@ impl SharerSet {
     /// Clears the spill-word bit for a high cache id; `false` if unset.
     #[cold]
     fn clear_high(&mut self, id: u32) -> bool {
-        let word = (id / WORD_BITS - 1) as usize;
-        let bit = 1u64 << (id % WORD_BITS);
+        let (word, bit) = Self::word_bit(id - INLINE_IDS);
         match &mut self.high {
             Some(high) if high.len() > word && high[word] & bit != 0 => {
                 high[word] &= !bit;
@@ -311,7 +244,7 @@ impl SharerSet {
 /// same caches in different arrival order are different directory states.
 impl PartialEq for SharerSet {
     fn eq(&self, other: &Self) -> bool {
-        self.order.as_slice() == other.order.as_slice()
+        self.order == other.order
     }
 }
 
@@ -340,7 +273,7 @@ impl<'a> IntoIterator for &'a SharerSet {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, CacheId>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.order.as_slice().iter().copied()
+        self.order.iter().copied()
     }
 }
 
@@ -462,26 +395,44 @@ mod tests {
     }
 
     #[test]
-    fn high_ids_spill_past_word_bits() {
-        // Ids at and above WORD_BITS live in spill words; mixing low and
+    fn ids_in_the_second_inline_word_need_no_spill() {
+        // Ids from WORD_BITS to INLINE_IDS live in the second inline word:
+        // no spill words are allocated for them.
+        let mut s = SharerSet::new();
+        assert!(s.insert(c(WORD_BITS - 1)));
+        assert!(s.insert(c(WORD_BITS)));
+        assert!(s.insert(c(INLINE_IDS - 1)));
+        assert!(s.high.is_none());
+        assert_eq!(s.len(), 3);
+        assert!(!s.contains(c(WORD_BITS + 1)));
+        assert!(s.remove(c(WORD_BITS)));
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![c(WORD_BITS - 1), c(INLINE_IDS - 1)]
+        );
+    }
+
+    #[test]
+    fn high_ids_spill_past_the_inline_words() {
+        // Ids at and above INLINE_IDS live in spill words; mixing low and
         // high ids must keep membership and order coherent.
         let mut s = SharerSet::new();
         assert!(s.insert(c(3)));
-        assert!(s.insert(c(WORD_BITS)));
-        assert!(s.insert(c(WORD_BITS + 65)));
-        assert!(!s.insert(c(WORD_BITS)));
+        assert!(s.insert(c(INLINE_IDS)));
+        assert!(s.insert(c(INLINE_IDS + 65)));
+        assert!(!s.insert(c(INLINE_IDS)));
         assert_eq!(s.len(), 3);
-        assert!(s.contains(c(WORD_BITS + 65)));
-        assert!(!s.contains(c(WORD_BITS + 1)));
+        assert!(s.contains(c(INLINE_IDS + 65)));
+        assert!(!s.contains(c(INLINE_IDS + 1)));
         assert_eq!(
             s.iter().collect::<Vec<_>>(),
-            vec![c(3), c(WORD_BITS), c(WORD_BITS + 65)]
+            vec![c(3), c(INLINE_IDS), c(INLINE_IDS + 65)]
         );
-        assert!(s.remove(c(WORD_BITS)));
-        assert!(!s.remove(c(WORD_BITS)));
+        assert!(s.remove(c(INLINE_IDS)));
+        assert!(!s.remove(c(INLINE_IDS)));
         assert_eq!(s.count_others(c(3)), 1);
-        s.retain_only(c(WORD_BITS + 65));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![c(WORD_BITS + 65)]);
+        s.retain_only(c(INLINE_IDS + 65));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![c(INLINE_IDS + 65)]);
         s.clear();
         assert!(s.is_empty());
     }

@@ -145,9 +145,8 @@ impl CoherenceProtocol for Illinois {
                     out.movements.push(DataMovement::CacheWrite { cache });
                     return out;
                 }
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(EventKind::WhBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
+                out.clean_write_fanout = Some(entry.holders.count_others(cache) as u32);
                 if entry.exclusive {
                     // E → M: the defining Illinois transition, bus-free.
                     out.movements.push(DataMovement::CacheWrite { cache });
@@ -156,9 +155,9 @@ impl CoherenceProtocol for Illinois {
                 }
                 // S → M: broadcast an invalidation on the snooping bus.
                 out.ops.push(BusOp::BroadcastInvalidate);
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.retain_only(cache);
@@ -172,10 +171,9 @@ impl CoherenceProtocol for Illinois {
                 } else {
                     EventKind::WmBlkCln
                 };
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(kind);
                 if kind == EventKind::WmBlkCln {
-                    out.clean_write_fanout = Some(remote.len() as u32);
+                    out.clean_write_fanout = Some(entry.holders.count_others(cache) as u32);
                 }
                 if let Some(supplier) = entry.holders.oldest() {
                     out.ops.push(if entry.dirty {
@@ -194,9 +192,9 @@ impl CoherenceProtocol for Illinois {
                     out.movements.push(DataMovement::FillFromMemory { cache });
                 }
                 // The read-with-intent-to-modify invalidates as it snoops.
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::CacheWrite { cache });
                 entry.holders.clear();

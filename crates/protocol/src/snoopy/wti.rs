@@ -121,15 +121,14 @@ impl CoherenceProtocol for Wti {
                     out.movements.push(DataMovement::WriteThrough { cache });
                     return out;
                 }
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(EventKind::WhBlkCln);
-                out.clean_write_fanout = Some(remote.len() as u32);
+                out.clean_write_fanout = Some(entry.holders.count_others(cache) as u32);
                 // The write-through broadcast carries the invalidation for
                 // free: snooping caches drop their copies as it passes.
                 out.ops.push(BusOp::WriteThrough);
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::WriteThrough { cache });
                 entry.holders.retain_only(cache);
@@ -142,18 +141,17 @@ impl CoherenceProtocol for Wti {
                 } else {
                     EventKind::WmBlkCln
                 };
-                let remote: Vec<CacheId> = entry.holders.others(cache).collect();
                 let mut out = RefOutcome::event(kind);
                 if kind == EventKind::WmBlkCln {
-                    out.clean_write_fanout = Some(remote.len() as u32);
+                    out.clean_write_fanout = Some(entry.holders.count_others(cache) as u32);
                 }
                 // Write-allocate: fetch the block, then write through.
                 out.ops.push(BusOp::MemRead);
                 out.ops.push(BusOp::WriteThrough);
                 out.movements.push(DataMovement::FillFromMemory { cache });
-                for victim in &remote {
+                for victim in entry.holders.others(cache) {
                     out.movements
-                        .push(DataMovement::Invalidate { cache: *victim });
+                        .push(DataMovement::Invalidate { cache: victim });
                 }
                 out.movements.push(DataMovement::WriteThrough { cache });
                 entry.holders.clear();

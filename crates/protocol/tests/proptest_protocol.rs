@@ -8,7 +8,9 @@ use proptest::prelude::*;
 
 use dirsim_mem::{BlockAddr, CacheId};
 use dirsim_protocol::directory::{CoarseCode, DirSpec, PointerCapacity};
-use dirsim_protocol::sharer_set::{INLINE_MEMBERS, WORD_BITS};
+use dirsim_protocol::inline_list::InlineList;
+use dirsim_protocol::ops::{INLINE_MOVEMENTS, INLINE_OPS};
+use dirsim_protocol::sharer_set::{INLINE_IDS, INLINE_MEMBERS, WORD_BITS};
 use dirsim_protocol::{EventKind, Scheme, SharerSet};
 
 #[derive(Debug, Clone, Copy)]
@@ -77,23 +79,26 @@ proptest! {
     }
 
     /// The packed-word representation agrees with a `BTreeSet` membership
-    /// model across the 64→spill boundary: candidate ids straddle
-    /// `WORD_BITS` (inline word vs. heap spill words) and exceed
-    /// `INLINE_MEMBERS` (inline order buffer vs. heap promotion), so every
-    /// storage transition is crossed mid-sequence. The `BTreeSet` checks
-    /// membership/cardinality; a `Vec` shadow checks the insertion-order
-    /// contract the pointer-replacement policies depend on.
+    /// model across the 128→spill boundary: candidate ids straddle
+    /// `WORD_BITS` (first vs. second inline word) and `INLINE_IDS` (inline
+    /// words vs. heap spill words), and exceed `INLINE_MEMBERS` (inline
+    /// order buffer vs. heap promotion), so every storage transition is
+    /// crossed mid-sequence. The `BTreeSet` checks membership/cardinality;
+    /// a `Vec` shadow checks the insertion-order contract the
+    /// pointer-replacement policies depend on.
     #[test]
     fn sharer_set_matches_btree_model_across_spill_boundary(
-        ops in prop::collection::vec((0..4u8, 0..20usize), 1..250)
+        ops in prop::collection::vec((0..4u8, 0..26usize), 1..250)
     ) {
-        // Low ids, ids hugging both sides of the word boundary, and ids
-        // deep in the second spill word.
+        // Low ids, ids hugging both sides of the boundary between the
+        // inline words and of the one past them, and ids deep in the
+        // second spill word.
         let ids: Vec<u32> = (0..6)
             .chain(WORD_BITS - 3..WORD_BITS + 3)
-            .chain(2 * WORD_BITS + 1..2 * WORD_BITS + 9)
+            .chain(INLINE_IDS - 3..INLINE_IDS + 3)
+            .chain(INLINE_IDS + WORD_BITS + 1..INLINE_IDS + WORD_BITS + 9)
             .collect();
-        prop_assert!(ids.len() == 20 && ids.len() > INLINE_MEMBERS);
+        prop_assert!(ids.len() == 26 && ids.len() > INLINE_MEMBERS);
         let mut real = SharerSet::new();
         let mut membership: BTreeSet<u32> = BTreeSet::new();
         let mut order: Vec<u32> = Vec::new();
@@ -153,6 +158,77 @@ proptest! {
         }
     }
 
+    /// `InlineList` behaves like a `Vec` before and after it moves to the
+    /// heap: every push, removal and clear leaves the same items in the
+    /// same order.
+    #[test]
+    fn inline_list_matches_vec_model(
+        ops in prop::collection::vec((0..16u8, 0..16usize), 1..200)
+    ) {
+        let mut real: InlineList<u32, 3> = InlineList::new();
+        let mut model: Vec<u32> = Vec::new();
+        for (step, (kind, pick)) in ops.into_iter().enumerate() {
+            match kind {
+                0..=11 => {
+                    real.push(step as u32);
+                    model.push(step as u32);
+                }
+                12..=14 if !model.is_empty() => {
+                    let at = pick % model.len();
+                    real.remove(at);
+                    model.remove(at);
+                }
+                12..=14 => {}
+                _ => {
+                    real.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(real.as_slice(), model.as_slice());
+            prop_assert_eq!(&real, &model);
+            prop_assert_eq!(real.clone(), real.clone());
+        }
+    }
+
+    /// Every outcome of a four-cache system fits the outcome lists' inline
+    /// capacities, for every scheme.
+    #[test]
+    fn four_cache_outcomes_stay_inline(
+        raw in prop::collection::vec((0u32..4, 0u64..6, any::<bool>(), 0u8..8), 1..200)
+    ) {
+        let nb = |i| Scheme::Directory(DirSpec::dir_i_nb(i).unwrap());
+        for scheme in [
+            Scheme::dir0_b(),
+            Scheme::dir1_b(),
+            Scheme::dir_i_b(2),
+            Scheme::dir_i_b(4),
+            Scheme::dir1_nb(),
+            nb(2),
+            nb(4),
+            Scheme::dir_n_nb(),
+            Scheme::CoarseVector,
+            Scheme::Tang,
+            Scheme::YenFu,
+            Scheme::DirUpdate,
+            Scheme::Wti,
+            Scheme::Illinois,
+            Scheme::Dragon,
+            Scheme::Berkeley,
+        ] {
+            let mut p = scheme.build(4);
+            for &(c, blk, w, evict) in &raw {
+                let (cache, block) = (CacheId::new(c), BlockAddr::new(blk));
+                let out = if evict == 0 {
+                    p.evict(cache, block)
+                } else {
+                    p.on_data_ref(cache, block, w)
+                };
+                prop_assert!(out.ops.len() <= INLINE_OPS, "{}: {:?}", scheme, out);
+                prop_assert!(out.movements.len() <= INLINE_MOVEMENTS, "{}: {:?}", scheme, out);
+            }
+        }
+    }
+
     /// The coarse code's superset size matches its member enumeration over
     /// the full digit space.
     #[test]
@@ -172,6 +248,20 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(members, sorted);
+    }
+
+    /// The coarse code counts its members below any system width, powers
+    /// of two or not, without enumerating them.
+    #[test]
+    fn coarse_code_member_count_matches_members(
+        caches in 1u32..200,
+        inserts in prop::collection::vec(0u32..200, 1..6),
+    ) {
+        let mut code = CoarseCode::new(caches);
+        for &i in &inserts {
+            code.insert(u64::from(i % caches));
+            prop_assert_eq!(code.member_count(caches), code.members(caches).len() as u64);
+        }
     }
 
     /// DirSpec display names are parseable back into (i, broadcast).

@@ -14,6 +14,7 @@
 use dirsim::prelude::*;
 use dirsim::{ExperimentResults, NamedWorkload, SchemeResult};
 use dirsim_trace::filter::without_lock_tests;
+use dirsim_trace::synth::{LockConfig, SharingMix};
 
 /// The paper's Table 5 line-up, the remaining directory organisations and
 /// the snoopy baselines — the 14 schemes the model checker gauntlets —
@@ -40,6 +41,34 @@ pub fn gauntlet() -> Vec<Scheme> {
         Scheme::Dragon,
         Scheme::Berkeley,
     ]
+}
+
+/// `cpus` CPUs, one process each, in the shape of the benchmark's
+/// `wide96` scenario: migratory, falsely shared and lock-contended data.
+/// The shared fraction is higher than there, so a short trace still puts
+/// many caches on each hot block.
+pub fn wide_config(cpus: u16) -> WorkloadConfig {
+    WorkloadConfig::builder()
+        .cpus(cpus)
+        .processes(u32::from(cpus))
+        .shared_frac(0.5)
+        .migration_prob(0.001)
+        .quantum(5_000)
+        .sharing_mix(SharingMix {
+            read_mostly: 0.30,
+            migratory: 0.40,
+            producer_consumer: 0.0,
+            false_sharing: 0.30,
+        })
+        .lock(LockConfig {
+            locks: 4,
+            acquire_prob: 0.004,
+            critical_section_len: 150,
+            critical_write_frac: 0.50,
+        })
+        .seed(0x9696)
+        .build()
+        .expect("wide workload config is valid")
 }
 
 /// Whether the lanes of a run under `sim` start on table kernels: the

@@ -22,13 +22,12 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{alone, assert_identical, gauntlet, kernels_engage, Matrix};
+use common::{alone, assert_identical, gauntlet, kernels_engage, wide_config, Matrix};
 use dirsim::broadcast::DEFAULT_CHUNK;
 use dirsim::obs::MetricsRegistry;
 use dirsim::prelude::*;
 use dirsim::{ExperimentResults, NamedWorkload};
 use dirsim_mem::CacheGeometry;
-use dirsim_trace::synth::{LockConfig, SharingMix};
 
 const REFS: usize = 12_000;
 
@@ -496,42 +495,14 @@ fn corpus_round_is_bit_identical_across_sources_and_modes() {
     std::fs::remove_file(&dtrz).unwrap();
 }
 
-/// 96 CPUs, one process each, in the shape of the benchmark's `wide96`
-/// scenario: migratory, falsely shared and lock-contended data. The
-/// shared fraction is higher than there, so a short trace still puts
-/// many caches on each hot block.
-fn wide96_config() -> WorkloadConfig {
-    WorkloadConfig::builder()
-        .cpus(96)
-        .processes(96)
-        .shared_frac(0.5)
-        .migration_prob(0.001)
-        .quantum(5_000)
-        .sharing_mix(SharingMix {
-            read_mostly: 0.30,
-            migratory: 0.40,
-            producer_consumer: 0.0,
-            false_sharing: 0.30,
-        })
-        .lock(LockConfig {
-            locks: 4,
-            acquire_prob: 0.004,
-            critical_section_len: 150,
-            critical_write_frac: 0.50,
-        })
-        .seed(0x9696)
-        .build()
-        .expect("wide96 workload config is valid")
-}
-
 #[test]
 fn systems_past_the_kernel_width_agree_on_the_match_machines() {
     // 96 caches is past what a kernel tables, so every lane of every
-    // bank steps its match machine: sharer ids past 64 spill into extra
-    // words, Dir_iNB pointer sets overflow, and under the finite geometry
-    // the bank's one replica evicts. Each scheme run alone through
-    // `Simulator::run` is the oracle.
-    let wide = NamedWorkload::new("wide96", wide96_config());
+    // bank steps its match machine: sharer ids past 64 fill the second
+    // inline word, Dir_iNB pointer sets overflow, and under the finite
+    // geometry the bank's one replica evicts. Each scheme run alone
+    // through `Simulator::run` is the oracle.
+    let wide = NamedWorkload::new("wide96", wide_config(96));
     for geometry in [None, Some(CacheGeometry { sets: 16, ways: 2 })] {
         let matrix = Matrix {
             sim: SimConfig {
@@ -572,6 +543,39 @@ fn systems_past_the_kernel_width_agree_on_the_match_machines() {
                 "{what}: kernel_lanes"
             );
         }
+    }
+}
+
+#[test]
+fn audited_systems_past_the_inline_capacities_agree() {
+    // A sharer set keeps ids below 128 and its first eight members inline,
+    // and an outcome its first ops and movements; past those they spill
+    // to the heap. The oracle steps the same machines, so a spill defect
+    // shows only to the audits, which this round turns on explicitly: at
+    // 160 caches sharer ids pass both inline words, and pools of eight
+    // shared blocks gather more holders than any inline capacity, so
+    // clean writes fan out past them too.
+    let config = WorkloadConfig {
+        shared_blocks_per_pool: 8,
+        ..wide_config(160)
+    };
+    let wide = NamedWorkload::new("wide160", config);
+    for geometry in [None, Some(CacheGeometry { sets: 4, ways: 2 })] {
+        let mut matrix = Matrix::new(vec![wide.clone()], gauntlet(), 6_000);
+        matrix.sim.check_oracle = true;
+        matrix.sim.check_invariants = true;
+        matrix.sim.geometry = geometry;
+        let what = format!("audited wide160, {geometry:?}");
+        let oracle = assert_matches_oracle(&matrix, &[1, 3], &what);
+        assert_eq!(oracle.caches, [160]);
+        assert_eq!(oracle.trace_stats[0].1.process_count(), 160, "{what}");
+        let dir_n_nb = &oracle.per_scheme[0];
+        assert_eq!(dir_n_nb.scheme, Scheme::dir_n_nb());
+        let widest = dir_n_nb.combined.fanout.max_fanout().unwrap_or(0);
+        assert!(
+            widest as usize > dirsim_protocol::ops::INLINE_OPS,
+            "{what}: widest DirnNB fan-out {widest} stays inline"
+        );
     }
 }
 
