@@ -51,13 +51,12 @@
 //! use dirsim::broadcast::BroadcastSimulator;
 //! use dirsim::SimConfig;
 //! use dirsim_protocol::Scheme;
-//! use dirsim_trace::source::IterSource;
 //! use dirsim_trace::Scenario;
 //!
 //! # fn main() -> Result<(), dirsim::Error> {
 //! let schemes = Scheme::paper_lineup();
 //! let pops = Scenario::named("pops").expect("bundled scenario");
-//! let source = IterSource::new(pops.workload().take(20_000));
+//! let source = pops.source(20_000);
 //! let results = BroadcastSimulator::new(SimConfig::default())
 //!     .workers(2)
 //!     .run(&schemes, 4, source)?;

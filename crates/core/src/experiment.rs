@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use dirsim_mem::SharingModel;
 use dirsim_obs::{NoopRecorder, ProgressMeter, Recorder};
 use dirsim_protocol::Scheme;
-use dirsim_trace::source::{collect_all, IterSource, SliceSource, TakeSource, WithoutLockTests};
+use dirsim_trace::source::{collect_all, SliceSource, TakeSource, WithoutLockTests};
 use dirsim_trace::synth::{Workload, WorkloadConfig};
 use dirsim_trace::{open_trace, MemRef, Scenario, TraceSource, TraceStats};
 
@@ -260,7 +260,7 @@ impl Experiment {
     /// experiment reads each input.
     fn generate(&self, name: &str, config: &WorkloadConfig) -> impl TraceSource + Send {
         self.recorder.counter("input_passes", &[("trace", name)], 1);
-        IterSource::new(Workload::new(config.clone()).take(self.refs_per_trace))
+        TakeSource::new(Workload::new(config.clone()), self.refs_per_trace as u64)
     }
 
     /// Opens a trace file's reference stream, capped at the reference

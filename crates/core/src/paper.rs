@@ -430,8 +430,8 @@ pub fn utilization_study(
     let mut rows = Vec::new();
     for &n in processors {
         let cfg = scaled_workload(n, 0x71e0_0000 + u64::from(n));
-        let refs_vec: Vec<dirsim_trace::MemRef> =
-            dirsim_trace::synth::Workload::new(cfg).take(refs).collect();
+        let mut refs_vec = Vec::new();
+        dirsim_trace::synth::Workload::new(cfg).fill(&mut refs_vec, refs);
         for &scheme in &schemes {
             let mut protocol = scheme.build(u32::from(n));
             let result = TimingSimulator::default()

@@ -748,6 +748,7 @@ fn drive_sharded(
 /// Runs the pipeline over `source` and records the per-scheme totals.
 /// A source that lends its chunks decodes inline on the calling thread;
 /// every other source decodes on a producer thread (see the module docs).
+/// The run counts which in `decode_runs{placement=inline|producer}`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<S>(
     config: SimConfig,
@@ -764,6 +765,7 @@ where
 {
     let results = match source.borrowed() {
         Some(borrowed) => {
+            rec.counter("decode_runs", &[("placement", "inline")], 1);
             let mut feed = BorrowedFeed {
                 source: borrowed,
                 chunk,
@@ -773,9 +775,12 @@ where
                 config, chunk, workers, rec, schemes, caches, &mut feed, observe,
             )
         }
-        None => drive_overlapped(
-            config, chunk, workers, rec, schemes, caches, source, observe,
-        ),
+        None => {
+            rec.counter("decode_runs", &[("placement", "producer")], 1);
+            drive_overlapped(
+                config, chunk, workers, rec, schemes, caches, source, observe,
+            )
+        }
     }?;
     record_scheme_totals(rec, &results);
     Ok(results)

@@ -120,6 +120,16 @@ impl Cell {
         }
     }
 
+    /// This cell's input under `scheme`: the input key is reused, not
+    /// rendered again, so a grid renders each input's spec once.
+    pub(crate) fn with_scheme(&self, scheme: Scheme) -> Cell {
+        Cell {
+            scheme,
+            hash: identity_hash(scheme, &self.input_key),
+            ..self.clone()
+        }
+    }
+
     /// The geometry as a spec label (`infinite` or `SETSxWAYS`).
     pub fn geometry_label(&self) -> String {
         geometry_label(self.geometry)
@@ -130,11 +140,14 @@ impl Cell {
 /// key, so two cells differ in hash exactly when they differ in scheme or
 /// input.
 fn identity_hash(scheme: Scheme, input_key: &str) -> String {
-    let identity = format!(
-        "dirsim-sweep-cell-v{CELL_IDENTITY_VERSION}\nscheme={}\n{input_key}",
+    let scheme_line = format!(
+        "dirsim-sweep-cell-v{CELL_IDENTITY_VERSION}\nscheme={}\n",
         scheme.name()
     );
-    format!("{:016x}", fnv1a64(identity.as_bytes()))
+    let mut hash = Fnv64::new();
+    hash.update(scheme_line.as_bytes());
+    hash.update(input_key.as_bytes());
+    format!("{:016x}", hash.finish())
 }
 
 /// Renders a geometry the way sweep specs write it.

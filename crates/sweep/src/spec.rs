@@ -254,6 +254,8 @@ impl SweepSpec {
     /// Expands the cross product into concrete cells, in axis order
     /// (refs, then cpus, then geometry, then scenario, then scheme varying
     /// fastest — so the report's scheme × scenario tables fill row-major).
+    /// Each input's spec is rendered and keyed once, for its first scheme;
+    /// the other schemes' cells reuse that key.
     ///
     /// # Errors
     ///
@@ -274,23 +276,14 @@ impl SweepSpec {
                                         cpus.map_or("default".to_string(), |c| c.to_string()),
                                     ))
                                 })?;
-                                for &scheme in &self.schemes {
-                                    cells.push(Cell::new(
-                                        scheme,
-                                        scenario,
-                                        config.clone(),
-                                        geometry,
-                                        cpus,
-                                        refs,
-                                    ));
-                                }
+                                push_per_scheme(&mut cells, &self.schemes, |scheme| {
+                                    Cell::new(scheme, scenario, config, geometry, cpus, refs)
+                                });
                             }
                             SweepSource::Trace { path, len } => {
-                                for &scheme in &self.schemes {
-                                    cells.push(Cell::from_trace(
-                                        scheme, path, *len, geometry, cpus, refs,
-                                    ));
-                                }
+                                push_per_scheme(&mut cells, &self.schemes, |scheme| {
+                                    Cell::from_trace(scheme, path, *len, geometry, cpus, refs)
+                                });
                             }
                         }
                     }
@@ -298,6 +291,20 @@ impl SweepSpec {
             }
         }
         Ok(cells)
+    }
+}
+
+/// Pushes one cell per scheme over one input: `first` builds the first
+/// scheme's cell, and the rest reuse its rendered input key.
+fn push_per_scheme(cells: &mut Vec<Cell>, schemes: &[Scheme], first: impl FnOnce(Scheme) -> Cell) {
+    let Some((&head, rest)) = schemes.split_first() else {
+        return;
+    };
+    let at = cells.len();
+    cells.push(first(head));
+    for &scheme in rest {
+        let cell = cells[at].with_scheme(scheme);
+        cells.push(cell);
     }
 }
 
@@ -509,7 +516,32 @@ cost-models = pipelined, non-pipelined
         assert_eq!(spec.refs, vec![2_000]);
         assert_eq!(spec.cost_models.len(), 2);
         assert_eq!(spec.cell_count(), 16);
-        assert_eq!(spec.expand().unwrap().len(), 16);
+        let cells = spec.expand().unwrap();
+        assert_eq!(cells.len(), 16);
+        // Every cell equals the one its own fields build alone: reusing an
+        // input's rendered key for its other schemes moves no hash.
+        for cell in cells {
+            let Some(SweepSource::Scenario(scenario)) =
+                spec.scenarios.iter().find(|s| s.name() == cell.scenario)
+            else {
+                panic!("{} is a scenario of the spec", cell.scenario);
+            };
+            let Input::Synthetic(config) = &cell.input else {
+                panic!("scenario cells are synthetic");
+            };
+            let alone = Cell::new(
+                cell.scheme,
+                scenario,
+                config.clone(),
+                cell.geometry,
+                cell.cpus,
+                cell.refs,
+            );
+            assert_eq!(
+                (&cell.hash, &cell.input_key),
+                (&alone.hash, &alone.input_key)
+            );
+        }
     }
 
     #[test]
@@ -596,6 +628,13 @@ cost-models = pipelined, non-pipelined
         assert!(matches!(cells[0].input, Input::Synthetic(_)));
         assert_eq!(cells[2].input, Input::Trace(path.clone()));
         assert_eq!(cells[2].scenario, path.display().to_string());
+        for cell in &cells[2..] {
+            let alone = Cell::from_trace(cell.scheme, &cell.scenario, *len, None, None, 50);
+            assert_eq!(
+                (&cell.hash, &cell.input_key),
+                (&alone.hash, &alone.input_key)
+            );
+        }
 
         // A duplicate trace path double-counts cells, like any axis entry.
         let dup = format!(

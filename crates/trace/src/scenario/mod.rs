@@ -47,7 +47,7 @@ pub mod rules;
 use std::fmt;
 use std::path::Path;
 
-use crate::source::IterSource;
+use crate::source::TakeSource;
 use crate::synth::{ConfigError, Workload, WorkloadConfig};
 
 pub use parser::{parse_spec, ParseError, ParseErrorKind};
@@ -209,9 +209,10 @@ impl Scenario {
     }
 
     /// Builds a bounded [`TraceSource`](crate::TraceSource) of `len`
-    /// references, ready to feed a simulation engine.
-    pub fn source(&self, len: u64) -> IterSource<std::iter::Take<Workload>> {
-        IterSource::new(self.workload().take(len as usize))
+    /// references, ready to feed a simulation engine: the generator capped
+    /// at `len`, each chunk one [`Workload::fill`].
+    pub fn source(&self, len: u64) -> TakeSource<Workload> {
+        TakeSource::new(self.workload(), len)
     }
 
     /// Renders the scenario back into spec text that parses to an equal

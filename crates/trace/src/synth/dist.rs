@@ -1,4 +1,7 @@
-//! Skewed sampling distributions for the synthetic generator.
+//! Sampling distributions for the synthetic generator.
+//!
+//! `Chance` is a Bernoulli draw as one integer compare, exact against
+//! `Rng::gen_bool`.
 //!
 //! [`Zipf`] implements Zipf-distributed block popularity: rank 0 is the
 //! hottest block, rank `n-1` the coldest, with skew controlled by
@@ -15,7 +18,59 @@
 //! value, which keeps trace generation deterministic and cheap.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// 2⁵³: an `f64` draw is a 53-bit integer scaled by 2⁻⁵³.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// One 53-bit draw, the integer behind every `f64` draw: `rng.gen::<f64>()`
+/// is exactly this value times 2⁻⁵³, and consumes the same RNG value.
+#[inline(always)]
+pub(crate) fn draw53(rng: &mut SmallRng) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// A uniform draw in `0..span`: the value `rng.gen_range(0..span)` returns
+/// from the same one RNG value, without its empty-range check. Every span
+/// the generator draws from is a validated, non-zero count.
+#[inline(always)]
+pub(crate) fn below(rng: &mut SmallRng, span: u64) -> u64 {
+    debug_assert!(span > 0, "cannot sample an empty range");
+    ((u128::from(rng.next_u64()) * u128::from(span)) >> 64) as u64
+}
+
+/// A Bernoulli(`p`) draw as one integer compare.
+///
+/// `Rng::gen_bool(p)` compares a draw `m · 2⁻⁵³ < p`. Both sides are exact
+/// in `f64` (scaling by a power of two), so that holds exactly when
+/// `m < ceil(p · 2⁵³)`, the least `m` with `m · 2⁻⁵³ ≥ p`. [`Chance::new`]
+/// computes that threshold once; [`Chance::roll`] consumes the one RNG
+/// value `gen_bool` would and returns its outcome. The conversion
+/// saturates, so the identity holds for every `f64` threshold, cumulative
+/// ones above 1 included: a negative or NaN `p` never passes, and `p ≥ 1`
+/// always does. A `p` of 0 still consumes its draw.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chance(u64);
+
+impl Chance {
+    /// The threshold for probability (or cumulative roll bound) `p`.
+    pub(crate) fn new(p: f64) -> Chance {
+        Chance((p * UNIT).ceil() as u64)
+    }
+
+    /// Whether 53-bit draw `m` falls below `p`: `m · 2⁻⁵³ < p`.
+    #[inline(always)]
+    pub(crate) fn admits(self, m: u64) -> bool {
+        m < self.0
+    }
+
+    /// Draws once and returns `true` with probability `p`, the same
+    /// outcome `rng.gen_bool(p)` gives from the same state.
+    #[inline(always)]
+    pub(crate) fn roll(self, rng: &mut SmallRng) -> bool {
+        self.admits(draw53(rng))
+    }
+}
 
 /// Truncated zeta (generalised harmonic) number `Σ_{i=1..n} i^-theta`.
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -84,6 +139,7 @@ impl Zipf {
     /// Draws one rank in `0..n`; rank 0 is the most popular.
     ///
     /// Consumes exactly one value from `rng`.
+    #[inline(always)]
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * self.zetan;

@@ -17,10 +17,12 @@ use std::collections::VecDeque;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::io::TraceIoError;
+use crate::source::TraceSource;
 use crate::synth::config::{Phase, SharingMix, WorkloadConfig};
-use crate::synth::dist::Zipf;
+use crate::synth::dist::{below, draw53, Chance, Zipf};
 use crate::synth::layout::{AddressLayout, Region};
-use crate::types::{CpuId, MemRef, ProcessId, RefFlags};
+use crate::types::{Addr, CpuId, MemRef, ProcessId, RefFlags};
 
 #[cfg(test)]
 use crate::types::AccessKind;
@@ -69,6 +71,10 @@ const READ_MOSTLY_WRITE_FRAC: f64 = 0.01;
 
 /// Fraction of migratory burst references that are writes.
 const MIGRATORY_WRITE_FRAC: f64 = 0.5;
+
+/// Fraction of false-sharing references that are writes (per-process
+/// counters are update-heavy).
+const FALSE_SHARING_WRITE_FRAC: f64 = 0.6;
 
 /// Working-set churn: shared pools are sliding windows over a growing
 /// block space, modelling allocation of new shared objects over time. This
@@ -137,41 +143,95 @@ struct LockState {
     holder: Option<u32>,
 }
 
-/// The reference mix currently in force: the base configuration with the
-/// active phase's overrides applied. Recomputed only at phase boundaries,
-/// so the per-reference hot path reads plain fields.
+/// Every Bernoulli draw of the generator as a [`Chance`]: the base
+/// configuration with the active phase's overrides applied, and the fixed
+/// probabilities above. Recomputed only at phase boundaries, so each draw
+/// on the per-reference hot path is one integer compare.
 #[derive(Debug, Clone, Copy)]
-struct EffectiveMix {
-    instr_frac: f64,
-    write_frac: f64,
-    shared_frac: f64,
-    acquire_prob: f64,
+struct Odds {
+    /// An instruction fetch (spin loops, critical sections, barriers).
+    instr: Chance,
+    /// A running turn's roll below this (and not below `instr`) is an OS
+    /// reference: the cumulative `instr_frac + (1 − instr_frac) · os_frac`.
+    instr_or_os: Chance,
+    /// An OS reference inside a critical section: `(1 − instr_frac) · os_frac`.
+    critical_os: Chance,
+    write: Chance,
+    shared: Chance,
+    acquire: Chance,
     sharing_mix: SharingMix,
+    critical_write: Chance,
+    /// `None` when the probability is 0: the draw is skipped, not made.
+    arrival: Option<Chance>,
+    departure: Option<Chance>,
+    /// `None` without migration or with one CPU (the draw is skipped).
+    migration: Option<Chance>,
+    cs_guarded: Chance,
+    guarded_churn: Chance,
+    os_shared: Chance,
+    os_shared_write: Chance,
+    os_local_write: Chance,
+    private_locality: Chance,
+    jump: Chance,
+    false_sharing_write: Chance,
+    pool_churn: Chance,
+    read_mostly_write: Chance,
+    migratory_churn: Chance,
+    migratory_write: Chance,
 }
 
-impl EffectiveMix {
-    fn base(cfg: &WorkloadConfig) -> Self {
-        EffectiveMix {
-            instr_frac: cfg.instr_frac,
-            write_frac: cfg.write_frac,
-            shared_frac: cfg.shared_frac,
-            acquire_prob: cfg.lock.acquire_prob,
-            sharing_mix: cfg.sharing_mix,
+impl Odds {
+    /// The odds in force under `phase` (`None`: the base configuration).
+    fn new(cfg: &WorkloadConfig, phase: Option<&Phase>) -> Self {
+        let instr_frac = phase.and_then(|p| p.instr_frac).unwrap_or(cfg.instr_frac);
+        let write_frac = phase.and_then(|p| p.write_frac).unwrap_or(cfg.write_frac);
+        let shared_frac = phase.and_then(|p| p.shared_frac).unwrap_or(cfg.shared_frac);
+        let acquire_prob = phase
+            .and_then(|p| p.acquire_prob)
+            .unwrap_or(cfg.lock.acquire_prob);
+        let sharing_mix = phase.and_then(|p| p.sharing_mix).unwrap_or(cfg.sharing_mix);
+        let unless_zero = |p: f64| (p > 0.0).then(|| Chance::new(p));
+        Odds {
+            instr: Chance::new(instr_frac),
+            instr_or_os: Chance::new(instr_frac + (1.0 - instr_frac) * cfg.os_frac),
+            critical_os: Chance::new((1.0 - instr_frac) * cfg.os_frac),
+            write: Chance::new(write_frac),
+            shared: Chance::new(shared_frac),
+            acquire: Chance::new(acquire_prob),
+            sharing_mix,
+            critical_write: Chance::new(cfg.lock.critical_write_frac),
+            arrival: unless_zero(cfg.open.arrival_prob),
+            departure: unless_zero(cfg.open.departure_prob),
+            migration: unless_zero(cfg.migration_prob).filter(|_| cfg.cpus > 1),
+            cs_guarded: Chance::new(CS_GUARDED_FRAC),
+            guarded_churn: Chance::new(GUARDED_CHURN),
+            os_shared: Chance::new(OS_SHARED_PROB),
+            os_shared_write: Chance::new(OS_SHARED_WRITE_FRAC),
+            os_local_write: Chance::new(OS_LOCAL_WRITE_FRAC),
+            private_locality: Chance::new(PRIVATE_LOCALITY),
+            jump: Chance::new(JUMP_PROB),
+            false_sharing_write: Chance::new(FALSE_SHARING_WRITE_FRAC),
+            pool_churn: Chance::new(POOL_CHURN),
+            read_mostly_write: Chance::new(READ_MOSTLY_WRITE_FRAC),
+            migratory_churn: Chance::new(MIGRATORY_CHURN),
+            migratory_write: Chance::new(MIGRATORY_WRITE_FRAC),
         }
     }
+}
 
-    fn for_phase(cfg: &WorkloadConfig, phase: &Phase) -> Self {
-        EffectiveMix {
-            instr_frac: phase.instr_frac.unwrap_or(cfg.instr_frac),
-            write_frac: phase.write_frac.unwrap_or(cfg.write_frac),
-            shared_frac: phase.shared_frac.unwrap_or(cfg.shared_frac),
-            acquire_prob: phase.acquire_prob.unwrap_or(cfg.lock.acquire_prob),
-            sharing_mix: phase.sharing_mix.unwrap_or(cfg.sharing_mix),
-        }
-    }
+/// References [`Iterator::next`] generates per block fill.
+const LOOKAHEAD: usize = 64;
+
+/// What a slot holds until the block fill overwrites it.
+fn blank() -> MemRef {
+    MemRef::instr(CpuId::default(), ProcessId::default(), Addr::default())
 }
 
 /// Infinite deterministic reference stream. See the module docs.
+///
+/// [`Iterator::next`] and [`Workload::fill`] read the same stream, in any
+/// interleaving. As a [`TraceSource`] it is unbounded and reads each chunk
+/// with one fill; [`TakeSource`](crate::TakeSource) bounds it.
 ///
 /// # Examples
 ///
@@ -179,8 +239,10 @@ impl EffectiveMix {
 /// use dirsim_trace::synth::{Workload, WorkloadConfig};
 ///
 /// let cfg = WorkloadConfig::builder().seed(1).build().expect("valid");
-/// let refs: Vec<_> = Workload::new(cfg).take(1000).collect();
-/// assert_eq!(refs.len(), 1000);
+/// let refs: Vec<_> = Workload::new(cfg.clone()).take(1000).collect();
+/// let mut filled = Vec::new();
+/// Workload::new(cfg).fill(&mut filled, 1000);
+/// assert_eq!(refs, filled);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -199,13 +261,17 @@ pub struct Workload {
     barrier_generation: u64,
     next_cpu: usize,
     step: u64,
+    /// References until the next quantum boundary (a multiple of
+    /// `cfg.quantum` past step 0), counted down instead of divided. It is
+    /// settled once per run of [`Workload::generate`], not per reference.
+    quantum_left: u32,
     /// Sliding-window bases for working-set churn (see the churn constants).
     guarded_base: Vec<u64>,
     mig_base: u64,
     read_mostly_base: u64,
     producer_base: u64,
-    /// The mix currently in force (base config + active phase overrides).
-    eff: EffectiveMix,
+    /// The odds in force (base config + active phase overrides).
+    odds: Odds,
     /// Index of the active phase (`cfg.phases` may be empty).
     phase_idx: usize,
     /// References left in the active phase; `None` once the schedule is
@@ -215,6 +281,11 @@ pub struct Workload {
     zipf: Option<Zipf>,
     /// Live process count (grows and shrinks in open-system mode).
     live: u32,
+    /// References generated ahead of [`Iterator::next`] (empty until its
+    /// first call), served from `ahead_pos` on; [`Workload::fill`] drains
+    /// them first.
+    ahead: Vec<MemRef>,
+    ahead_pos: usize,
 }
 
 impl Workload {
@@ -235,16 +306,13 @@ impl Workload {
         let locks = vec![LockState { holder: None }; cfg.lock.locks as usize];
         let guarded_base = vec![0u64; cfg.lock.locks as usize];
         let rng = SmallRng::seed_from_u64(cfg.seed);
-        let (eff, phase_left) = match cfg.phases.first() {
-            Some(phase) => (
-                EffectiveMix::for_phase(&cfg, phase),
-                (phase.refs > 0).then_some(phase.refs),
-            ),
-            None => (EffectiveMix::base(&cfg), None),
-        };
+        let first = cfg.phases.first();
+        let odds = Odds::new(&cfg, first);
+        let phase_left = first.and_then(|phase| (phase.refs > 0).then_some(phase.refs));
         let zipf = (cfg.zipf_theta > 0.0)
             .then(|| Zipf::new(u64::from(cfg.shared_blocks_per_pool), cfg.zipf_theta));
         let live = cfg.processes;
+        let quantum_left = cfg.quantum;
         Workload {
             cfg,
             layout,
@@ -257,21 +325,88 @@ impl Workload {
             barrier_generation: 0,
             next_cpu: 0,
             step: 0,
+            quantum_left,
             guarded_base,
             mig_base: 0,
             read_mostly_base: 0,
             producer_base: 0,
-            eff,
+            odds,
             phase_idx: 0,
             phase_left,
             zipf,
             live,
+            ahead: Vec::new(),
+            ahead_pos: 0,
         }
     }
 
     /// The configuration this generator was built from.
     pub fn config(&self) -> &WorkloadConfig {
         &self.cfg
+    }
+
+    /// Appends the stream's next `n` references to `out`: the references
+    /// `n` calls of [`Iterator::next`] would return, in one block.
+    pub fn fill(&mut self, out: &mut Vec<MemRef>, n: usize) {
+        let ahead = &self.ahead[self.ahead_pos..];
+        let served = ahead.len().min(n);
+        out.extend_from_slice(&ahead[..served]);
+        self.ahead_pos += served;
+        let at = out.len();
+        out.resize(at + n - served, blank());
+        self.generate(&mut out[at..]);
+    }
+
+    /// Overwrites `slots` with the stream's next references, in runs that
+    /// cross no phase or quantum boundary, so the per-reference loop
+    /// counts neither. Writing into slots, not pushing, keeps a capacity
+    /// check and a length store out of the loop. The RNG lives in a local
+    /// for the whole block and every step helper (all inlined) borrows it
+    /// from there, so its state stays in registers instead of
+    /// round-tripping through `self`.
+    fn generate(&mut self, slots: &mut [MemRef]) {
+        let mut rng = self.rng.clone();
+        let mut rest = slots;
+        while !rest.is_empty() {
+            self.maybe_advance_phase();
+            // A zero countdown means this run's first step is a quantum
+            // boundary; the next one is a whole quantum later.
+            let quantum = match self.quantum_left {
+                0 => self.cfg.quantum,
+                q => q,
+            };
+            let phase = self.phase_left.unwrap_or(u64::MAX);
+            let run = phase.min(u64::from(quantum)).min(rest.len() as u64);
+            let (now, later) = std::mem::take(&mut rest).split_at_mut(run as usize);
+            for slot in now {
+                *slot = self.step(&mut rng);
+            }
+            self.quantum_left = quantum - run as u32;
+            if let Some(phase_left) = &mut self.phase_left {
+                *phase_left -= run;
+            }
+            rest = later;
+        }
+        self.rng = rng;
+    }
+
+    /// One reference: the scheduler's bookkeeping, then one turn of the
+    /// process on the next CPU. The order of the draws here and in the
+    /// helpers defines the stream (DESIGN §15).
+    #[inline(always)]
+    fn step(&mut self, rng: &mut SmallRng) -> MemRef {
+        self.open_system_step(rng);
+        self.maybe_context_switch();
+        self.maybe_migrate(rng);
+        let cpu_idx = self.next_cpu;
+        self.next_cpu += 1;
+        if self.next_cpu == self.cpu_proc.len() {
+            self.next_cpu = 0;
+        }
+        let pid = self.cpu_proc[cpu_idx];
+        let r = self.proc_turn(CpuId::new(cpu_idx as u16), pid, rng);
+        self.step += 1;
+        r
     }
 
     /// Moves to the next phase once the active one's budget is spent. The
@@ -281,7 +416,7 @@ impl Workload {
             self.phase_idx += 1;
             match self.cfg.phases.get(self.phase_idx) {
                 Some(phase) => {
-                    self.eff = EffectiveMix::for_phase(&self.cfg, phase);
+                    self.odds = Odds::new(&self.cfg, Some(phase));
                     self.phase_left = (phase.refs > 0).then_some(phase.refs);
                 }
                 None => self.phase_left = None,
@@ -290,22 +425,21 @@ impl Workload {
     }
 
     /// One step of the open-system birth/death process: maybe spawn a new
-    /// process into the ready queue, maybe retire a waiting one. Only runs
-    /// when open-system mode is enabled, so closed configurations draw no
-    /// extra randomness (bit-identical streams).
-    fn open_system_step(&mut self) {
-        let open = self.cfg.open;
-        if open.arrival_prob > 0.0 && self.rng.gen_bool(open.arrival_prob) {
-            // The cap check comes after the draw so the stream consumed
-            // per step does not depend on the population.
-            if self.live < open.max_processes {
-                let pid = self.procs.len() as u32;
-                self.procs.push(ProcState::new(pid, &self.cfg));
-                self.ready.push_back(pid);
-                self.live += 1;
-            }
+    /// process into the ready queue, maybe retire a waiting one. A zero
+    /// probability skips its draw, so closed configurations draw no extra
+    /// randomness (bit-identical streams).
+    #[inline(always)]
+    fn open_system_step(&mut self, rng: &mut SmallRng) {
+        // The cap check comes after the draw so the stream consumed per
+        // step does not depend on the population.
+        if self.odds.arrival.is_some_and(|c| c.roll(rng)) && self.live < self.cfg.open.max_processes
+        {
+            let pid = self.procs.len() as u32;
+            self.procs.push(ProcState::new(pid, &self.cfg));
+            self.ready.push_back(pid);
+            self.live += 1;
         }
-        if open.departure_prob > 0.0 && self.rng.gen_bool(open.departure_prob) {
+        if self.odds.departure.is_some_and(|c| c.roll(rng)) {
             // Retire the front waiter; CPUs keep their running processes,
             // so the population never drops below the CPU count. A
             // critical-section holder is never retired (it would leak its
@@ -324,49 +458,53 @@ impl Workload {
 
     /// Draws a block rank within a shared pool: uniform by default, Zipf
     /// when `zipf_theta > 0`. Consumes exactly one RNG value either way.
-    fn pool_rank(&mut self, blocks: u64) -> u64 {
+    #[inline(always)]
+    fn pool_rank(&self, blocks: u64, rng: &mut SmallRng) -> u64 {
         match &self.zipf {
             Some(zipf) => {
                 debug_assert_eq!(zipf.ranks(), blocks);
-                zipf.sample(&mut self.rng)
+                zipf.sample(rng)
             }
-            None => self.rng.gen_range(0..blocks),
+            None => below(rng, blocks),
         }
     }
 
-    fn maybe_migrate(&mut self) {
-        if self.cfg.migration_prob > 0.0
-            && self.cfg.cpus > 1
-            && self.rng.gen_bool(self.cfg.migration_prob)
-        {
-            let a = self.rng.gen_range(0..self.cpu_proc.len());
-            let b = self.rng.gen_range(0..self.cpu_proc.len());
+    #[inline(always)]
+    fn maybe_migrate(&mut self, rng: &mut SmallRng) {
+        if self.odds.migration.is_some_and(|c| c.roll(rng)) {
+            let a = below(rng, self.cpu_proc.len() as u64) as usize;
+            let b = below(rng, self.cpu_proc.len() as u64) as usize;
             self.cpu_proc.swap(a, b);
         }
     }
 
+    /// Rotates waiting processes onto the CPUs at a quantum boundary: a
+    /// zero countdown, which only a run's first step can see. The
+    /// countdown runs whether or not anyone waits, since an open system's
+    /// ready queue can fill later.
+    #[inline(always)]
     fn maybe_context_switch(&mut self) {
-        if self.ready.is_empty() {
+        if self.quantum_left != 0 {
             return;
         }
-        if self.step > 0 && self.step % u64::from(self.cfg.quantum) == 0 {
-            for slot in self.cpu_proc.iter_mut() {
-                if let Some(next) = self.ready.pop_front() {
-                    self.ready.push_back(*slot);
-                    *slot = next;
-                }
+        self.quantum_left = self.cfg.quantum;
+        for slot in self.cpu_proc.iter_mut() {
+            if let Some(next) = self.ready.pop_front() {
+                self.ready.push_back(*slot);
+                *slot = next;
             }
         }
     }
 
     /// Emits the next reference from process `pid` on CPU `cpu`.
-    fn proc_turn(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn proc_turn(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let id = ProcessId::new(pid);
         match self.procs[pid as usize].mode {
             Mode::Spinning { lock } => {
                 // The spin loop executes instructions between tests.
-                if self.rng.gen_bool(self.eff.instr_frac) {
-                    return self.instr_fetch(cpu, pid);
+                if self.odds.instr.roll(rng) {
+                    return self.instr_fetch(cpu, pid, rng);
                 }
                 if self.locks[lock as usize].holder.is_none() {
                     // Observed free last test: issue the test-and-set write.
@@ -396,39 +534,38 @@ impl Workload {
                 // Work done while holding the lock looks like ordinary
                 // execution, except that its shared accesses target the
                 // lock's guarded blocks.
-                if self.rng.gen_bool(self.eff.instr_frac) {
-                    return self.instr_fetch(cpu, pid);
+                if self.odds.instr.roll(rng) {
+                    return self.instr_fetch(cpu, pid, rng);
                 }
-                let os_prob = (1.0 - self.eff.instr_frac) * self.cfg.os_frac;
-                if self.rng.gen_bool(os_prob.clamp(0.0, 1.0)) {
-                    return self.os_ref(cpu, pid);
+                if self.odds.critical_os.roll(rng) {
+                    return self.os_ref(cpu, pid, rng);
                 }
-                if self.rng.gen_bool(CS_GUARDED_FRAC) {
-                    if self.rng.gen_bool(GUARDED_CHURN) {
+                if self.odds.cs_guarded.roll(rng) {
+                    if self.odds.guarded_churn.roll(rng) {
                         self.guarded_base[lock as usize] += 1;
                     }
                     let base = self.guarded_base[lock as usize];
-                    let block = base + self.rng.gen_range(0..GUARDED_BLOCKS_PER_LOCK);
+                    let block = base + below(rng, GUARDED_BLOCKS_PER_LOCK);
                     let addr = self.layout.guarded(lock, block);
-                    if self.rng.gen_bool(self.cfg.lock.critical_write_frac) {
+                    if self.odds.critical_write.roll(rng) {
                         MemRef::write(cpu, id, addr)
                     } else {
                         MemRef::read(cpu, id, addr)
                     }
                 } else {
-                    self.private_ref(cpu, pid)
+                    self.private_ref(cpu, pid, rng)
                 }
             }
             Mode::AtBarrier { generation } => {
                 // Spin-loop instructions interleave with generation tests.
-                if self.rng.gen_bool(self.eff.instr_frac) {
-                    return self.instr_fetch(cpu, pid);
+                if self.odds.instr.roll(rng) {
+                    return self.instr_fetch(cpu, pid, rng);
                 }
                 if self.barrier_generation != generation {
                     // Released: a later generation means the round completed.
                     self.procs[pid as usize].mode = Mode::Running;
                     self.procs[pid as usize].turns_since_barrier = 0;
-                    return self.running_turn(cpu, pid);
+                    return self.running_turn(cpu, pid, rng);
                 }
                 MemRef::read(cpu, id, self.barrier_word()).with_flags(RefFlags::empty().with_lock())
             }
@@ -456,7 +593,7 @@ impl Workload {
                         return MemRef::write(cpu, id, self.barrier_word());
                     }
                 }
-                self.running_turn(cpu, pid)
+                self.running_turn(cpu, pid, rng)
             }
         }
     }
@@ -467,130 +604,144 @@ impl Workload {
         self.layout.lock(self.cfg.lock.locks)
     }
 
-    fn running_turn(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn running_turn(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let id = ProcessId::new(pid);
-        let roll: f64 = self.rng.gen();
-        if roll < self.eff.instr_frac {
-            return self.instr_fetch(cpu, pid);
+        // One roll picks an instruction fetch, an OS reference or data.
+        let roll = draw53(rng);
+        if self.odds.instr.admits(roll) {
+            return self.instr_fetch(cpu, pid, rng);
         }
-        if roll < self.eff.instr_frac + (1.0 - self.eff.instr_frac) * self.cfg.os_frac {
-            return self.os_ref(cpu, pid);
+        if self.odds.instr_or_os.admits(roll) {
+            return self.os_ref(cpu, pid, rng);
         }
         // Ordinary data reference.
-        if !self.locks.is_empty() && self.rng.gen_bool(self.eff.acquire_prob) {
-            let lock = self.rng.gen_range(0..self.locks.len()) as u32;
+        if !self.locks.is_empty() && self.odds.acquire.roll(rng) {
+            let lock = below(rng, self.locks.len() as u64) as u32;
             self.procs[pid as usize].mode = Mode::Spinning { lock };
             // The initial test read of test-and-test-and-set.
             return MemRef::read(cpu, id, self.layout.lock(lock))
                 .with_flags(RefFlags::empty().with_lock());
         }
-        if self.rng.gen_bool(self.eff.shared_frac) {
-            self.shared_ref(cpu, pid)
+        if self.odds.shared.roll(rng) {
+            self.shared_ref(cpu, pid, rng)
         } else {
-            self.private_ref(cpu, pid)
+            self.private_ref(cpu, pid, rng)
         }
     }
 
-    fn instr_fetch(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn instr_fetch(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let code_blocks = u64::from(self.cfg.code_blocks);
         let state = &mut self.procs[pid as usize];
         let pc = state.pc;
-        state.pc = if self.rng.gen_bool(JUMP_PROB) {
-            self.rng.gen_range(0..code_blocks)
+        // `pc < code_blocks` always holds, so falling through wraps by
+        // compare.
+        state.pc = if self.odds.jump.roll(rng) {
+            below(rng, code_blocks)
+        } else if pc + 1 == code_blocks {
+            0
         } else {
-            (pc + 1) % code_blocks
+            pc + 1
         };
         MemRef::instr(cpu, ProcessId::new(pid), self.layout.code(pid, pc))
     }
 
-    fn os_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn os_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let flags = RefFlags::empty().with_os();
-        let (addr, write_frac) = if self.rng.gen_bool(OS_SHARED_PROB) {
-            let block = self.rng.gen_range(0..OS_SHARED_BLOCKS);
-            (self.layout.os(block), OS_SHARED_WRITE_FRAC)
+        let (addr, write) = if self.odds.os_shared.roll(rng) {
+            let block = below(rng, OS_SHARED_BLOCKS);
+            (self.layout.os(block), self.odds.os_shared_write)
         } else {
-            let block = self.rng.gen_range(0..OS_LOCAL_BLOCKS);
+            let block = below(rng, OS_LOCAL_BLOCKS);
             (
                 self.layout.os_local(cpu.index() as u16, block),
-                OS_LOCAL_WRITE_FRAC,
+                self.odds.os_local_write,
             )
         };
-        if self.rng.gen_bool(write_frac) {
+        if write.roll(rng) {
             MemRef::write(cpu, ProcessId::new(pid), addr).with_flags(flags)
         } else {
             MemRef::read(cpu, ProcessId::new(pid), addr).with_flags(flags)
         }
     }
 
-    fn private_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn private_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let blocks = u64::from(self.cfg.private_blocks);
-        let reuse = self.rng.gen_bool(PRIVATE_LOCALITY);
+        let reuse = self.odds.private_locality.roll(rng);
         let block = if reuse {
             self.procs[pid as usize].last_private
         } else {
-            let b = self.rng.gen_range(0..blocks);
+            let b = below(rng, blocks);
             self.procs[pid as usize].last_private = b;
             b
         };
         let addr = self.layout.private(pid, block);
-        if self.rng.gen_bool(self.eff.write_frac) {
+        if self.odds.write.roll(rng) {
             MemRef::write(cpu, ProcessId::new(pid), addr)
         } else {
             MemRef::read(cpu, ProcessId::new(pid), addr)
         }
     }
 
-    fn shared_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
-        let mix = self.eff.sharing_mix;
+    #[inline(always)]
+    fn shared_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
+        let mix = self.odds.sharing_mix;
         let total = mix.total();
-        let roll: f64 = self.rng.gen::<f64>() * total;
+        // Stays `f64`: the product with `total` rounds, so no integer
+        // threshold reproduces it.
+        let roll: f64 = rng.gen::<f64>() * total;
         if roll < mix.read_mostly {
-            self.read_mostly_ref(cpu, pid)
+            self.read_mostly_ref(cpu, pid, rng)
         } else if roll < mix.read_mostly + mix.migratory {
-            self.migratory_ref(cpu, pid)
+            self.migratory_ref(cpu, pid, rng)
         } else if roll < mix.read_mostly + mix.migratory + mix.producer_consumer {
-            self.producer_consumer_ref(cpu, pid)
+            self.producer_consumer_ref(cpu, pid, rng)
         } else {
-            self.false_sharing_ref(cpu, pid)
+            self.false_sharing_ref(cpu, pid, rng)
         }
     }
 
-    fn false_sharing_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn false_sharing_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         // Each process hammers its own word; several words share a block.
         let blocks = u64::from(self.cfg.shared_blocks_per_pool);
-        let block = self.pool_rank(blocks);
+        let block = self.pool_rank(blocks, rng);
         let addr = self.layout.false_sharing_word(pid, block);
-        // Per-process counters are update-heavy.
-        if self.rng.gen_bool(0.6) {
+        if self.odds.false_sharing_write.roll(rng) {
             MemRef::write(cpu, ProcessId::new(pid), addr)
         } else {
             MemRef::read(cpu, ProcessId::new(pid), addr)
         }
     }
 
-    fn read_mostly_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn read_mostly_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let blocks = u64::from(self.cfg.shared_blocks_per_pool);
-        if self.rng.gen_bool(POOL_CHURN) {
+        if self.odds.pool_churn.roll(rng) {
             self.read_mostly_base += 1;
         }
-        let block = self.read_mostly_base + self.pool_rank(blocks);
+        let block = self.read_mostly_base + self.pool_rank(blocks, rng);
         let addr = self.layout.shared(Region::ReadMostly, block);
-        if self.rng.gen_bool(READ_MOSTLY_WRITE_FRAC) {
+        if self.odds.read_mostly_write.roll(rng) {
             MemRef::write(cpu, ProcessId::new(pid), addr)
         } else {
             MemRef::read(cpu, ProcessId::new(pid), addr)
         }
     }
 
-    fn migratory_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn migratory_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let blocks = u64::from(self.cfg.shared_blocks_per_pool);
-        if self.procs[pid as usize].mig_burst_left == 0 && self.rng.gen_bool(MIGRATORY_CHURN) {
+        if self.procs[pid as usize].mig_burst_left == 0 && self.odds.migratory_churn.roll(rng) {
             self.mig_base += 1;
         }
         let mig_base = self.mig_base;
         if self.procs[pid as usize].mig_burst_left == 0 {
             // Pick up a (likely previously-owned-by-someone-else) object.
-            let rank = self.pool_rank(blocks);
+            let rank = self.pool_rank(blocks, rng);
             let state = &mut self.procs[pid as usize];
             state.mig_block = mig_base + rank;
             state.mig_burst_left = MIGRATORY_BURST;
@@ -600,19 +751,20 @@ impl Workload {
         let first_of_burst = state.mig_burst_left == MIGRATORY_BURST - 1;
         let addr = self.layout.shared(Region::Migratory, state.mig_block);
         // A migratory burst starts with a read (inspect), then mixes writes.
-        if !first_of_burst && self.rng.gen_bool(MIGRATORY_WRITE_FRAC) {
+        if !first_of_burst && self.odds.migratory_write.roll(rng) {
             MemRef::write(cpu, ProcessId::new(pid), addr)
         } else {
             MemRef::read(cpu, ProcessId::new(pid), addr)
         }
     }
 
-    fn producer_consumer_ref(&mut self, cpu: CpuId, pid: u32) -> MemRef {
+    #[inline(always)]
+    fn producer_consumer_ref(&mut self, cpu: CpuId, pid: u32, rng: &mut SmallRng) -> MemRef {
         let blocks = u64::from(self.cfg.shared_blocks_per_pool);
-        if self.rng.gen_bool(POOL_CHURN) {
+        if self.odds.pool_churn.roll(rng) {
             self.producer_base += 1;
         }
-        let block = self.producer_base + self.pool_rank(blocks);
+        let block = self.producer_base + self.pool_rank(blocks, rng);
         let addr = self.layout.shared(Region::ProducerConsumer, block);
         // Rotate the producer role over every process ever created; in a
         // closed system this is exactly the configured process set.
@@ -628,22 +780,34 @@ impl Workload {
 impl Iterator for Workload {
     type Item = MemRef;
 
+    /// Serves the next reference from a lookahead block of 64 that the
+    /// block fill behind [`Workload::fill`] refills.
     fn next(&mut self) -> Option<Self::Item> {
-        self.maybe_advance_phase();
-        if self.cfg.open.is_enabled() {
-            self.open_system_step();
+        if self.ahead_pos == self.ahead.len() {
+            let mut ahead = std::mem::take(&mut self.ahead);
+            ahead.resize(LOOKAHEAD, blank());
+            self.generate(&mut ahead);
+            self.ahead = ahead;
+            self.ahead_pos = 0;
         }
-        self.maybe_context_switch();
-        self.maybe_migrate();
-        let cpu_idx = self.next_cpu;
-        self.next_cpu = (self.next_cpu + 1) % self.cpu_proc.len();
-        let pid = self.cpu_proc[cpu_idx];
-        let r = self.proc_turn(CpuId::new(cpu_idx as u16), pid);
-        self.step += 1;
-        if let Some(left) = &mut self.phase_left {
-            *left -= 1;
-        }
+        let r = self.ahead[self.ahead_pos];
+        self.ahead_pos += 1;
         Some(r)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
+}
+
+/// An unbounded source: each chunk is one [`Workload::fill`] of `max`
+/// references. [`TakeSource`](crate::TakeSource) bounds it, as
+/// [`Scenario::source`](crate::Scenario::source) does.
+impl TraceSource for Workload {
+    fn read_chunk(&mut self, buf: &mut Vec<MemRef>, max: usize) -> Result<usize, TraceIoError> {
+        buf.clear();
+        self.fill(buf, max);
+        Ok(max)
     }
 }
 
@@ -917,6 +1081,90 @@ mod tests {
             .count();
         // Barriers keep completing: arrivals far exceed one round.
         assert!(arrivals > 10, "arrivals: {arrivals}");
+    }
+
+    /// Every probability a bundled scenario or the generator draws with,
+    /// and the cumulative roll bounds derived from them.
+    fn preset_probabilities() -> Vec<f64> {
+        let mut ps = vec![
+            CS_GUARDED_FRAC,
+            OS_SHARED_PROB,
+            OS_SHARED_WRITE_FRAC,
+            OS_LOCAL_WRITE_FRAC,
+            JUMP_PROB,
+            PRIVATE_LOCALITY,
+            READ_MOSTLY_WRITE_FRAC,
+            MIGRATORY_WRITE_FRAC,
+            FALSE_SHARING_WRITE_FRAC,
+            GUARDED_CHURN,
+            MIGRATORY_CHURN,
+            POOL_CHURN,
+        ];
+        for scenario in crate::scenario::registry() {
+            let c = scenario.config();
+            let mut instr = vec![c.instr_frac];
+            ps.extend([
+                c.write_frac,
+                c.shared_frac,
+                c.migration_prob,
+                c.lock.acquire_prob,
+                c.lock.critical_write_frac,
+                c.open.arrival_prob,
+                c.open.departure_prob,
+            ]);
+            for phase in &c.phases {
+                instr.extend(phase.instr_frac);
+                ps.extend(phase.write_frac);
+                ps.extend(phase.shared_frac);
+                ps.extend(phase.acquire_prob);
+            }
+            for i in instr {
+                ps.extend([i, (1.0 - i) * c.os_frac, i + (1.0 - i) * c.os_frac]);
+            }
+        }
+        ps
+    }
+
+    #[test]
+    fn integer_thresholds_reproduce_gen_bool() {
+        let unit = (1u64 << 53) as f64;
+        let mut ps = vec![0.0, 1.0 / unit, 0.5, 1.0 - 1.0 / unit, 1.0];
+        ps.extend(preset_probabilities());
+        let mut random = SmallRng::seed_from_u64(0x7e57);
+        ps.extend((0..8).map(|_| random.gen::<f64>()));
+        ps.sort_by(f64::total_cmp);
+        ps.dedup();
+        for p in ps {
+            assert!((0.0..=1.0).contains(&p), "{p} is a probability");
+            let chance = Chance::new(p);
+            // The least m with m · 2⁻⁵³ ≥ p, found from below: p · 2⁵³ is
+            // exact, so its floor is too.
+            let floor = (p * unit) as u64;
+            let least = if floor as f64 / unit >= p {
+                floor
+            } else {
+                floor + 1
+            };
+            assert!(least as f64 / unit >= p && (least == 0 || ((least - 1) as f64 / unit) < p));
+            assert!(!chance.admits(least), "{p}: {least} is not below p");
+            assert!(
+                least == 0 || chance.admits(least - 1),
+                "{p}: {least} - 1 is"
+            );
+            let mut by_float = SmallRng::seed_from_u64(0xd1ce);
+            let mut by_integer = by_float.clone();
+            for draw in 0..1_000_000 {
+                assert_eq!(
+                    by_float.gen_bool(p),
+                    chance.roll(&mut by_integer),
+                    "{p}: draw {draw}"
+                );
+            }
+            assert_eq!(
+                by_float, by_integer,
+                "{p}: both consumed one value per draw"
+            );
+        }
     }
 
     #[test]

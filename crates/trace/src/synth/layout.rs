@@ -156,8 +156,9 @@ impl AddressLayout {
     /// block `block`: distinct processes hit distinct words of the *same*
     /// block (word index wraps at the block size).
     pub fn false_sharing_word(self, pid: u32, block: u64) -> Addr {
+        // Words per block is a power of two, so the wrap is a mask.
         let words_per_block = (self.block_size / 4).max(1);
-        let offset = (u64::from(pid) % words_per_block) * 4;
+        let offset = (u64::from(pid) & (words_per_block - 1)) * 4;
         Addr::new(self.block_addr(Region::FalseSharing, block).raw() + offset)
     }
 }

@@ -2,13 +2,17 @@
 //! algebra, filter laws, and generator structure.
 
 use proptest::prelude::*;
+use proptest::strategy::Gen;
 use proptest::test_runner::TestCaseResult;
 
 use dirsim_trace::filter::{by_cpu, data_only, without_lock_tests, without_os};
 use dirsim_trace::frontend::{read_csv, write_csv};
 use dirsim_trace::io::{read_binary, read_text, write_binary, write_text, TraceIoError};
-use dirsim_trace::source::{IterSource, SliceSource};
-use dirsim_trace::synth::{Region, Workload, WorkloadConfig};
+use dirsim_trace::source::{IterSource, SliceSource, TakeSource};
+use dirsim_trace::synth::{
+    BarrierConfig, LockConfig, OpenSystemConfig, Phase, Region, SharingMix, Workload,
+    WorkloadConfig,
+};
 use dirsim_trace::{
     open_trace, AccessKind, Addr, CpuId, MemRef, MmapTraceSource, ProcessId, RefFlags, TraceSource,
     TraceStats,
@@ -129,8 +133,117 @@ fn drain_borrowed<S: TraceSource>(
     Ok(got)
 }
 
+/// Valid [`WorkloadConfig`]s across the generator's features, each switched
+/// on at random: 1–96 CPUs with waiting processes, short quanta, locks,
+/// phase schedules, open systems, Zipf pools, barriers and migration. Short
+/// quanta and phases put many boundaries into a few thousand references.
+#[derive(Debug, Clone, Copy)]
+struct ArbitraryConfig;
+
+impl Strategy for ArbitraryConfig {
+    type Value = WorkloadConfig;
+
+    fn generate(&self, rng: &mut Gen) -> WorkloadConfig {
+        let coin = |rng: &mut Gen| rng.next_u64() & 1 == 1;
+        let frac = |rng: &mut Gen, top: f64| rng.unit_f64() * top;
+        let mix = |rng: &mut Gen| SharingMix {
+            read_mostly: rng.unit_f64(),
+            migratory: rng.unit_f64(),
+            producer_consumer: rng.unit_f64(),
+            false_sharing: 0.05 + rng.unit_f64() * 0.95,
+        };
+        let cpus = 1 + rng.below(96) as u16;
+        let processes = u32::from(cpus) + rng.below(4) as u32;
+        let open = coin(rng);
+        let mut cfg = WorkloadConfig {
+            cpus,
+            processes,
+            instr_frac: frac(rng, 1.0),
+            write_frac: frac(rng, 1.0),
+            shared_frac: frac(rng, 0.5),
+            sharing_mix: mix(rng),
+            shared_blocks_per_pool: 1 + rng.below(64) as u32,
+            private_blocks: 1 + rng.below(64) as u32,
+            code_blocks: 1 + rng.below(64) as u32,
+            lock: LockConfig {
+                locks: rng.below(4) as u32,
+                acquire_prob: frac(rng, 0.2),
+                critical_section_len: rng.below(30) as u32,
+                critical_write_frac: frac(rng, 1.0),
+            },
+            os_frac: frac(rng, 0.3),
+            migration_prob: if coin(rng) { frac(rng, 0.05) } else { 0.0 },
+            quantum: 1 + rng.below(200) as u32,
+            block_size: 1 << (2 + rng.below(4)),
+            zipf_theta: if coin(rng) {
+                0.05 + frac(rng, 0.9)
+            } else {
+                0.0
+            },
+            seed: rng.next_u64(),
+            ..WorkloadConfig::default()
+        };
+        if open {
+            cfg.open = OpenSystemConfig {
+                arrival_prob: frac(rng, 0.05),
+                departure_prob: frac(rng, 0.05),
+                max_processes: processes + rng.below(8) as u32,
+            };
+        } else if coin(rng) {
+            cfg.barrier = BarrierConfig {
+                interval: 1 + rng.below(100) as u32,
+            };
+        }
+        let phases = rng.below(4);
+        for i in 0..phases {
+            let last = i + 1 == phases;
+            cfg.phases.push(Phase {
+                refs: if last && coin(rng) {
+                    0
+                } else {
+                    1 + rng.below(300)
+                },
+                instr_frac: Some(frac(rng, 1.0)),
+                write_frac: coin(rng).then(|| frac(rng, 1.0)),
+                shared_frac: coin(rng).then(|| frac(rng, 0.5)),
+                sharing_mix: coin(rng).then(|| mix(rng)),
+                acquire_prob: coin(rng).then(|| frac(rng, 0.2)),
+            });
+        }
+        cfg.validate()
+            .expect("the strategy builds valid configurations");
+        cfg
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// [`Workload::fill`], [`Iterator::next`] and the bounded source read
+    /// one stream: any interleaving of `next()` and `fill(n)`, and any
+    /// chunk size of the source, yields the `next()`-only stream, so where
+    /// a block ends never moves a draw.
+    #[test]
+    fn fill_and_next_read_one_stream(
+        cfg in ArbitraryConfig,
+        reads in prop::collection::vec((any::<bool>(), 0usize..200), 1..24),
+        chunk in 1usize..300,
+    ) {
+        let total: usize = reads.iter().map(|&(_, n)| n).sum();
+        let expected: Vec<MemRef> = Workload::new(cfg.clone()).take(total).collect();
+        let mut workload = Workload::new(cfg.clone());
+        let mut got = Vec::new();
+        for &(fill, n) in &reads {
+            if fill {
+                workload.fill(&mut got, n);
+            } else {
+                got.extend((0..n).map(|_| workload.next().expect("the generator is infinite")));
+            }
+        }
+        prop_assert_eq!(&got, &expected, "interleaved reads {:?}", reads);
+        let sourced = drain(TakeSource::new(Workload::new(cfg), total as u64), chunk);
+        prop_assert_eq!(sourced, expected, "source at chunk size {}", chunk);
+    }
 
     /// Every [`TraceSource`] adapter honours the short-read/EOF contract
     /// for arbitrary streams and chunk sizes: binary, text, and

@@ -7,6 +7,10 @@
 //! committed below. A change that means to move a stream re-pins them
 //! and says why.
 //!
+//! Each stream is read both ways the generator serves it, through
+//! `Iterator::next` and through [`Scenario::source`] at an odd chunk size
+//! (each chunk one block fill), and both must give the pinned digest.
+//!
 //! The prefix is half a million references, not a million, to keep the
 //! debug suite fast. It still crosses every scenario's first phase
 //! boundary (`phased` changes phase at 400,000 references) and, in the
@@ -15,9 +19,14 @@
 use dirsim_trace::codec::{encode_record, RECORD_LEN};
 use dirsim_trace::corpus::Fnv64;
 use dirsim_trace::scenario::{registry, Scenario};
+use dirsim_trace::{MemRef, TraceSource};
 
 /// References hashed per scenario.
 const PREFIX: usize = 500_000;
+
+/// The source's chunk size: odd, so chunk ends do not line up with the
+/// bundled scenarios' round quantum and phase lengths.
+const CHUNK: usize = 7_777;
 
 /// Each bundled scenario's digest, in registry order.
 const DIGESTS: [(&str, u64); 13] = [
@@ -36,30 +45,67 @@ const DIGESTS: [(&str, u64); 13] = [
     ("open-zipf-phased", 0x672e_243b_f04b_84a5),
 ];
 
+/// The FNV-1a digest of `refs`, DTR1-encoded.
+#[derive(Debug)]
+struct Digest {
+    hash: Fnv64,
+    record: [u8; RECORD_LEN],
+    pid_bound: usize,
+}
+
+impl Digest {
+    fn new() -> Digest {
+        Digest {
+            hash: Fnv64::new(),
+            record: [0; RECORD_LEN],
+            pid_bound: 0,
+        }
+    }
+
+    fn update(&mut self, r: &MemRef) {
+        encode_record(r, &mut self.record);
+        self.hash.update(&self.record);
+        self.pid_bound = self.pid_bound.max(r.pid.index() + 1);
+    }
+}
+
 /// `scenario`'s name and the digest of its first [`PREFIX`] references,
-/// after checking that the prefix reaches its first phase boundary and
+/// read through `next()` and through the source, after checking that the
+/// two agree and that the prefix reaches its first phase boundary and
 /// first arrival.
 fn digest(scenario: &Scenario) -> (String, u64) {
     let config = scenario.config();
-    let mut hash = Fnv64::new();
-    let mut record = [0u8; RECORD_LEN];
-    let mut pid_bound = 0;
-    for r in scenario.workload().take(PREFIX) {
-        encode_record(&r, &mut record);
-        hash.update(&record);
-        pid_bound = pid_bound.max(r.pid.index() + 1);
-    }
     let name = scenario.name();
+    let mut iterated = Digest::new();
+    for r in scenario.workload().take(PREFIX) {
+        iterated.update(&r);
+    }
+    let mut sourced = Digest::new();
+    let mut source = scenario.source(PREFIX as u64);
+    let mut chunk = Vec::new();
+    while source
+        .read_chunk(&mut chunk, CHUNK)
+        .expect("a generator never fails")
+        > 0
+    {
+        chunk.iter().for_each(|r| sourced.update(r));
+    }
+    let hash = iterated.hash.finish();
+    assert_eq!(
+        hash,
+        sourced.hash.finish(),
+        "{name}: the source and next() read different streams"
+    );
     if let Some(first) = config.phases.first() {
         assert!(first.refs < PREFIX as u64, "{name}: prefix ends in phase 1");
     }
     if config.open.is_enabled() {
         assert!(
-            pid_bound > config.processes as usize,
+            iterated.pid_bound > config.processes as usize,
             "{name}: prefix ends before the first arrival"
         );
     }
-    (name.to_string(), hash.finish())
+    (name.to_string(), hash)
 }
 
 #[test]

@@ -385,6 +385,47 @@ fn match_lanes_say_why_a_lane_has_no_kernel() {
 }
 
 #[test]
+fn decode_runs_say_where_each_run_decoded() {
+    // A mapped DTR1 file lends its chunks, so its run decodes inline on
+    // the calling thread; a generator decodes on the producer thread. Each
+    // run counts once, whatever its worker count.
+    use dirsim_trace::io::write_binary;
+    use std::io::Write as _;
+
+    let pops = Scenario::named("pops").unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "dirsim-observability-decode-runs-{}.dtr",
+        std::process::id()
+    ));
+    {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        write_binary(&mut out, pops.workload().take(REFS)).unwrap();
+        out.flush().unwrap();
+    }
+    for workers in [1, 3] {
+        let registry = Arc::new(MetricsRegistry::new());
+        Experiment::new()
+            .workload(NamedWorkload::trace("mapped", &path))
+            .workload(NamedWorkload::from(pops))
+            .workload(NamedWorkload::from(Scenario::named("pero").unwrap()))
+            .schemes(vec![Scheme::Dragon, Scheme::dir_n_nb()])
+            .refs_per_trace(REFS)
+            .workers(workers)
+            .recorder(Arc::clone(&registry) as Arc<dyn Recorder>)
+            .run()
+            .unwrap();
+        for (placement, runs) in [("inline", 1), ("producer", 2)] {
+            assert_eq!(
+                registry.counter_value("decode_runs", &[("placement", placement)]),
+                Some(runs),
+                "{workers} workers: decode_runs{{placement={placement}}}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn progress_meter_sees_monotone_cumulative_refs() {
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
