@@ -1,9 +1,8 @@
 //! # dirsim-bench
 //!
 //! Reproduction harness for the paper's evaluation section: the `repro`
-//! binary regenerates every table and figure, and the Criterion benches
-//! (`tables`, `figures`, `throughput`) time the simulations that produce
-//! them.
+//! binary regenerates every table and figure, the paper's sketched
+//! extensions, and four design-choice ablations.
 //!
 //! Run the full report:
 //!
@@ -22,18 +21,20 @@
 use dirsim::paper;
 use dirsim::prelude::*;
 use dirsim::report;
+use dirsim::SimError;
 use dirsim_protocol::DirSpec;
 
 /// Reference count per trace used by the full report.
 pub const REPORT_REFS: usize = 1_000_000;
 
-/// Reference count per trace used by quick (CI/bench) runs.
+/// Reference count per trace used by `repro --quick`.
 pub const QUICK_REFS: usize = 100_000;
 
 /// Every artifact the repro binary can produce, in paper order.
 /// `sec4.finite` and `sec5.sys` are the paper's sketched extensions
-/// (finite caches; effective-processor bound), fully implemented here.
-pub const ARTIFACTS: [&str; 22] = [
+/// (finite caches; effective-processor bound), fully implemented here;
+/// `ablations` comes last.
+pub const ARTIFACTS: [&str; 23] = [
     "table1",
     "table2",
     "table3",
@@ -56,6 +57,7 @@ pub const ARTIFACTS: [&str; 22] = [
     "robustness",
     "sec5.timing",
     "sensitivity",
+    "ablations",
 ];
 
 /// Renders one artifact given pre-computed headline/extended results.
@@ -235,8 +237,250 @@ pub fn render_artifact(
             }
             out
         }
+        "ablations" => {
+            let refs = refs.min(200_000);
+            let study = ablations(refs).expect("ablation simulation");
+            let scale = format!("pipelined, {refs} refs");
+            let mut block = report::TextTable::new(format!(
+                "Ablation: block size (Dir0B on pops; fs = false-sharing config; {scale})"
+            ));
+            block.headers([
+                "block bytes",
+                "cycles/ref",
+                "miss rate",
+                "fs cycles/ref",
+                "fs miss rate",
+            ]);
+            for r in &study.block_size {
+                block.row([
+                    r.bytes.to_string(),
+                    format!("{:.4}", r.cycles_per_ref),
+                    format!("{:.3}%", r.miss_rate * 100.0),
+                    format!("{:.4}", r.fs_cycles_per_ref),
+                    format!("{:.3}%", r.fs_miss_rate * 100.0),
+                ]);
+            }
+            let mut organisation = report::TextTable::new(format!(
+                "Ablation: full-map directory organisation (pops, 4 caches; {scale})"
+            ));
+            organisation.headers([
+                "organisation",
+                "cycles/ref",
+                "dir lookups/kiloref",
+                "dir updates/kiloref",
+            ]);
+            let per_kiloref = |ops: u64| format!("{:.3}", ops as f64 * 1000.0 / refs as f64);
+            for r in &study.organisation {
+                organisation.row([
+                    r.scheme.name(),
+                    format!("{:.4}", r.cycles_per_ref),
+                    per_kiloref(r.dir_lookups),
+                    per_kiloref(r.dir_updates),
+                ]);
+            }
+            let mut out = block.render();
+            out.push('\n');
+            out.push_str(&organisation.render());
+            for (title, column, rows) in [
+                (
+                    format!("Ablation: Dir2NB eviction policy (thor; {scale})"),
+                    "policy",
+                    &study.eviction,
+                ),
+                (
+                    format!(
+                        "Ablation: sharing attribution (Dir0B on pops, migration 0.001; {scale})"
+                    ),
+                    "attribution",
+                    &study.attribution,
+                ),
+            ] {
+                let mut table = report::TextTable::new(title);
+                table.headers([column, "cycles/ref", "coh. miss rate"]);
+                for r in rows {
+                    table.row([
+                        r.label.to_string(),
+                        format!("{:.4}", r.cycles_per_ref),
+                        format!("{:.3}%", r.coherence_miss_rate * 100.0),
+                    ]);
+                }
+                out.push('\n');
+                out.push_str(&table.render());
+            }
+            out
+        }
         other => panic!("unknown artifact {other:?}; expected one of {ARTIFACTS:?}"),
     }
+}
+
+/// The design-choice ablations that `repro --only ablations` renders.
+#[derive(Debug)]
+struct Ablations {
+    /// Block sizes 4, 16, 64 and 256 bytes, smallest first.
+    block_size: Vec<BlockSizeRow>,
+    /// The full-map organisations DirnNB (Censier–Feautrier), Tang and
+    /// YenFu, in that order.
+    organisation: Vec<OrganisationRow>,
+    /// Dir2NB's overflow victim: oldest-sharer, then newest-sharer.
+    eviction: Vec<SettingRow>,
+    /// Sharing attribution: per-process, then per-processor.
+    attribution: Vec<SettingRow>,
+}
+
+/// One block size of [`Ablations::block_size`]: Dir0B on pops and on a
+/// config derived from pops whose only sharing is false sharing.
+#[derive(Debug)]
+struct BlockSizeRow {
+    /// Block size in bytes.
+    bytes: u32,
+    /// Pipelined bus cycles per reference on pops, a block transfer priced
+    /// by its word count.
+    cycles_per_ref: f64,
+    /// Data miss rate on pops.
+    miss_rate: f64,
+    /// Pipelined bus cycles per reference on the false-sharing config.
+    fs_cycles_per_ref: f64,
+    /// Data miss rate on the false-sharing config.
+    fs_miss_rate: f64,
+}
+
+/// One organisation of [`Ablations::organisation`], on pops.
+#[derive(Debug)]
+struct OrganisationRow {
+    /// `DirnNB`, `Tang` or `YenFu`.
+    scheme: Scheme,
+    /// Pipelined bus cycles per reference.
+    cycles_per_ref: f64,
+    /// Blocking directory lookups ([`BusOp::DirLookup`]).
+    dir_lookups: u64,
+    /// Directory updates ([`BusOp::DirUpdate`]).
+    dir_updates: u64,
+}
+
+/// One setting of a two-way ablation: a Dir2NB eviction policy on thor, or
+/// a sharing attribution for Dir0B on pops with process migration.
+#[derive(Debug, Clone)]
+struct SettingRow {
+    /// The setting's name.
+    label: &'static str,
+    /// Pipelined bus cycles per reference.
+    cycles_per_ref: f64,
+    /// Coherence miss rate.
+    coherence_miss_rate: f64,
+}
+
+/// Runs the four design-choice ablations. Each configuration simulates 4
+/// caches through per-scheme [`Simulator::run`] over the first `refs`
+/// references of its workload:
+///
+/// * block size for Dir0B, on pops and on a pops-derived config whose only
+///   sharing is false sharing;
+/// * full-map directory organisation on pops: DirnNB, Tang, YenFu;
+/// * Dir2NB's eviction policy on thor: oldest-sharer vs newest-sharer;
+/// * sharing attribution (§4.4) for Dir0B on pops with process migration
+///   (`migration_prob` 0.001): per-process vs per-processor.
+///
+/// # Errors
+///
+/// Propagates simulation errors.
+fn ablations(refs: usize) -> Result<Ablations, SimError> {
+    use dirsim_protocol::directory::EvictionPolicy;
+    use dirsim_trace::synth::SharingMix;
+
+    let pipelined = CostModel::pipelined();
+    let scenario = |name| {
+        Scenario::named(name)
+            .expect("bundled scenario")
+            .config()
+            .clone()
+    };
+    let trace =
+        |config: WorkloadConfig| -> Vec<MemRef> { Workload::new(config).take(refs).collect() };
+    let run = |scheme: Scheme, config: SimConfig, stream: &[MemRef]| {
+        Simulator::new(config).run(scheme.build(4).as_mut(), stream.iter().copied())
+    };
+    let pops = scenario("pops");
+    let pops_refs = trace(pops.clone());
+
+    let fs_refs = trace(WorkloadConfig {
+        shared_frac: 0.05,
+        sharing_mix: SharingMix {
+            read_mostly: 0.0,
+            migratory: 0.0,
+            producer_consumer: 0.0,
+            false_sharing: 1.0,
+        },
+        seed: 0xab1a7e,
+        ..pops.clone()
+    });
+    let mut block_size = Vec::new();
+    for bytes in [4u32, 16, 64, 256] {
+        let config = SimConfig {
+            block_map: BlockMap::new(bytes).expect("power-of-two block size"),
+            ..SimConfig::default()
+        };
+        let model = pipelined.with_words_per_block(bytes / 4);
+        let on_pops = run(Scheme::dir0_b(), config, &pops_refs)?;
+        let on_fs = run(Scheme::dir0_b(), config, &fs_refs)?;
+        block_size.push(BlockSizeRow {
+            bytes,
+            cycles_per_ref: on_pops.cycles_per_ref(model),
+            miss_rate: on_pops.events.data_miss_rate(),
+            fs_cycles_per_ref: on_fs.cycles_per_ref(model),
+            fs_miss_rate: on_fs.events.data_miss_rate(),
+        });
+    }
+
+    let mut organisation = Vec::new();
+    for scheme in [Scheme::dir_n_nb(), Scheme::Tang, Scheme::YenFu] {
+        let result = run(scheme, SimConfig::default(), &pops_refs)?;
+        organisation.push(OrganisationRow {
+            scheme,
+            cycles_per_ref: result.cycles_per_ref(pipelined),
+            dir_lookups: result.ops[BusOp::DirLookup],
+            dir_updates: result.ops[BusOp::DirUpdate],
+        });
+    }
+
+    let setting = |label, result: SimResult| SettingRow {
+        label,
+        cycles_per_ref: result.cycles_per_ref(pipelined),
+        coherence_miss_rate: result.events.coherence_miss_rate(),
+    };
+    let thor_refs = trace(scenario("thor"));
+    let mut eviction = Vec::new();
+    for (label, policy) in [
+        ("oldest-sharer", EvictionPolicy::OldestSharer),
+        ("newest-sharer", EvictionPolicy::NewestSharer),
+    ] {
+        let dir2nb = DirSpec::dir_i_nb(2).expect("Dir2NB").with_eviction(policy);
+        let result = run(Scheme::Directory(dir2nb), SimConfig::default(), &thor_refs)?;
+        eviction.push(setting(label, result));
+    }
+
+    let migrating_refs = trace(WorkloadConfig {
+        migration_prob: 0.001,
+        ..pops
+    });
+    let mut attribution = Vec::new();
+    for (label, sharing) in [
+        ("per-process", SharingModel::PerProcess),
+        ("per-processor", SharingModel::PerProcessor),
+    ] {
+        let config = SimConfig {
+            sharing,
+            ..SimConfig::default()
+        };
+        let result = run(Scheme::dir0_b(), config, &migrating_refs)?;
+        attribution.push(setting(label, result));
+    }
+
+    Ok(Ablations {
+        block_size,
+        organisation,
+        eviction,
+        attribution,
+    })
 }
 
 /// CSV data series for external plotting: one `(file name, contents)` pair
@@ -348,7 +592,103 @@ mod tests {
         for a in ARTIFACTS {
             assert!(seen.insert(a));
         }
-        assert_eq!(ARTIFACTS.len(), 22);
+        assert_eq!(ARTIFACTS.len(), 23);
+    }
+
+    /// The claims EXPERIMENTS.md makes from `repro --only ablations`, read
+    /// at 60,000 references.
+    #[test]
+    fn ablation_claims_hold() {
+        let study = ablations(60_000).unwrap();
+
+        let organisation = |scheme| {
+            study
+                .organisation
+                .iter()
+                .find(|r| r.scheme == scheme)
+                .expect("organisation row")
+        };
+        let dirnnb = organisation(Scheme::dir_n_nb());
+        // Tang searches every cache's duplicate tags where the indexed map
+        // reads one entry.
+        assert_eq!(
+            organisation(Scheme::Tang).dir_lookups,
+            4 * dirnnb.dir_lookups
+        );
+        // Yen & Fu's single bits save blocking lookups, not bus cycles.
+        let yenfu = organisation(Scheme::YenFu);
+        assert!(yenfu.dir_lookups < dirnnb.dir_lookups);
+        assert!(yenfu.cycles_per_ref >= dirnnb.cycles_per_ref);
+
+        let setting = |rows: &[SettingRow], label| {
+            rows.iter()
+                .find(|r| r.label == label)
+                .expect("setting row")
+                .clone()
+        };
+        let (oldest, newest) = (
+            setting(&study.eviction, "oldest-sharer"),
+            setting(&study.eviction, "newest-sharer"),
+        );
+        assert!(oldest.cycles_per_ref < newest.cycles_per_ref);
+        let (process, processor) = (
+            setting(&study.attribution, "per-process"),
+            setting(&study.attribution, "per-processor"),
+        );
+        assert!(processor.coherence_miss_rate > process.coherence_miss_rate);
+
+        // pops addresses are 16-byte aligned, so 4 B and 16 B blocks miss
+        // alike, and a 4 B block holds one word, so the false-sharing config
+        // has no false sharing there. From 16 B up, larger blocks miss less
+        // and cost more, and false sharing costs more than pops.
+        let from_16 = &study.block_size[1..];
+        assert_eq!(from_16[0].bytes, 16);
+        for pair in from_16.windows(2) {
+            assert!(pair[1].miss_rate < pair[0].miss_rate, "{pair:?}");
+            assert!(pair[1].cycles_per_ref > pair[0].cycles_per_ref, "{pair:?}");
+        }
+        for r in from_16 {
+            assert!(r.fs_cycles_per_ref > r.cycles_per_ref, "{r:?}");
+        }
+    }
+
+    /// Every `repro` command the docs give must run: each `--only` names an
+    /// artifact, and no doc asks for a flag `repro` rejects or for the
+    /// benches this crate no longer has.
+    #[test]
+    fn docs_give_only_repro_commands_that_run() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs: Vec<_> = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]
+            .iter()
+            .map(|name| root.join(name))
+            .collect();
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "md") {
+                docs.push(path);
+            }
+        }
+        for path in docs {
+            let text = std::fs::read_to_string(&path).unwrap();
+            for gone in ["--table", "--figure", "--section", "cargo bench"] {
+                assert!(
+                    !text.contains(gone),
+                    "{} says {gone:?}, which no command takes",
+                    path.display()
+                );
+            }
+            for after in text.split("--only ").skip(1) {
+                let name = after
+                    .split(|c: char| c.is_whitespace() || c == '`')
+                    .next()
+                    .unwrap_or_default();
+                assert!(
+                    name.starts_with('<') || ARTIFACTS.contains(&name),
+                    "{} runs `repro --only {name}`, which is not an artifact",
+                    path.display()
+                );
+            }
+        }
     }
 
     #[test]
